@@ -9,8 +9,6 @@
                          (default: the recommended domain count)
      CCR_BENCH_JSON=path write machine-readable per-row results (JSON array)
                          to [path], e.g. BENCH_20260807.json
-     CCR_BENCH_SERVE=1   include the checking-service section (spins up an
-                         in-process [ccr serve] daemon on a loopback port)
 
    See EXPERIMENTS.md for the recorded paper-vs-measured discussion. *)
 
@@ -36,7 +34,6 @@ let bench_jobs =
   | None -> max 2 (Domain.recommended_domain_count ())
 
 let bench_json = Sys.getenv_opt "CCR_BENCH_JSON"
-let bench_serve = Sys.getenv_opt "CCR_BENCH_SERVE" = Some "1"
 
 let section title = Fmt.pr "@.=== %s ===@.@." title
 
@@ -245,7 +242,6 @@ let table3_64 () =
 
 let storage () =
   let module Vstore = Ccr_modelcheck.Vstore in
-  let module Mpx = Ccr_modelcheck.Mpx in
   section
     "Storage: collapse compression, the out-of-core store and \
      multi-process exploration vs the Table 3 memory cliff";
@@ -266,13 +262,7 @@ let storage () =
     let max_mem_bytes = Option.map (fun mb -> mb * 1024 * 1024) cap_mb in
     let max_time_s = Option.value max_time ~default:time_cap in
     let r =
-      match workers with
-      | Some w when w > 1 ->
-        Mpx.run ~workers:w ~jobs ~store:kind ?max_mem_bytes ~max_time_s sys
-      | _ ->
-        if jobs > 1 then
-          Explore.par_run ~jobs ~store:kind ?max_mem_bytes ~max_time_s sys
-        else Explore.run ~store:kind ?max_mem_bytes ~max_time_s sys
+      Explore.run ~jobs ?workers ~store:kind ?max_mem_bytes ~max_time_s sys
     in
     record_row ~protocol ~n ~level:"async" ~jobs ~store:sname ?workers r;
     let name =
@@ -367,8 +357,7 @@ let parallel () =
     let mem = mem_cap_mb * 1024 * 1024 in
     let seq = Explore.run ~max_mem_bytes:mem ~max_time_s:time_cap sys in
     let par =
-      Explore.par_run ~jobs:bench_jobs ~max_mem_bytes:mem ~max_time_s:time_cap
-        sys
+      Explore.run ~jobs:bench_jobs ~max_mem_bytes:mem ~max_time_s:time_cap sys
     in
     record_row ~protocol ~n ~level:"async" ~jobs:1 seq;
     record_row ~protocol ~n ~level:"async" ~jobs:bench_jobs par;
@@ -389,7 +378,7 @@ let parallel () =
   if not fast then row "invalidate" 3 (Link.compile ~n:3 Invalidate.system);
   Fmt.pr
     "@.(Counts must agree exactly with the sequential engine — that is the \
-     determinism contract of Explore.par_run.  Wall-clock speedup depends \
+     determinism contract of Explore.run.  Wall-clock speedup depends \
      on the cores the container actually grants; on a single-core host the \
      parallel engine degrades to roughly sequential speed plus \
      synchronization overhead.)@."
@@ -1313,140 +1302,6 @@ let throughput () =
             name thr.Runtime.rendezvous loop.Runtime.rendezvous)
     [ "lock"; "invalidate"; "migratory"; "mesi" ]
 
-(* ---- checking service (§6i) ---------------------------------------------- *)
-
-let record_serve_row ~protocol ~n ~phase ~states ~time_s ?speedup ?jobs_per_s
-    () =
-  if bench_json <> None then
-    json_rows :=
-      Fmt.str
-        {|  {"protocol": %S, "n": %d, "level": "serve", "phase": %S, "states": %d, "time_s": %.6f%s%s}|}
-        (String.lowercase_ascii protocol)
-        n phase states time_s
-        (match speedup with
-        | None -> ""
-        | Some x -> Fmt.str {|, "speedup": %.1f|} x)
-        (match jobs_per_s with
-        | None -> ""
-        | Some x -> Fmt.str {|, "jobs_per_sec": %.1f|} x)
-      :: !json_rows
-
-(* The service's pitch: a warm submission costs one HTTP round trip and a
-   cache read, never an exploration.  Thread-based (no forks, no
-   domains), so this section is safe to run after the parallel ones. *)
-let serve_bench () =
-  section
-    "Checking service: cold vs warm submission on the content-addressed \
-     result cache, and raw API throughput";
-  let module Sapi = Ccr_serve.Api in
-  let module Sdaemon = Ccr_serve.Daemon in
-  let module Shttp = Ccr_serve.Http in
-  let module J = Ccr_obs.Journal in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Fmt.str "ccr-bench-serve-%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let t = Sdaemon.start ~port:0 ~cache_dir:dir () in
-  let port = Sdaemon.port t in
-  let http meth path body =
-    match Shttp.request ~port ~meth ~path ?body () with
-    | Ok (status, body) ->
-      if status >= 400 then failwith (Fmt.str "%s %s: %d" meth path status)
-      else body
-    | Error msg -> failwith (Fmt.str "%s %s: %s" meth path msg)
-  in
-  let jstr v f = Option.get (J.get_str (J.find v f)) in
-  (* wall-clock from POST to verdict; warm hits answer on the POST itself *)
-  let submit_wait cfg =
-    let t0 = Unix.gettimeofday () in
-    let job =
-      Option.get
-        (J.parse
-           (http "POST" "/jobs" (Some (J.to_string (Sapi.config_to_json cfg)))))
-    in
-    let id = jstr job "id" in
-    let rec wait job =
-      match jstr job "status" with
-      | "done" ->
-        let states =
-          match J.get_int (J.find (Option.get (J.find job "verdict")) "states")
-          with
-          | Some s -> s
-          | None -> 0
-        in
-        (Unix.gettimeofday () -. t0, states)
-      | "failed" -> failwith ("bench job failed: " ^ id)
-      | _ ->
-        Unix.sleepf 0.002;
-        wait (Option.get (J.parse (http "GET" ("/jobs/" ^ id) None)))
-    in
-    wait job
-  in
-  let inv4 =
-    { Sapi.default with Sapi.spec = Sapi.Named "invalidate"; level = `Async; n = 4 }
-  in
-  let cold_s, cold_states = submit_wait inv4 in
-  let warm_s, warm_states = submit_wait inv4 in
-  let speedup = cold_s /. max 1e-9 warm_s in
-  Fmt.pr "  %-34s %9s %10s@." "" "time" "states";
-  Fmt.pr "  %-34s %8.3fs %10d@." "cold: invalidate async n=4" cold_s
-    cold_states;
-  Fmt.pr "  %-34s %8.3fs %10d  (explored: 0 — served from cache)@."
-    "warm: same configuration" warm_s warm_states;
-  Fmt.pr "  cache-hit speedup: %.0fx (target >= 100x)@." speedup;
-  record_serve_row ~protocol:"invalidate" ~n:4 ~phase:"cold"
-    ~states:cold_states ~time_s:cold_s ();
-  record_serve_row ~protocol:"invalidate" ~n:4 ~phase:"warm"
-    ~states:warm_states ~time_s:warm_s ~speedup ();
-  (* load generator: many small jobs through the full HTTP + queue +
-     explore path (distinct cache keys), then the same count of pure
-     cache hits *)
-  let jobs = if fast then 20 else 50 in
-  let lock_cfg i =
-    {
-      Sapi.default with
-      Sapi.spec = Sapi.Named "lock";
-      level = `Rv;
-      n = 2;
-      (* max_states is part of the cache key: each job is a distinct
-         workload, so the "fresh" pass never hits the cache *)
-      max_states = 100_000 + i;
-    }
-  in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let fresh_s =
-    timed (fun () ->
-        for i = 1 to jobs do
-          ignore (submit_wait (lock_cfg i))
-        done)
-  in
-  let hit_s =
-    timed (fun () ->
-        for _ = 1 to jobs do
-          ignore (submit_wait (lock_cfg 1))
-        done)
-  in
-  let fresh_rate = float_of_int jobs /. max 1e-9 fresh_s in
-  let hit_rate = float_of_int jobs /. max 1e-9 hit_s in
-  Fmt.pr "@.  load: %d fresh lock rv n=2 jobs: %8.1f jobs/sec@." jobs
-    fresh_rate;
-  Fmt.pr "  load: %d cache-hit submissions:  %8.1f jobs/sec@." jobs hit_rate;
-  record_serve_row ~protocol:"lock" ~n:2 ~phase:"load-fresh" ~states:10
-    ~time_s:fresh_s ~jobs_per_s:fresh_rate ();
-  record_serve_row ~protocol:"lock" ~n:2 ~phase:"load-hit" ~states:10
-    ~time_s:hit_s ~jobs_per_s:hit_rate ();
-  Sdaemon.stop t;
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (try Sys.readdir dir with Sys_error _ -> [||]);
-  try Unix.rmdir dir with Unix.Unix_error _ -> ()
-
 (* ---- Bechamel micro-benchmarks ------------------------------------------- *)
 
 let microbench () =
@@ -1546,7 +1401,6 @@ let () =
   journal_overhead ();
   checkpoint_overhead ();
   throughput ();
-  if bench_serve then serve_bench ();
   microbench ();
   write_json ();
   Fmt.pr "@.done.@."

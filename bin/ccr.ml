@@ -23,7 +23,6 @@ open Ccr_core
 open Ccr_protocols
 module Explore = Ccr_modelcheck.Explore
 module Vstore = Ccr_modelcheck.Vstore
-module Mpx = Ccr_modelcheck.Mpx
 module Ckpt = Ccr_modelcheck.Ckpt
 module Graph = Ccr_modelcheck.Graph
 module Async = Ccr_refine.Async
@@ -109,9 +108,9 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"J"
         ~doc:
-          "Worker domains for state-space exploration (1 = sequential).  \
-           With J > 1, counterexample traces come from a sequential re-run \
-           after the parallel search finds a violation or deadlock.")
+          "Domains for state-space exploration (1 = one shard).  Each \
+           domain owns a shard of the visited set; outcomes, counts, \
+           caps and counterexample traces are identical at every J.")
 
 let store_arg =
   Arg.(
@@ -135,9 +134,9 @@ let workers_arg =
         ~doc:
           "Partition the state space over W forked worker processes (each \
            running $(b,-j) domains), exchanging frontier batches over \
-           pipes.  State and transition counts are byte-identical to \
-           sequential and $(b,-j) runs; memory caps meter the summed \
-           per-worker stores.")
+           pipes.  Outcomes, counts, caps and counterexample traces are \
+           identical to one-shard and $(b,-j) runs; memory caps meter the \
+           summed per-worker stores.")
 
 let faults_arg =
   Arg.(
@@ -714,11 +713,10 @@ let check_cmd =
           None
       & info [ "prov" ] ~docv:"KIND"
           ~doc:
-            "Record per-state provenance (parent id + fired-rule ordinal, \
-             8 bytes per state) in $(b,mem) or out-of-core in $(b,disk).  \
-             Counterexamples are then rebuilt by an O(depth) parent-chain \
-             walk instead of the sequential re-exploration fallback that \
-             $(b,-j)/$(b,--workers) runs otherwise need.")
+            "Keep the per-state provenance (parent id + fired-rule ordinal, \
+             8 bytes per state) that counterexamples are rebuilt from in \
+             $(b,mem) or out-of-core in $(b,disk), and report its size.  \
+             Without it an internal in-memory table is kept.")
   in
   let deadline_arg =
     Arg.(
@@ -985,9 +983,9 @@ let check_cmd =
           | Some s -> s
           | None -> fun key -> [| String.length key |])
     in
-    (* The CLI's full-featured engine behind [Api.check_entry]:
-       checkpointing, the multi-process Mpx engine, provenance and the
-       progress UI — none of which the serve daemon needs. *)
+    (* The CLI's full-featured explorer behind [Api.check_entry]:
+       checkpointing, worker processes, provenance and the progress UI —
+       none of which the serve daemon needs. *)
     let explorer =
       {
         Api.explore =
@@ -1038,28 +1036,11 @@ let check_cmd =
                   }
             in
             Obs.T.with_span "explore" (fun () ->
-                try
-                  if workers > 1 then
-                    Mpx.run ~workers ~jobs ~store ~max_states
-                      ?max_mem_bytes:mem_bytes ?max_time_s:deadline
-                      ~check_deadlock ~trace:true ~invariants ?on_progress
-                      ~metrics:reg ?prov ?on_level ?interrupt ?ckpt:ckpt_ctl
-                      sys
-                  else if jobs > 1 then
-                    Explore.par_run ~jobs ~store ~max_states
-                      ?max_mem_bytes:mem_bytes ?max_time_s:deadline
-                      ~check_deadlock ~trace:true ~invariants ?on_progress
-                      ?prov ?on_level ?interrupt ?ckpt:ckpt_ctl sys
-                  else
-                    Explore.run ~store ~max_states ?max_mem_bytes:mem_bytes
-                      ?max_time_s:deadline ~check_deadlock ~trace:true
-                      ~invariants ?on_progress
-                      ?progress_every:progress_interval ?prov ?on_level
-                      ?interrupt ?ckpt:ckpt_ctl sys
-                with Invalid_argument msg when resume_dir <> None ->
-                  (* a mid-level (sequential) checkpoint fed to a parallel
-                     engine: the engines refuse with an actionable message *)
-                  fail_usage msg));
+                Explore.run ~jobs ~workers ~store ~max_states
+                  ?max_mem_bytes:mem_bytes ?max_time_s:deadline
+                  ~check_deadlock ~trace:true ~invariants ?on_progress
+                  ?progress_every:progress_interval ~metrics:reg ?prov
+                  ?on_level ?interrupt ?ckpt:ckpt_ctl sys));
       }
     in
     (* The implicit-nack tracer hook: rules H_T3/R_T3 are the refined

@@ -264,28 +264,26 @@ let o_par ctx =
   match (Lazy.force ctx.prog, Lazy.force ctx.async_stats) with
   | Error e, _ | _, Error e -> Fail (exn_msg e)
   | Ok prog, Ok seq ->
-    if seq.Explore.outcome <> Explore.Complete then Pass
-    else
-      let cfg = Async.{ k = ctx.spec.Gen.k } in
-      let par =
-        Explore.par_run ~jobs:4 ~max_states:ctx.max_states
-          ~check_deadlock:true (async_sys prog cfg)
-      in
-      if par.Explore.outcome <> Explore.Complete then
-        Fail
-          (Fmt.str "parallel exploration did not complete (%a)"
-             (Explore.pp_outcome (Async.pp_state prog))
-             par.Explore.outcome)
-      else if
-        par.Explore.states <> seq.Explore.states
-        || par.Explore.transitions <> seq.Explore.transitions
-      then
-        Fail
-          (Fmt.str
-             "-j 4 and -j 1 disagree: %d/%d states, %d/%d transitions"
-             par.Explore.states seq.Explore.states par.Explore.transitions
-             seq.Explore.transitions)
-      else Pass
+    (* the stop is the sequential one at every -j, capped runs included *)
+    let cfg = Async.{ k = ctx.spec.Gen.k } in
+    let par =
+      Explore.run ~jobs:4 ~max_states:ctx.max_states ~check_deadlock:true
+        (async_sys prog cfg)
+    in
+    if par.Explore.outcome <> seq.Explore.outcome then
+      Fail
+        (Fmt.str "-j 4 and -j 1 disagree on the outcome (%a)"
+           (Explore.pp_outcome (Async.pp_state prog))
+           par.Explore.outcome)
+    else if
+      par.Explore.states <> seq.Explore.states
+      || par.Explore.transitions <> seq.Explore.transitions
+    then
+      Fail
+        (Fmt.str "-j 4 and -j 1 disagree: %d/%d states, %d/%d transitions"
+           par.Explore.states seq.Explore.states par.Explore.transitions
+           seq.Explore.transitions)
+    else Pass
 
 let o_faults ctx =
   match Lazy.force ctx.prog with
@@ -363,12 +361,9 @@ let o_store ctx =
           (Fmt.str "spilling disk store count %d <> exact count %d"
              (tee_disk.Vstore.count ())
              (tee_exact.Vstore.count ()))
-      else if seq.Explore.outcome <> Explore.Complete then Pass
       else
-        (* Sharded discovery order differs, so the parallel collapse
-           comparison needs a complete baseline. *)
         let par =
-          Explore.par_run ~jobs:2 ~max_states:ctx.max_states
+          Explore.run ~jobs:2 ~max_states:ctx.max_states
             ~store:collapse_kind sys
         in
         agree "parallel (j=2) collapse" par (fun () -> Pass)
@@ -512,15 +507,24 @@ let o_resume ctx =
         match Ckpt.load ~dir with
         | Error msg -> Fail ("checkpoint refused on reload: " ^ msg)
         | Ok l ->
+          (* a cap stop checkpoints the boundary that completes the
+             stop's level *)
           if
-            l.Ckpt.l_states <> first.Explore.states
-            || l.Ckpt.l_transitions <> first.Explore.transitions
+            l.Ckpt.l_depth <> first.Explore.max_depth
+            || l.Ckpt.l_states < first.Explore.states
+            || l.Ckpt.l_transitions < first.Explore.transitions
           then
             Fail
               (Fmt.str
-                 "checkpoint recorded %d/%d states, %d/%d transitions"
-                 l.Ckpt.l_states first.Explore.states l.Ckpt.l_transitions
+                 "checkpoint recorded depth %d, %d states, %d transitions \
+                  for a stop at depth %d, %d states, %d transitions"
+                 l.Ckpt.l_depth l.Ckpt.l_states l.Ckpt.l_transitions
+                 first.Explore.max_depth first.Explore.states
                  first.Explore.transitions)
+          else if l.Ckpt.l_states >= seq.Explore.states then
+            (* the checkpointed level already reaches the uninterrupted
+               run's own cap: no stop is left for a resume to reproduce *)
+            Pass
           else
             let resumed =
               Explore.run ~max_states:ctx.max_states ~check_deadlock:true

@@ -277,6 +277,21 @@ let load ~dir =
       in
       if Array.length frontier <> manifest_int manifest "frontier_len" then
         raise (Damaged "frontier length disagrees with the manifest");
+      (* every checkpoint is a level boundary: one depth, contiguous ids
+         ending at [states], no resume ordinal *)
+      (match frontier with
+      | [||] -> ()
+      | _ ->
+        let len = Array.length frontier in
+        let _, d0, _, _ = frontier.(0) in
+        Array.iteri
+          (fun i (id, d, o, _) ->
+            if d <> d0 || o <> 0 || id <> states - len + i then
+              raise
+                (Damaged
+                   "mid-level checkpoint written by an older version; it \
+                    cannot be resumed"))
+          frontier);
       let prov = decode_prov pstr in
       if Array.length prov > 0 && Array.length prov <> states then
         raise (Damaged "provenance record count disagrees with the manifest");
@@ -360,32 +375,10 @@ let parse_every s =
 
 (* ---- deterministic crash injection ---------------------------------------- *)
 
-type crash_at = { ca_worker : int option; ca_level : int }
+type crash_at = Mpx.crash_at = { ca_worker : int option; ca_level : int }
 
-(* CCR_CRASH_AT=level=L kills this process at BFS level L (checkpoint
-   writers); CCR_CRASH_AT=worker=W,level=L kills Mpx worker W as it is
-   about to expand level L.  Test-only: exercised by the resume smoke and
-   the supervision suite. *)
-let crash_at () =
-  match Sys.getenv_opt "CCR_CRASH_AT" with
-  | None | Some "" -> None
-  | Some s ->
-    let fields = String.split_on_char ',' s in
-    let lookup k =
-      List.find_map
-        (fun f ->
-          match String.index_opt f '=' with
-          | Some i when String.sub f 0 i = k ->
-            int_of_string_opt
-              (String.sub f (i + 1) (String.length f - i - 1))
-          | _ -> None)
-        fields
-    in
-    (match lookup "level" with
-    | Some l -> Some { ca_worker = lookup "worker"; ca_level = l }
-    | None -> None)
-
-let crash_here () = Unix.kill (Unix.getpid ()) Sys.sigkill
+let crash_at = Mpx.crash_at
+let crash_here = Mpx.crash_here
 
 (* ---- the engine-facing save callback -------------------------------------- *)
 

@@ -1,6 +1,6 @@
 (** Crash-safe exploration checkpoints.
 
-    One file, [DIR/ckpt], holds everything a BFS engine needs to continue
+    One file, [DIR/ckpt], holds everything the BFS driver needs to continue
     from a level boundary: a JSON manifest (spec hash, instance
     parameters, engine flags, cumulative counts), the serialized visited
     set, the unexpanded frontier, and the provenance slots.  Fault
@@ -44,7 +44,8 @@ type 's loaded = {
   l_transitions : int;
   l_depth : int;  (** BFS depth of the checkpointed frontier *)
   l_frontier : (int * int * int * 's) array;
-      (** [(id, depth, resume_ord, state)], as {!Explore.ckpt_resume} *)
+      (** [(id, depth, resume_ord, state)], as {!Explore.ckpt_resume}:
+          one depth, contiguous ids ending at [l_states], ordinals 0 *)
   l_keys : (string -> unit) -> unit;
       (** re-iterate the visited-set keys, insertion order preserved *)
   l_prov : (int * int) array;
@@ -58,7 +59,9 @@ val load : dir:string -> ('s loaded, string) result
 (** Read and verify [dir]'s checkpoint.  Any damage — missing file, bad
     magic, truncation at whatever byte, CRC mismatch, manifest/section
     disagreement, newer version — yields [Error] with a one-line
-    diagnosis; this function never raises on malformed input.
+    diagnosis; this function never raises on malformed input.  So does a
+    checkpoint that is not a level boundary (a mid-level checkpoint of
+    an older version, with a non-zero resume ordinal).
 
     The ['s] is trusted, not checked: marshalled states carry no type
     information, which is why {!mismatch} must pass before the frontier
@@ -113,7 +116,7 @@ val saver :
     how the resume smoke and the supervision suite make crashes
     reproducible. *)
 
-type crash_at = { ca_worker : int option; ca_level : int }
+type crash_at = Mpx.crash_at = { ca_worker : int option; ca_level : int }
 
 val crash_at : unit -> crash_at option
 (** The parsed [CCR_CRASH_AT] directive, if any. *)

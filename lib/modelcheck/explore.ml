@@ -24,8 +24,6 @@ let key_fns sys =
 
 type limit = L_states | L_memory | L_time | L_interrupt
 
-type strategy = Bfs | Dfs
-
 type visited_mode = Exact | Bitstate of int
 
 type 's outcome =
@@ -49,16 +47,9 @@ type ('s, 'l) stats = {
 
 (* ---- checkpoint control ---------------------------------------------------
 
-   The engines know nothing about checkpoint files; they expose resumable
-   points through this control record.  A frontier entry is
-   [(id, depth, resume_ord, state)]: the state's visited id, its BFS
-   depth, and the successor ordinal expansion should resume from (0
-   everywhere except the sequential engine's in-flight state at a
-   mid-level cap).  [ck_save] fires at every BFS level boundary — the
-   moment every state of the frontier's depth is discovered and none is
-   expanded — and once more with [v_final = true] when the engine stops
-   at a resource cap or an interrupt; the callback (the [Ckpt] layer)
-   decides whether to actually write. *)
+   The driver knows nothing about checkpoint files; it offers level
+   boundaries through this control record (see explore.mli) and the
+   callback (the [Ckpt] layer) decides whether to actually write. *)
 
 type 's ckpt_view = {
   v_states : int;
@@ -86,10 +77,9 @@ let bitstate_positions = Vstore.bitstate_positions
 (* Reconstruct the path to state [id] from a provenance table: walk the
    parent chain (O(depth) packed-slot reads), then replay the recorded
    successor ordinals from the initial state.  Exact — each ordinal pins
-   one concrete transition, so the labels and intermediate states equal
-   what the in-memory trace arrays would have held, including under
-   symmetry reduction (the replayed states are the concrete
-   representatives the engine expanded). *)
+   one concrete transition, including under symmetry reduction (the
+   replayed states are the concrete representatives the driver
+   expanded). *)
 let replay_path prov sys id =
   let rec go st ords acc =
     match ords with
@@ -101,100 +91,168 @@ let replay_path prov sys id =
   in
   go sys.init (Vstore.Prov.chain prov id) [ (None, sys.init) ]
 
-(* The visited set: exact in-memory, collapse-compressed or out-of-core
-   per the [store] kind, or bitstate when the [visited] mode asks for it
-   (bitstate changes the semantics — approximate counts — so it stays a
-   mode, not a store, and takes precedence). *)
-let make_store ?init_slots ?tail_cap visited kind =
+(* One shard's visited set: exact in-memory, collapse-compressed or
+   out-of-core per the [store] kind, or bitstate when the [visited] mode
+   asks for it (bitstate changes the semantics — approximate counts — so
+   it stays a mode, not a store, and takes precedence).  A bitstate table
+   is split over the shards, keeping the total at [2^bits] bits. *)
+let make_store ~shards visited kind =
   match visited with
-  | Exact -> Vstore.make ?init_slots ?tail_cap kind
-  | Bitstate b -> Vstore.bitstate b
+  | Exact -> Vstore.make kind
+  | Bitstate b ->
+    let rec log2 n = if n <= 1 then 0 else 1 + log2 ((n + 1) / 2) in
+    Vstore.bitstate (b - log2 shards)
 
-let run ?(strategy = Bfs) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
-    ?max_mem_bytes ?max_time_s ?(check_deadlock = false) ?(trace = false)
-    ?(invariants = []) ?on_progress ?(progress_every = 8192) ?prov ?on_level
-    ?interrupt ?ckpt sys =
+(* ---- partitions ------------------------------------------------------------
+
+   The driver below runs one BFS level at a time against a partition of
+   the visited-key space ({!Mpx.partition}).  With one shard it streams:
+   successors are deduplicated the moment they are generated, which is
+   already sequential discovery order.  The other partitions — domains
+   here, forked processes in {!Mpx} — expand the whole level, route each
+   candidate to the shard owning its key, and let each owner dedup its
+   candidates in tag order; the driver's rank merge then replays the
+   fresh ones in sequential order. *)
+
+(* Shard routing uses a third hash seed so it stays independent of both the
+   exact store's probe hash (seed 0) and the bitstate positions (0 and 1). *)
+let shard_seed = 2
+
+(* One domain per store: the domains drain the frontier off an atomic
+   cursor, bucketing each successor by the shard that owns its key; then
+   each domain owns one shard and dedups that shard's candidates, without
+   locks.  [succ], [key_of] and the invariants run concurrently. *)
+let shard_partition ~key_of ~succ ~violated ~halt stores =
+  let jobs = Array.length stores in
+  let owner key = Hashtbl.seeded_hash shard_seed key mod jobs in
+  let level ~depth:_ frontier =
+    (* out.(d).(o): the candidates domain [d] generated for shard [o] *)
+    let out, halted =
+      Mpx.expand ~jobs ~shards:jobs ~owner ~key_of ~succ ~halt ~index:Fun.id
+        frontier
+    in
+    let nsucc =
+      Mpx.count_succ (Array.length frontier)
+        (List.concat_map Array.to_list (Array.to_list out))
+    in
+    if halted then { Mpx.nsucc; fresh = [||]; viol = None; halted = true }
+    else begin
+      let fresh = Array.make jobs (Mpx.cands ()) in
+      let viols = Array.make jobs None in
+      Mpx.parallel jobs (fun o ->
+          let f, v =
+            Mpx.dedup ~add:stores.(o).Vstore.add ~violated
+              (Array.map (fun m -> m.(o)) out)
+          in
+          fresh.(o) <- f;
+          viols.(o) <- v);
+      {
+        nsucc;
+        fresh;
+        viol = Array.fold_left Mpx.first_viol None viols;
+        halted = false;
+      }
+    end
+  in
+  let sum f = Array.fold_left (fun a s -> a + f s) 0 stores in
+  let most f = Array.fold_left (fun m s -> max m (f s)) 0 stores in
+  {
+    Mpx.level;
+    seed = (fun key -> ignore (stores.(owner key).Vstore.add key));
+    iter_keys = (fun f -> Array.iter (fun s -> s.Vstore.iter_keys f) stores);
+    mem_bytes = (fun () -> sum (fun s -> s.Vstore.mem_bytes ()));
+    raw_bytes = (fun () -> sum (fun s -> s.Vstore.raw_bytes ()));
+    balance =
+      (fun () ->
+        let total = sum (fun s -> s.Vstore.count ()) in
+        if total = 0 then 1.0
+        else
+          float_of_int (most (fun s -> s.Vstore.count ()) * jobs)
+          /. float_of_int total);
+    fallbacks = (fun () -> 0);
+    close = ignore;
+  }
+
+(* ---- the driver -------------------------------------------------------------
+
+   Whatever the partition, the driver sees each level's discoveries in
+   sequential BFS order: frontier index [i] expanded (with its successor
+   count), then its fresh successors by ordinal.  Everything observable is
+   decided here, once: ids and provenance, [on_level], invariant and
+   deadlock events, the caps, progress and the checkpoint view.  Because
+   the replay is in sequential order, the driver stops exactly where the
+   sequential engine would: a deadlock at index [i] comes before any
+   discovery from [i], a violation before a cap on the same state, and
+   the transition count at a stop on [(i, ord)] is the successor count of
+   indices before [i] plus [ord + 1]. *)
+
+let run ?(jobs = 1) ?(workers = 1) ?(visited = Exact) ?(store = Vstore.Mem)
+    ?max_states ?max_mem_bytes ?max_time_s ?(check_deadlock = false)
+    ?(trace = false) ?(invariants = []) ?on_progress ?(progress_every = 8192)
+    ?prov ?on_level ?interrupt ?ckpt ?metrics ?on_respawn ?on_degrade sys =
   let t0 = Unix.gettimeofday () in
   let key_of, on_fresh, canon_fallbacks = key_fns sys in
-  let store = make_store visited store in
-  (* With a provenance table the trace arrays are redundant: the packed
-     side-table replaces the in-memory parent/state arrays outright. *)
-  let keep_arrays = trace && prov = None in
-  let prov_record ~id ~parent ~ord =
-    match prov with
-    | Some p -> Vstore.Prov.record p ~id ~parent ~ord
-    | None -> ()
-  in
-  (* Level boundaries are only meaningful under BFS, where discovery
-     depth is monotone. *)
-  let emit_level =
-    match (on_level, strategy) with
-    | Some f, Bfs -> fun ~depth ~states -> f ~depth ~states
-    | _ -> fun ~depth:_ ~states:_ -> ()
-  in
-  (* with [keep_arrays]: states.(id) and parents.(id) = (parent, label) *)
-  let parents = ref [||] in
-  let states = ref [||] in
-  let n_states = ref 0 in
-  let record st parent label =
-    if keep_arrays then begin
-      if !n_states >= Array.length !states then begin
-        let cap = max 1024 (2 * Array.length !states) in
-        let states' = Array.make cap st
-        and parents' = Array.make cap (0, None) in
-        Array.blit !states 0 states' 0 !n_states;
-        Array.blit !parents 0 parents' 0 !n_states;
-        states := states';
-        parents := parents'
-      end;
-      !states.(!n_states) <- st;
-      !parents.(!n_states) <- (parent, label)
-    end
-  in
-  let rebuild_trace id =
-    if not trace then None
-    else
-      match prov with
-      | Some p -> Some (replay_path p sys id)
-      | None ->
-        let rec up id acc =
-          let parent, label = !parents.(id) in
-          let entry = (label, !states.(id)) in
-          if parent = id then entry :: acc else up parent (entry :: acc)
-        in
-        Some (up id [])
-  in
-  let push_frontier, pop_frontier, frontier_empty, frontier_entries =
-    match strategy with
-    | Bfs ->
-      let q = Queue.create () in
-      ( (fun x -> Queue.push x q),
-        (fun () -> Queue.pop q),
-        (fun () -> Queue.is_empty q),
-        fun () -> List.of_seq (Queue.to_seq q) )
-    | Dfs ->
-      let s = Stack.create () in
-      ( (fun x -> Stack.push x s),
-        (fun () -> Stack.pop s),
-        (fun () -> Stack.is_empty s),
-        fun () -> List.of_seq (Stack.to_seq s) )
-  in
-  let n_transitions = ref 0 in
-  let frontier_len = ref 0 in
-  let peak_frontier = ref 0 in
-  let max_depth = ref 0 in
-  let finished = ref None in
-  let bad_id = ref 0 in
-  let finish ?id o =
-    if !finished = None then begin
-      finished := Some o;
-      match id with Some id -> bad_id := id | None -> ()
-    end
+  let jobs = max 1 jobs and workers = max 1 workers in
+  (* counterexamples are rebuilt from provenance: without the caller's
+     table, an internal one (8 bytes per state) *)
+  let prov =
+    match prov with None when trace -> Some (Vstore.Prov.create ()) | p -> p
   in
   let violated st =
-    List.find_opt (fun (_, check) -> not (check st)) invariants
+    List.find_map
+      (fun (name, ok) -> if ok st then None else Some name)
+      invariants
   in
-  let emit_progress =
+  let deadline = Option.map (( +. ) t0) max_time_s in
+  let poll () =
+    match (deadline, interrupt) with
+    | Some d, _ when Unix.gettimeofday () > d -> Some L_time
+    | _, Some f when f () -> Some L_interrupt
+    | _ -> None
+  in
+  (* one in-process shard streams; see the partitions above *)
+  let stream, part =
+    if workers > 1 then
+      ( None,
+        Mpx.partition ~workers ~jobs
+          ~new_store:(fun () -> make_store ~shards:workers visited store)
+          ~key_of ~canon_fallbacks ~succ:sys.succ ~violated ~deadline ?metrics
+          ?on_respawn ?on_degrade () )
+    else
+      let stores =
+        Array.init jobs (fun _ -> make_store ~shards:jobs visited store)
+      in
+      ( (if jobs = 1 then Some stores.(0) else None),
+        shard_partition ~key_of ~succ:sys.succ ~violated
+          ~halt:(fun () -> poll () <> None)
+          stores )
+  in
+  let n_states = ref 0 and trans = ref 0 and trans_before = ref 0 in
+  let max_depth = ref 0 and peak = ref 0 in
+  let outcome = ref None and stop_counts = ref (0, 0, 0) and bad_id = ref 0 in
+  (* a cap stop with a checkpoint attached completes its level (ids,
+     provenance, store) so that the final checkpoint is a boundary; the
+     reported figures stay those of the stop *)
+  let finishing = ref false in
+  let stopped () = !outcome <> None && not !finishing in
+  let stop ~transitions o =
+    if !outcome = None then begin
+      outcome := Some o;
+      stop_counts := (!n_states, transitions, !max_depth);
+      finishing :=
+        ckpt <> None
+        && match o with Limit (L_states | L_memory) -> true | _ -> false
+    end
+  in
+  (* the level under construction, in id order *)
+  let next = ref [||] and next_len = ref 0 in
+  let take () =
+    let a = Array.sub !next 0 !next_len in
+    next := [||];
+    next_len := 0;
+    a
+  in
+  let progress =
     match on_progress with
     | None -> fun _ -> ()
     | Some f ->
@@ -204,624 +262,191 @@ let run ?(strategy = Bfs) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
           f
             {
               Ccr_obs.Progress.states = !n_states;
-              transitions = !n_transitions;
+              transitions = !trans;
               depth;
-              frontier = !frontier_len;
+              frontier = !next_len;
               rate =
-                (if elapsed > 0. then float_of_int !n_states /. elapsed
-                 else 0.);
-              mem_bytes = store.Vstore.mem_bytes ();
-              shard_balance = 1.0;
+                (if elapsed > 0. then float_of_int !n_states /. elapsed else 0.);
+              mem_bytes = part.Mpx.mem_bytes ();
+              shard_balance = part.Mpx.balance ();
               elapsed_s = elapsed;
             }
         end
   in
-  let discover st parent label ~ord ~depth =
-    let key = key_of st in
-    if store.Vstore.add key then begin
-      on_fresh st;
-      let id = !n_states in
-      record st parent label;
-      prov_record ~id ~parent ~ord;
-      if depth > !max_depth then begin
-        (* first state of a deeper level: the previous level is complete *)
-        emit_level ~depth:(depth - 1) ~states:!n_states;
-        max_depth := depth
-      end;
-      incr n_states;
-      (match violated st with
-      | Some (name, _) ->
-        finish ~id (Violation { invariant = name; state = st })
+  let admit ~parent ~ord ~depth st viol =
+    if not !finishing then on_fresh st;
+    let id = !n_states in
+    Option.iter (fun p -> Vstore.Prov.record p ~id ~parent ~ord) prov;
+    if depth > !max_depth then begin
+      (* first state of a deeper level: the previous level is complete *)
+      Option.iter (fun f -> f ~depth:(depth - 1) ~states:id) on_level;
+      max_depth := depth
+    end;
+    incr n_states;
+    if !next_len = Array.length !next then begin
+      let a = Array.make (max 1024 (2 * !next_len)) st in
+      Array.blit !next 0 a 0 !next_len;
+      next := a
+    end;
+    !next.(!next_len) <- st;
+    incr next_len;
+    if not !finishing then begin
+      let transitions = !trans_before + ord + 1 in
+      (match viol () with
+      | Some invariant ->
+        bad_id := id;
+        stop ~transitions (Violation { invariant; state = st })
       | None -> ());
       (match (max_states, max_mem_bytes) with
-      | Some cap, _ when !n_states >= cap -> finish (Limit L_states)
-      | _, Some cap when store.Vstore.mem_bytes () >= cap ->
-        finish (Limit L_memory)
+      | Some cap, _ when !n_states >= cap -> stop ~transitions (Limit L_states)
+      | _, Some cap when part.Mpx.mem_bytes () >= cap ->
+        stop ~transitions (Limit L_memory)
       | _ -> ());
-      push_frontier (st, id, depth);
-      incr frontier_len;
-      if !frontier_len > !peak_frontier then peak_frontier := !frontier_len;
-      emit_progress depth
+      progress depth
     end
   in
-  (* Checkpoint control is BFS-only: level boundaries are not meaningful
-     under DFS. *)
-  let ck = match ckpt with Some c when strategy = Bfs -> Some c | _ -> None in
-  let ck_save ~final ~head () =
-    match ck with
-    | None -> ()
-    | Some c ->
-      c.ck_save
-        {
-          v_states = !n_states;
-          v_transitions = !n_transitions;
-          v_depth = !max_depth;
-          v_final = final;
-          v_frontier =
-            (fun () ->
-              let rest =
-                List.map
-                  (fun (st, id, d) -> (id, d, 0, st))
-                  (frontier_entries ())
-              in
-              Array.of_list
-                (match head with
-                | Some (st, id, d, o) -> (id, d, o, st) :: rest
-                | None -> rest));
-          v_iter_keys = store.Vstore.iter_keys;
-        }
+  let expanded ~base i st n =
+    trans_before := !trans;
+    trans := !trans + n;
+    if n = 0 && check_deadlock && not !finishing then begin
+      bad_id := base + i;
+      stop ~transitions:!trans (Deadlock st)
+    end
   in
-  (* With an [ord] skip marker a resumed in-flight state re-expands only
-     the successors the interrupted run never traversed, so transition
-     counts continue exactly where the checkpoint left them. *)
-  let pending_skip = ref None in
-  (match ck with
-  | Some { ck_resume = Some r; _ } ->
-    r.r_keys (fun k -> ignore (store.Vstore.add k));
-    n_states := r.r_states;
-    n_transitions := r.r_transitions;
-    Array.iter
-      (fun (id, d, o, st) ->
-        if d > !max_depth then max_depth := d;
-        if o > 0 then pending_skip := Some (id, o);
-        push_frontier (st, id, d);
-        incr frontier_len)
-      r.r_frontier;
-    peak_frontier := !frontier_len
-  | _ -> discover sys.init 0 None ~ord:(-1) ~depth:0);
-  let last_depth = ref 0 in
-  let inflight = ref None in
-  while (not (frontier_empty ())) && !finished = None do
-    let st, id, depth = pop_frontier () in
-    decr frontier_len;
-    let start_ord =
-      match !pending_skip with
-      | Some (sid, o) when sid = id ->
-        pending_skip := None;
-        o
-      | _ -> 0
+  let stream_level (s : Vstore.t) ~base ~depth frontier =
+    let len = Array.length frontier in
+    let i = ref 0 in
+    while !i < len && not (stopped ()) do
+      let st = frontier.(!i) in
+      (* consult the time cap and the interrupt before every expansion
+         (the boundary's own poll covers the first) *)
+      (if !i > 0 && not !finishing then
+         match poll () with
+         | Some l -> stop ~transitions:!trans (Limit l)
+         | None -> ());
+      if not (stopped ()) then begin
+        let succs = sys.succ st in
+        expanded ~base !i st (List.length succs);
+        List.iteri
+          (fun ord (_, st') ->
+            if (not (stopped ())) && s.Vstore.add (key_of st') then
+              admit ~parent:(base + !i) ~ord ~depth:(depth + 1) st' (fun () ->
+                  violated st'))
+          succs
+      end;
+      incr i
+    done
+  in
+  (* the rank merge: every shard's fresh candidates in tag order, each
+     frontier index expanded before its first discovery *)
+  let merge_level ~base ~depth frontier (lv : _ Mpx.level) =
+    let vtag, vname =
+      match lv.Mpx.viol with Some (t, n) -> (t, Some n) | None -> (-1, None)
     in
-    if ck <> None then begin
-      (* first pop of a deeper level: every state of that level is
-         discovered and none expanded — the resumable boundary *)
-      if depth > !last_depth then
-        ck_save ~final:false ~head:(Some (st, id, depth, start_ord)) ();
-      inflight := Some (st, id, depth, start_ord)
-    end;
-    last_depth := depth;
-    (* Consult the time cap before every expansion: a throttled check (the
-       old every-256-pops scheme) lets a batch of slow [succ] calls
-       overshoot the cap by seconds on the asynchronous protocols. *)
-    (match max_time_s with
-    | Some cap when Unix.gettimeofday () -. t0 > cap ->
-      finish (Limit L_time)
-    | _ -> ());
-    (match interrupt with
-    | Some f when f () -> finish (Limit L_interrupt)
-    | _ -> ());
-    if !finished = None then begin
-      let succs = sys.succ st in
-      if check_deadlock && succs = [] then finish ~id (Deadlock st);
-      List.iteri
-        (fun ord (label, st') ->
-          if ord >= start_ord && !finished = None then begin
-            incr n_transitions;
-            discover st' id (Some label) ~ord ~depth:(depth + 1);
-            if ck <> None && !finished <> None then
-              inflight := Some (st, id, depth, ord + 1)
-          end)
-        succs
+    let next_i = ref 0 in
+    let expand_upto i =
+      while !next_i <= i && not (stopped ()) do
+        expanded ~base !next_i frontier.(!next_i) lv.Mpx.nsucc.(!next_i);
+        incr next_i
+      done
+    in
+    Mpx.merge_iter lv.Mpx.fresh (fun b h ->
+        let c = lv.Mpx.fresh.(b) in
+        let t = c.Mpx.tags.(h) in
+        expand_upto (t lsr 16);
+        if not (stopped ()) then
+          admit ~parent:(base + (t lsr 16)) ~ord:(t land 0xffff)
+            ~depth:(depth + 1) c.Mpx.sts.(h) (fun () ->
+              if t = vtag then vname else None));
+    expand_upto (Array.length frontier - 1)
+  in
+  let offer ~final ~base ~depth frontier =
+    Option.iter
+      (fun c ->
+        c.ck_save
+          {
+            v_states = !n_states;
+            v_transitions = !trans;
+            v_depth = depth;
+            v_final = final;
+            v_frontier =
+              (fun () ->
+                Array.mapi (fun i st -> (base + i, depth, 0, st)) frontier);
+            v_iter_keys = part.Mpx.iter_keys;
+          })
+      ckpt
+  in
+  (* one level per call: poll, offer the boundary, expand and merge *)
+  let rec level ~first frontier depth =
+    let len = Array.length frontier in
+    let base = !n_states - len in
+    peak := max !peak len;
+    if len = 0 then ()
+    else if !finishing then offer ~final:true ~base ~depth frontier
+    else if !outcome = None then begin
+      let halted = poll () in
+      Option.iter (fun l -> stop ~transitions:!trans (Limit l)) halted;
+      (* the starting boundary is on disk already (or is the root) *)
+      if (not first) || halted <> None then
+        offer ~final:(halted <> None) ~base ~depth frontier;
+      if halted = None then begin
+        (match stream with
+        | Some s -> stream_level s ~base ~depth frontier
+        | None ->
+          let lv = part.Mpx.level ~depth frontier in
+          if lv.Mpx.halted then begin
+            (* nothing was deduplicated: the stores still hold exactly
+               this boundary *)
+            stop ~transitions:!trans
+              (Limit (Option.value (poll ()) ~default:L_time));
+            offer ~final:true ~base ~depth frontier
+          end
+          else merge_level ~base ~depth frontier lv);
+        level ~first:false (take ()) (depth + 1)
+      end
     end
-  done;
-  let outcome = match !finished with Some o -> o | None -> Complete in
-  (match outcome with
-  | Limit _ ->
-    (* the last chance to persist work before reporting a cap or an
-       interrupt: the in-flight state (with its resume ordinal) plus the
-       unexpanded queue is exactly the run's remaining obligation *)
-    ck_save ~final:true ~head:!inflight ()
-  | Complete | Violation _ | Deadlock _ -> ());
-  let trace_path =
-    match outcome with
-    | Violation _ | Deadlock _ -> rebuild_trace !bad_id
-    | Complete | Limit _ -> None
+  in
+  Fun.protect ~finally:part.Mpx.close (fun () ->
+      match ckpt with
+      | Some { ck_resume = Some r; _ } ->
+        r.r_keys part.Mpx.seed;
+        n_states := r.r_states;
+        trans := r.r_transitions;
+        let d0 =
+          if Array.length r.r_frontier = 0 then 0
+          else
+            let _, d, _, _ = r.r_frontier.(0) in
+            d
+        in
+        max_depth := d0;
+        level ~first:true (Array.map (fun (_, _, _, st) -> st) r.r_frontier) d0
+      | _ ->
+        part.Mpx.seed (key_of sys.init);
+        admit ~parent:0 ~ord:(-1) ~depth:0 sys.init (fun () ->
+            violated sys.init);
+        level ~first:true (take ()) 0);
+  let states, transitions, max_depth =
+    if !outcome = None then (!n_states, !trans, !max_depth) else !stop_counts
+  in
+  let outcome = Option.value !outcome ~default:Complete in
+  let trace =
+    match (outcome, prov) with
+    | (Violation _ | Deadlock _), Some p when trace ->
+      Some (replay_path p sys !bad_id)
+    | _ -> None
   in
   {
     outcome;
-    states = !n_states;
-    transitions = !n_transitions;
+    states;
+    transitions;
     time_s = Unix.gettimeofday () -. t0;
-    mem_bytes = store.Vstore.mem_bytes ();
-    raw_bytes = store.Vstore.raw_bytes ();
-    peak_frontier = !peak_frontier;
-    max_depth = !max_depth;
-    canon_fallbacks = canon_fallbacks ();
-    trace = trace_path;
+    mem_bytes = part.Mpx.mem_bytes ();
+    raw_bytes = part.Mpx.raw_bytes ();
+    peak_frontier = !peak;
+    max_depth;
+    canon_fallbacks = canon_fallbacks () + part.Mpx.fallbacks ();
+    trace;
   }
-
-(* ---- parallel exploration (OCaml 5 domains) ------------------------------ *)
-
-(* Shard routing uses a third hash seed so it stays independent of both the
-   exact store's probe hash (seed 0) and the bitstate positions (0 and 1). *)
-let shard_seed = 2
-let n_shards = 64 (* power of two; log2 = 6 *)
-
-(* A reusable rendezvous point for [jobs] domains.  Phase counting makes it
-   safe to reuse back-to-back (a fast domain cannot lap a slow one). *)
-let make_barrier jobs =
-  let lock = Mutex.create () and cond = Condition.create () in
-  let count = ref 0 and phase = ref 0 in
-  fun () ->
-    Mutex.lock lock;
-    let my = !phase in
-    incr count;
-    if !count = jobs then begin
-      count := 0;
-      incr phase;
-      Condition.broadcast cond
-    end
-    else
-      while !phase = my do
-        Condition.wait cond lock
-      done;
-    Mutex.unlock lock
-
-let par_run ?jobs ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
-    ?max_mem_bytes ?max_time_s ?(check_deadlock = false) ?(trace = false)
-    ?(invariants = []) ?on_progress ?prov ?on_level ?interrupt ?ckpt sys =
-  let jobs =
-    match jobs with
-    | Some j -> max 1 j
-    | None -> Domain.recommended_domain_count ()
-  in
-  let t0 = Unix.gettimeofday () in
-  let key_of, on_fresh, canon_fallbacks = key_fns sys in
-  let store_kind = store in
-  let prov_mode = prov <> None in
-  let prov_record ~id ~parent ~ord =
-    match prov with
-    | Some p -> Vstore.Prov.record p ~id ~parent ~ord
-    | None -> ()
-  in
-  (* Sharded visited set: [n_shards] independent stores, each behind its own
-     mutex; states route to a shard by a seeded hash of the encoded key, so
-     two domains only contend when they discover states that share a shard.
-     Shards start with small index tables and tail buffers: mem_bytes is
-     honest about table overhead, so 64 eagerly-sized shards would eat a
-     small memory cap up front.  In [Bitstate b] mode each shard holds a
-     table of [2^(b - log2 n_shards)] bits, keeping total memory at the
-     sequential [2^b] bits (collision patterns differ from the sequential
-     table's, so bitstate counts are, as always, approximate). *)
-  let shard_stores =
-    match (visited, store_kind) with
-    | Exact, Vstore.Collapse split ->
-      (* shared intern layer: per-shard tables would multiply the
-         component-table memory by the shard count *)
-      Vstore.collapse_shared ~init_slots:256 ~split n_shards
-    | Exact, (Vstore.Mem | Vstore.Disk) ->
-      Array.init n_shards (fun _ ->
-          Vstore.make ~init_slots:256 ~tail_cap:8192 store_kind)
-    | Bitstate b, _ -> Array.init n_shards (fun _ -> Vstore.bitstate (b - 6))
-  in
-  let shards = Array.map (fun s -> (Mutex.create (), s)) shard_stores in
-  let shard_add key =
-    let lock, store =
-      shards.(Hashtbl.seeded_hash shard_seed key land (n_shards - 1))
-    in
-    Mutex.lock lock;
-    let fresh = store.Vstore.add key in
-    Mutex.unlock lock;
-    fresh
-  in
-  let total_bytes () =
-    Array.fold_left (fun acc (_, s) -> acc + s.Vstore.mem_bytes ()) 0 shards
-  in
-  let total_raw () =
-    Array.fold_left (fun acc (_, s) -> acc + s.Vstore.raw_bytes ()) 0 shards
-  in
-  (* Cooperative stop flag, polled by every domain between expansions. *)
-  let stop = Atomic.make false in
-  let timed_out = Atomic.make false in
-  let intr = Atomic.make false in
-  (* First violation/deadlock/exception seen by any domain, in arrival
-     order (the deterministic report comes from the sequential fallback). *)
-  let event_lock = Mutex.create () in
-  let event = ref None in
-  (* With provenance the event is instead selected deterministically by
-     the leader at a level boundary (the sequential-first event), with its
-     bad-state id — no fallback re-run needed. *)
-  let prov_event = ref None in
-  let worker_exn = ref None in
-  let record_event e =
-    Mutex.lock event_lock;
-    if !event = None then event := Some e;
-    Mutex.unlock event_lock;
-    Atomic.set stop true
-  in
-  let record_exn exn bt =
-    Mutex.lock event_lock;
-    if !worker_exn = None then worker_exn := Some (exn, bt);
-    Mutex.unlock event_lock;
-    Atomic.set stop true
-  in
-  (* Level-synchronous BFS.  All domains drain the current frontier in
-     batches claimed off an atomic cursor; newly discovered states
-     accumulate in per-domain buffers; at the level boundary the leader
-     (worker 0) splices the buffers into the next frontier and applies the
-     resource caps.  Expanding strictly level by level preserves BFS
-     semantics, and per-domain buffers keep the shared structures cold
-     inside a level. *)
-  let frontier = ref [| sys.init |] in
-  let cursor = Atomic.make 0 in
-  let batch = 32 in
-  let next = Array.init jobs (fun _ -> ref []) in
-  let trans = Array.init jobs (fun _ -> ref 0) in
-  let n_states = ref 0 in
-  let limit_hit = ref None in
-  let keep_going = ref true in
-  let cur_depth = ref 0 in
-  let peak_frontier = ref 1 in
-  let barrier = make_barrier jobs in
-  (* Only the leader (worker 0) emits progress, at level boundaries; the
-     reads of other domains' transition counters and shard fills are
-     unsynchronized (monitoring data, exactness not required). *)
-  let emit_progress () =
-    match on_progress with
-    | None -> ()
-    | Some f ->
-      let total = !n_states in
-      let maxc =
-        Array.fold_left (fun m (_, s) -> max m (s.Vstore.count ())) 0 shards
-      in
-      let balance =
-        if total = 0 then 1.0
-        else float_of_int (maxc * n_shards) /. float_of_int total
-      in
-      let elapsed = Unix.gettimeofday () -. t0 in
-      f
-        {
-          Ccr_obs.Progress.states = total;
-          transitions = Array.fold_left (fun acc r -> acc + !r) 0 trans;
-          depth = !cur_depth;
-          frontier = Array.length !frontier;
-          rate = (if elapsed > 0. then float_of_int total /. elapsed else 0.);
-          mem_bytes = total_bytes ();
-          shard_balance = balance;
-          elapsed_s = elapsed;
-        }
-  in
-  let discover wid st' =
-    let key = key_of st' in
-    if shard_add key then begin
-      on_fresh st';
-      next.(wid) := st' :: !(next.(wid));
-      match List.find_opt (fun (_, check) -> not (check st')) invariants with
-      | Some (name, _) -> record_event (Violation { invariant = name; state = st' })
-      | None -> ()
-    end
-  in
-  (* Under symmetry reduction which orbit member reaches the visited set
-     first decides the concrete representative whose successors get
-     explored — and for protocols that are symmetric only up to dead
-     rid-variable resets, different representatives reach different key
-     sets.  The racy [discover] above would then make counts depend on the
-     within-level race.  So with a [canon] hook the workers merely buffer
-     every successor, tagged with its (frontier index, successor ordinal),
-     and the leader replays the buffers in that order at the level
-     boundary: freshness is decided exactly as the sequential engine would,
-     so par_run keeps its counts-equal-seq determinism. *)
-  let has_canon = sys.canon <> None in
-  (* Provenance needs the same discovery order as the sequential engine
-     (dense ids in seq-BFS order), so it forces the buffered leader-replay
-     path even without a canon hook. *)
-  let ordered = has_canon || prov_mode in
-  let pend = Array.init jobs (fun _ -> ref []) in
-  (* In prov mode deadlocks must not stop the level (the level has to
-     complete for deterministic ids); each worker keeps the minimum
-     frontier index it saw deadlock at, and the leader compares that with
-     the first replayed violation at the boundary. *)
-  let dead_idx = Array.init jobs (fun _ -> ref max_int) in
-  let expand wid i st =
-    (* same cap discipline as the sequential engine: consult the clock
-       before every expansion *)
-    (match max_time_s with
-    | Some cap when Unix.gettimeofday () -. t0 > cap ->
-      Atomic.set timed_out true;
-      Atomic.set stop true
-    | _ -> ());
-    (match interrupt with
-    | Some f when f () ->
-      Atomic.set intr true;
-      Atomic.set stop true
-    | _ -> ());
-    if not (Atomic.get stop) then begin
-      let succs = sys.succ st in
-      if check_deadlock && succs = [] then
-        if prov_mode then begin
-          if i < !(dead_idx.(wid)) then dead_idx.(wid) := i
-        end
-        else record_event (Deadlock st);
-      trans.(wid) := !(trans.(wid)) + List.length succs;
-      if ordered then
-        (* canonicalization (the expensive step) stays in the workers *)
-        List.iteri
-          (fun ord (_, st') ->
-            pend.(wid) := (i, ord, key_of st', st') :: !(pend.(wid)))
-          succs
-      else List.iter (fun (_, st') -> discover wid st') succs
-    end
-  in
-  let worker wid () =
-    let running = ref true in
-    while !running do
-      let f = !frontier in
-      let len = Array.length f in
-      let exhausted = ref false in
-      while not !exhausted do
-        let start = Atomic.fetch_and_add cursor batch in
-        if start >= len then exhausted := true
-        else
-          for i = start to min len (start + batch) - 1 do
-            if not (Atomic.get stop) then
-              (* exceptions must not break out of the barrier protocol:
-                 record, stop everyone, re-raise after the join *)
-              try expand wid i f.(i)
-              with exn -> record_exn exn (Printexc.get_raw_backtrace ())
-          done
-      done;
-      barrier ();
-      if wid = 0 then begin
-        (* merge the per-domain discoveries into the next frontier *)
-        let base_cur = !n_states - Array.length !frontier in
-        let first_viol = ref None in
-        let level =
-          if ordered then begin
-            (* replay the buffered discoveries in (frontier index,
-               successor ordinal) order — the order the sequential engine
-               discovers them in — so the representative kept per
-               canonical key is race-free and identical to [run]'s *)
-            let entries =
-              Array.of_list
-                (List.concat_map
-                   (fun r ->
-                     let l = !r in
-                     r := [];
-                     l)
-                   (Array.to_list pend))
-            in
-            Array.sort
-              (fun (i1, o1, _, _) (i2, o2, _, _) ->
-                if i1 <> i2 then compare i1 i2 else compare o1 o2)
-              entries;
-            let acc = ref [] in
-            let fresh_n = ref 0 in
-            Array.iter
-              (fun (i, ord, key, st') ->
-                if shard_add key then begin
-                  on_fresh st';
-                  prov_record
-                    ~id:(!n_states + !fresh_n)
-                    ~parent:(base_cur + i) ~ord;
-                  incr fresh_n;
-                  acc := st' :: !acc;
-                  match
-                    List.find_opt (fun (_, check) -> not (check st')) invariants
-                  with
-                  | Some (name, _) ->
-                    if prov_mode then begin
-                      if !first_viol = None then
-                        first_viol :=
-                          Some (i, ord, !n_states + !fresh_n - 1, name, st')
-                    end
-                    else record_event (Violation { invariant = name; state = st' })
-                  | None -> ()
-                end)
-              entries;
-            List.rev !acc
-          end
-          else
-            List.concat_map
-              (fun r ->
-                let l = !r in
-                r := [];
-                l)
-              (Array.to_list next)
-        in
-        (* Deterministic event selection: the sequential engine would hit
-           a deadlock at frontier index d before any discovery from d, so
-           a deadlock wins against a violation replayed at (i, ord) iff
-           d <= i.  Only the earliest level with an event reports. *)
-        (if prov_mode && !prov_event = None && not (Atomic.get timed_out)
-         then begin
-           let dmin =
-             Array.fold_left
-               (fun m r ->
-                 let v = !r in
-                 r := max_int;
-                 min m v)
-               max_int dead_idx
-           in
-           match (!first_viol, dmin) with
-           | None, d when d = max_int -> ()
-           | Some (i, _ord, id, name, st'), d when d = max_int || d > i ->
-             prov_event :=
-               Some (Violation { invariant = name; state = st' }, id);
-             Atomic.set stop true
-           | _, d ->
-             prov_event := Some (Deadlock (!frontier).(d), base_cur + d);
-             Atomic.set stop true
-         end);
-        (* Level boundary: the frontier's level is fully expanded.  Depth
-           and cumulative state count only — deterministic across engines
-           and parallelism, unlike transition interleavings. *)
-        (match on_level with
-        | Some f when level <> [] -> f ~depth:!cur_depth ~states:!n_states
-        | _ -> ());
-        n_states := !n_states + List.length level;
-        frontier := Array.of_list level;
-        Atomic.set cursor 0;
-        if Array.length !frontier > 0 then begin
-          incr cur_depth;
-          if Array.length !frontier > !peak_frontier then
-            peak_frontier := Array.length !frontier;
-          emit_progress ()
-        end;
-        (match (max_states, max_mem_bytes) with
-        | Some cap, _ when !n_states >= cap ->
-          limit_hit := Some (Limit L_states);
-          Atomic.set stop true
-        | _, Some cap when total_bytes () >= cap ->
-          limit_hit := Some (Limit L_memory);
-          Atomic.set stop true
-        | _ -> ());
-        if Atomic.get intr then limit_hit := Some (Limit L_interrupt);
-        if Atomic.get timed_out then limit_hit := Some (Limit L_time);
-        keep_going := (not (Atomic.get stop)) && Array.length !frontier > 0;
-        (* Checkpoint at the level boundary — but not after a mid-level
-           stop (time cap or interrupt caught workers part-way through a
-           level, so the merged frontier is partial and not resumable;
-           the previously written checkpoint stands). *)
-        (match ckpt with
-        | Some c
-          when Array.length !frontier > 0
-               && (not (Atomic.get timed_out))
-               && (not (Atomic.get intr))
-               && !event = None && !prov_event = None ->
-          let len = Array.length !frontier in
-          let base = !n_states - len in
-          let d = !cur_depth in
-          c.ck_save
-            {
-              v_states = !n_states;
-              v_transitions = Array.fold_left (fun a r -> a + !r) 0 trans;
-              v_depth = d;
-              v_final = not !keep_going;
-              v_frontier =
-                (fun () -> Array.mapi (fun i st -> (base + i, d, 0, st)) !frontier);
-              v_iter_keys =
-                (fun f -> Array.iter (fun (_, s) -> s.Vstore.iter_keys f) shards);
-            }
-        | _ -> ())
-      end;
-      barrier ();
-      running := !keep_going
-    done
-  in
-  (* discover the initial state (and its possible violation) up front, as
-     the sequential engine does — or, on resume, rebuild the level
-     boundary the checkpoint recorded *)
-  (match ckpt with
-  | Some { ck_resume = Some r; _ } ->
-    let len = Array.length r.r_frontier in
-    if len = 0 then invalid_arg "Explore.par_run: empty resume frontier";
-    let _, d0, _, _ = r.r_frontier.(0) in
-    Array.iteri
-      (fun i (id, d, o, _) ->
-        if d <> d0 || o <> 0 || id <> r.r_states - len + i then
-          invalid_arg
-            "Explore.par_run: mid-level checkpoint (saved by the \
-             sequential engine); resume it with -j 1")
-      r.r_frontier;
-    r.r_keys (fun k -> ignore (shard_add k));
-    n_states := r.r_states;
-    trans.(0) := r.r_transitions;
-    frontier := Array.map (fun (_, _, _, st) -> st) r.r_frontier;
-    cur_depth := d0;
-    peak_frontier := len
-  | _ ->
-    ignore (shard_add (key_of sys.init));
-    on_fresh sys.init;
-    prov_record ~id:0 ~parent:0 ~ord:(-1);
-    n_states := 1;
-    (match
-       List.find_opt (fun (_, check) -> not (check sys.init)) invariants
-     with
-    | Some (name, _) ->
-      if prov_mode then begin
-        prov_event :=
-          Some (Violation { invariant = name; state = sys.init }, 0);
-        Atomic.set stop true
-      end
-      else record_event (Violation { invariant = name; state = sys.init })
-    | None -> ()));
-  (match max_states with
-  | Some cap when !n_states >= cap ->
-    limit_hit := Some (Limit L_states);
-    Atomic.set stop true
-  | _ -> ());
-  let others = List.init (jobs - 1) (fun i -> Domain.spawn (worker (i + 1))) in
-  worker 0 ();
-  List.iter Domain.join others;
-  (match !worker_exn with
-  | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
-  | None -> ());
-  match (!prov_event, !event) with
-  | Some (outcome, bad_id), _ ->
-    (* The leader already selected the sequential-first event and its
-       state id; the counterexample is an O(depth) provenance chain walk
-       — no re-exploration. *)
-    let trace_path =
-      match (trace, prov) with
-      | true, Some p -> Some (replay_path p sys bad_id)
-      | _ -> None
-    in
-    {
-      outcome;
-      states = !n_states;
-      transitions = Array.fold_left (fun acc r -> acc + !r) 0 trans;
-      time_s = Unix.gettimeofday () -. t0;
-      mem_bytes = total_bytes ();
-      raw_bytes = total_raw ();
-      peak_frontier = !peak_frontier;
-      max_depth = !cur_depth;
-      canon_fallbacks = canon_fallbacks ();
-      trace = trace_path;
-    }
-  | None, Some _ ->
-    (* A violation or deadlock was found without provenance.  Which one
-       the stats report, and the counterexample trace, must be
-       deterministic: fall back to a sequential BFS re-run, which returns
-       the canonical (shallowest, first-discovered) event with its
-       shortest-path trace. *)
-    let r =
-      run ~strategy:Bfs ~visited ~store:store_kind ?max_states ?max_mem_bytes
-        ?max_time_s ~check_deadlock ~trace ~invariants ?on_progress ?interrupt
-        sys
-    in
-    { r with time_s = Unix.gettimeofday () -. t0 }
-  | None, None ->
-    {
-      outcome = (match !limit_hit with Some o -> o | None -> Complete);
-      states = !n_states;
-      transitions = Array.fold_left (fun acc r -> acc + !r) 0 trans;
-      time_s = Unix.gettimeofday () -. t0;
-      mem_bytes = total_bytes ();
-      raw_bytes = total_raw ();
-      peak_frontier = !peak_frontier;
-      max_depth = !cur_depth;
-      canon_fallbacks = canon_fallbacks ();
-      trace = None;
-    }
 
 let pp_outcome pp_state ppf = function
   | Complete -> Fmt.string ppf "complete"

@@ -14,12 +14,13 @@ type 's canon = {
           a symmetry of the system) *)
   canon_fresh : ('s -> unit) option;
       (** if given, called on each state right after it is found fresh.
-          The sequential engine calls it in the domain that canonicalized
-          the state, so per-state canonicalization by-products (e.g. orbit
-          sizes held in domain-local storage) are still readable; the
-          parallel engine decides freshness in the leader domain at level
-          boundaries, so such by-products are {e not} readable there —
-          attach domain-local harvesting only for sequential runs *)
+          With one shard ([jobs = workers = 1]) that is right after the
+          state's [canon_key] call, in the same domain, so per-state
+          canonicalization by-products (e.g. orbit sizes held in
+          domain-local storage) are still readable; the other partitions
+          decide freshness in other domains or processes, so such
+          by-products are {e not} readable there — attach domain-local
+          harvesting only to one-shard runs *)
   canon_fallbacks : unit -> int;
       (** read at the end of the search: how many canonicalizations gave
           up on exactness and returned a merely injective key (sound, but
@@ -44,7 +45,7 @@ val key_fns :
   ('s, 'l) system -> ('s -> string) * ('s -> unit) * (unit -> int)
 (** The visited-set key function, fresh-state callback and fallback
     counter of a system ([encode] and no-ops without a [canon] hook).
-    Shared with the multi-process engine ({!Mpx}). *)
+    Shared with the multi-process partition ({!Mpx}). *)
 
 type limit =
   | L_states
@@ -54,10 +55,6 @@ type limit =
       (** the [interrupt] callback asked the engine to stop (e.g. a
           SIGINT/SIGTERM handler); work done so far is reported — and,
           with a checkpoint control attached, persisted *)
-
-type strategy = Bfs | Dfs
-(** Search order.  Both enumerate the same reachable set; BFS yields
-    shortest counterexamples, DFS uses less frontier memory. *)
 
 type visited_mode =
   | Exact  (** hash table of full encodings: exact counts *)
@@ -87,12 +84,10 @@ type ('s, 'l) stats = {
           (key bytes plus a fixed per-state overhead); with a compressed
           or out-of-core store, [raw_bytes /. mem_bytes] is the
           compression ratio *)
-  peak_frontier : int;
-      (** most states simultaneously awaiting expansion (BFS: queue
-          watermark / largest level; DFS: stack watermark) *)
+  peak_frontier : int;  (** the largest BFS level expanded *)
   max_depth : int;
-      (** deepest discovery (BFS: eccentricity of the initial state over
-          the explored region; DFS: longest stack path reached) *)
+      (** deepest discovery (the eccentricity of the initial state over
+          the explored region) *)
   canon_fallbacks : int;
       (** canonicalizations that fell back to a non-canonical key (0
           without a [canon] hook); a non-zero value means the symmetry
@@ -105,20 +100,19 @@ type ('s, 'l) stats = {
 
 (** {2 Checkpoint control}
 
-    The engines expose resumable points through this record; the file
+    The driver exposes resumable points through this record; the file
     format, write policy and refusal logic live in {!Ckpt}.  A frontier
     entry is [(id, depth, resume_ord, state)]: the state's visited id,
-    its BFS depth, and the successor ordinal expansion should resume
-    from — 0 everywhere except the sequential engine's in-flight state
-    at a mid-level cap, whose already-traversed successors must not be
-    re-counted. *)
+    its BFS depth, and a resume ordinal that is always 0 (checkpoints of
+    older versions could carry a non-zero one; {!Ckpt.load} refuses
+    them).  Every checkpoint is a level boundary. *)
 
 type 's ckpt_view = {
   v_states : int;
   v_transitions : int;
-  v_depth : int;  (** BFS depth of the (deepest) frontier state *)
+  v_depth : int;  (** BFS depth of the frontier *)
   v_final : bool;
-      (** the engine is stopping at a cap or interrupt: last chance to
+      (** the driver is stopping at a cap or interrupt: last chance to
           persist *)
   v_frontier : unit -> (int * int * int * 's) array;
       (** materialize the unexpanded frontier (thunked: costs nothing
@@ -136,23 +130,26 @@ type 's ckpt_resume = {
 
 type 's ckpt = {
   ck_resume : 's ckpt_resume option;
-      (** continue from this payload instead of [sys.init].  The visited
-          store is re-populated from [r_keys], counts continue from
-          [r_states]/[r_transitions], and the frontier is re-queued.  A
-          provenance table passed alongside must already hold
-          [r_states] records (see {!Ckpt.load}).  {!par_run} and
-          {!Mpx.run} require a level-boundary payload (uniform depth,
-          zero resume ordinals, contiguous trailing ids) and raise
-          [Invalid_argument] on a sequential mid-level checkpoint. *)
+      (** continue from this level boundary (as {!Ckpt.load} returns it:
+          one depth, contiguous trailing ids) instead of [sys.init].  The
+          visited store is re-populated from [r_keys], counts continue
+          from [r_states]/[r_transitions], and the frontier is re-queued.
+          A provenance table passed alongside must already hold
+          [r_states] records (see {!Ckpt.load}). *)
   ck_save : 's ckpt_view -> unit;
-      (** called at every BFS level boundary, and once more with
-          [v_final = true] when stopping at a cap/interrupt (except
-          after a mid-level stop in the parallel engines, where the
-          frontier is partial and the previous checkpoint stands) *)
+      (** offered at every BFS level boundary after the first, and once
+          more with [v_final = true] at the boundary the driver stops
+          at: on a state or memory cap the driver first completes the
+          level it was merging (the reported figures stay those of the
+          stop); a time cap or interrupt caught at a boundary makes that
+          boundary final, and so does one caught mid-level beyond one
+          shard (the interrupted level is discarded); with one shard, one
+          caught mid-level leaves the previous checkpoint standing *)
 }
 
 val run :
-  ?strategy:strategy ->
+  ?jobs:int ->
+  ?workers:int ->
   ?visited:visited_mode ->
   ?store:Vstore.kind ->
   ?max_states:int ->
@@ -167,86 +164,55 @@ val run :
   ?on_level:(depth:int -> states:int -> unit) ->
   ?interrupt:(unit -> bool) ->
   ?ckpt:'s ckpt ->
+  ?metrics:Ccr_obs.Metrics.t ->
+  ?on_respawn:(worker:int -> unit) ->
+  ?on_degrade:(workers:int -> unit) ->
   ('s, 'l) system ->
   ('s, 'l) stats
-(** Search from [init] (default: breadth-first with an exact in-memory
-    visited set).  [interrupt] (polled before every expansion) asks the
-    engine to stop with [Limit L_interrupt]; [ckpt] (BFS only) attaches
-    the checkpoint control described above.  [store] (default {!Vstore.Mem}) selects the
-    visited-set representation — collapse-compressed or out-of-core, see
-    {!Vstore}; all kinds produce identical state and transition counts,
-    only memory use differs.  A [Bitstate] visited mode takes precedence
-    over [store].  Invariants are checked on every state as it is discovered
-    (including the initial one); the first violation stops the search.
+(** Breadth-first search from [init], one level at a time, over a
+    partition of the visited-key space: one shard (the default), [jobs]
+    OCaml 5 domain shards, or [workers] forked processes of [jobs]
+    domains each ({!Mpx}).  Each partition routes a candidate to the
+    shard owning its key, each owner deduplicates its candidates in
+    sequential discovery order, and one rank merge replays the fresh
+    ones in that order — so [outcome], [states], [transitions],
+    [max_depth], [trace] and the [on_level] sequence are identical at
+    every [jobs]/[workers] setting, including where a cap or an event
+    stops the search (with [Exact] visited sets; [Bitstate] counts are
+    approximate, with per-partition collision patterns).  [mem_bytes]
+    and [raw_bytes] sum the shards.
+
+    Requirements beyond one shard: [succ], [encode], [canon_key] and the
+    invariants must be safe to call concurrently from several domains
+    (true of all systems in this repository: they only read the
+    compiled program); with [workers > 1], states and labels must
+    contain no closures (they cross process boundaries via [Marshal]),
+    and the call must come before any domain is spawned in the calling
+    process (it forks).
+
+    [store] (default {!Vstore.Mem}) selects the visited-set
+    representation — collapse-compressed or out-of-core, see {!Vstore};
+    all kinds produce identical counts, only memory use differs.  A
+    [Bitstate] visited mode takes precedence over [store].  Invariants
+    are checked on every state as it is discovered (including the
+    initial one); the first violation stops the search.
     [check_deadlock] (default [false]) reports a state with no
-    successors.  [trace] (default [false]) keeps parent pointers so the
-    offending state's path can be reconstructed — at the cost of
-    retaining all visited states in memory, unless [prov] is also given,
-    in which case the side-table replaces the in-memory arrays and the
-    counterexample is rebuilt by {!replay_path}.  [on_progress] (default:
-    none, zero overhead beyond one closure call per discovery) is invoked
-    every [progress_every] (default 8192) discoveries with a live
-    {!Ccr_obs.Progress.sample}.  [on_level] (BFS only) fires once per
-    completed BFS level with its depth and the cumulative state count —
-    the same sequence, in the same order, as {!par_run} and {!Mpx.run}
-    emit, so journals built from it are parallelism-independent. *)
-
-val par_run :
-  ?jobs:int ->
-  ?visited:visited_mode ->
-  ?store:Vstore.kind ->
-  ?max_states:int ->
-  ?max_mem_bytes:int ->
-  ?max_time_s:float ->
-  ?check_deadlock:bool ->
-  ?trace:bool ->
-  ?invariants:(string * ('s -> bool)) list ->
-  ?on_progress:(Ccr_obs.Progress.sample -> unit) ->
-  ?prov:Vstore.Prov.t ->
-  ?on_level:(depth:int -> states:int -> unit) ->
-  ?interrupt:(unit -> bool) ->
-  ?ckpt:'s ckpt ->
-  ('s, 'l) system ->
-  ('s, 'l) stats
-(** Parallel breadth-first search over [jobs] OCaml 5 domains (default:
-    [Domain.recommended_domain_count ()]).  The visited set is sharded
-    across independently locked stores, routed by a seeded hash of the
-    encoded key; the frontier is drained level by level in batches, with
-    per-domain successor buffers merged at level boundaries, so BFS level
-    order is preserved.  Requires [succ] and [encode] to be safe to call
-    concurrently from several domains (true of all systems in this
-    repository: they only read the compiled program).
-
-    Determinism: for runs that end in [Complete], [states] and
-    [transitions] equal the sequential {!run}'s exactly (with the [Exact]
-    visited set; [Bitstate] counts are approximate in both engines, with
-    different collision patterns).  With a [canon] hook this extends to
-    the {e representative} kept per canonical key: workers buffer every
-    successor tagged with its discovery position and the leader replays
-    the buffers in sequential BFS order at the level boundary, so the
-    quotient explored is identical at every job count even for protocols
-    that are symmetric only up to dead-variable resets.  When a violation or deadlock is found,
-    the engine falls back to a sequential re-run to report the canonical
-    first event and — with [~trace:true] — its shortest counterexample,
-    so the returned outcome is deterministic too; [time_s] then covers
-    both phases.
-
-    [prov] changes that last part: recording provenance forces the
-    ordered leader-replay path (ids dense in sequential BFS order, at any
-    job count), the leader selects the sequential-first event
-    deterministically at the level boundary, and the counterexample is an
-    O(depth) {!replay_path} chain walk — the fallback re-exploration is
-    gone.  The event's level still completes before the engine stops, so
-    on Violation/Deadlock outcomes [states]/[max_depth] may exceed the
-    sequential engine's (the {e trace} is identical).  [on_level] fires
-    in the leader at each completed level, emitting exactly the
-    sequential engine's sequence.  Resource caps are applied at BFS-level granularity:
-    a [Limit] outcome may report slightly more than [max_states].
-    [on_progress] is invoked by the leader domain at every BFS level
-    boundary; its sample's [shard_balance] reports how evenly the visited
-    set spreads over the 64 shards.  [peak_frontier] here is the largest
-    BFS level (the level-synchronous frontier watermark), and [max_depth]
-    equals the sequential engine's on complete runs. *)
+    successors.  [trace] (default [false]) rebuilds the offending
+    state's path with {!replay_path} from [prov], or from an internal
+    in-memory provenance table (8 bytes per state) when [prov] is not
+    given.  [max_time_s] and [interrupt] are polled before every
+    expansion and stop with [Limit L_time]/[Limit L_interrupt]; beyond
+    one shard a level they interrupt is discarded, so the figures are
+    those of its boundary ([workers] poll [interrupt] only at
+    boundaries).  [on_progress] (default: none) is invoked every
+    [progress_every] (default 8192) discoveries with a live
+    {!Ccr_obs.Progress.sample}, whose [shard_balance] reports how evenly
+    the visited set spreads over the shards.  [on_level] fires once per
+    completed BFS level with its depth and the cumulative state count.
+    [metrics] (default: none) publishes per-worker
+    [mpx.w<i>.states_per_s] and [mpx.w<i>.bytes_per_state] gauges;
+    [on_respawn]/[on_degrade] observe worker supervision (see
+    {!Mpx}). *)
 
 val replay_path :
   Vstore.Prov.t -> ('s, 'l) system -> int -> ('l option * 's) list
@@ -255,7 +221,7 @@ val replay_path :
     O(depth) parent-chain walk followed by one successor expansion per
     step (the recorded ordinal pins the concrete transition).  The result
     has the same shape and contents as {!stats.trace}.  Valid for any
-    [prov] filled by {!run}/{!par_run}/{!Mpx.run} over the same system. *)
+    [prov] filled by {!run} over the same system. *)
 
 val bitstate_positions : bits:int -> string -> int * int
 (** The two bit-table positions a key occupies under {!Bitstate}

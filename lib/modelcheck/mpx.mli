@@ -1,21 +1,14 @@
-(** Multi-process exploration.
+(** The multi-process partition of {!Explore.run}'s BFS driver, and the
+    partition interface the driver runs every level against.
 
-    [run] partitions the canonical-key space over [workers] forked OS
-    processes — each owning the visited-store shard for its keys, each
-    free to run its own OCaml 5 domain pool — and coordinates them from
-    the parent over pipes with a level-synchronous frontier-exchange
-    protocol (see the implementation header for the wire steps).  Because
-    ownership partitions keys and the parent assigns global discovery
-    indices by sequential-BFS rank, [states] and [transitions] are
-    byte-identical to {!Explore.run} and {!Explore.par_run} at every
-    worker and job count (with the default exact stores; bitstate is not
-    offered here).
-
-    Use it when one process's heap is the bottleneck: each worker holds
-    [1/workers] of the visited set, and with [--store collapse] or
-    [--store disk] per worker the per-process resident set shrinks
-    further.  For pure CPU parallelism inside one address space,
-    {!Explore.par_run} has lower constant costs.
+    {!partition} splits the canonical-key space over [workers] forked OS
+    processes, each owning the visited-store shard for its keys and each
+    free to run its own OCaml 5 domain pool; the parent routes frontier
+    and candidate batches between them over pipes (see the
+    implementation header for the wire steps).  Use it when one
+    process's heap is the bottleneck: each worker holds [1/workers] of
+    the visited set, and with [--store collapse] or [--store disk] per
+    worker the per-process resident set shrinks further.
 
     The parent also supervises.  It retains, per worker, an append-only
     log of the keys merged into that worker's shard, so a worker that
@@ -25,63 +18,120 @@
     the respawn budget ([2 * workers], reset on degradation) is
     exhausted, the key space is re-partitioned over one fewer worker and
     the round restarts; only the loss of the last worker fails the run.
-    The same logs serve as the checkpoint serialization source, so
-    attaching [ckpt] adds no protocol messages.
+    The same logs are the checkpoint's visited section. *)
 
-    Requirements: states and labels must contain no closures (frontier
-    batches cross process boundaries via [Marshal]), and [run] must be
-    called before any domain is spawned in the calling process (it
-    forks).  All systems in this repository satisfy both. *)
+val tag : int -> int -> int
+(** [tag i ord] packs a frontier index and a successor ordinal into one
+    int that sorts in sequential discovery order.
+    @raise Invalid_argument past 65536 successors. *)
 
-val run :
-  ?workers:int ->
-  ?jobs:int ->
-  ?store:Vstore.kind ->
-  ?max_states:int ->
-  ?max_mem_bytes:int ->
-  ?max_time_s:float ->
-  ?check_deadlock:bool ->
-  ?trace:bool ->
-  ?invariants:(string * ('s -> bool)) list ->
-  ?on_progress:(Ccr_obs.Progress.sample -> unit) ->
+type 's cands = {
+  mutable tags : int array;
+  mutable keys : string array;
+  mutable sts : 's array;
+  mutable n : int;  (** the first [n] slots of each column are used *)
+}
+(** A growable buffer of successor candidates [(tag, key, state)], kept
+    as three columns. *)
+
+val cands : unit -> 's cands
+val push : 's cands -> int -> string -> 's -> unit
+
+val merge_iter : 's cands array -> (int -> int -> unit) -> unit
+(** [merge_iter bufs f] visits the candidates of [bufs], each sorted by
+    tag, in tag order: [f b h] for the [h]-th candidate of buffer [b]. *)
+
+val count_succ : int -> 's cands list -> int array
+(** Successor counts for a frontier of the given length, from the
+    candidates' tags. *)
+
+type 's level = {
+  nsucc : int array;  (** successor count per frontier index *)
+  fresh : 's cands array;  (** per shard, its fresh candidates by tag *)
+  viol : (int * string) option;
+      (** the tag-least fresh state violating an invariant, and which *)
+  halted : bool;
+      (** the time cap or interrupt stopped the expansion: nothing was
+          deduplicated, the shards still hold the level's boundary *)
+}
+(** One expanded and deduplicated BFS level, before the rank merge. *)
+
+type 's partition = {
+  level : depth:int -> 's array -> 's level;
+      (** expand this frontier (the states of [depth], in id order) and
+          deduplicate its successors *)
+  seed : string -> unit;  (** mark a key visited: the root, or a resumed key *)
+  iter_keys : (string -> unit) -> unit;
+  mem_bytes : unit -> int;
+  raw_bytes : unit -> int;
+  balance : unit -> float;  (** largest shard over the mean shard *)
+  fallbacks : unit -> int;
+      (** canonicalization fallbacks counted outside this process *)
+  close : unit -> unit;
+}
+
+val parallel : int -> (int -> unit) -> unit
+(** [parallel n f] runs [f 0] .. [f (n - 1)], each on its own domain ([f 0]
+    on the caller's); an exception re-raises once all have joined. *)
+
+val expand :
+  jobs:int ->
+  shards:int ->
+  owner:(string -> int) ->
+  key_of:('s -> string) ->
+  succ:('s -> ('l * 's) list) ->
+  halt:(unit -> bool) ->
+  index:(int -> int) ->
+  's array ->
+  's cands array array * bool
+(** Expand the states on [jobs] domains, off an atomic cursor: every
+    successor of the k-th state as [(tag (index k) ord, key, state)], in
+    per-domain buffers bucketed by [owner key] among [shards] — each
+    sorted by tag when [index] is increasing.  Expansion stops once
+    [halt ()] is true, which the flag reports. *)
+
+val first_viol :
+  (int * string) option -> (int * string) option -> (int * string) option
+(** The tag-least of two violations. *)
+
+val dedup :
+  add:(string -> bool) ->
+  violated:('s -> string option) ->
+  's cands array ->
+  's cands * (int * string) option
+(** Deduplicate one owner's candidates, given as tag-sorted buffers, in
+    tag order: the fresh candidates, in tag order, and the tag-least
+    fresh violation. *)
+
+val partition :
+  workers:int ->
+  jobs:int ->
+  new_store:(unit -> Vstore.t) ->
+  key_of:('s -> string) ->
+  canon_fallbacks:(unit -> int) ->
+  succ:('s -> ('l * 's) list) ->
+  violated:('s -> string option) ->
+  deadline:float option ->
   ?metrics:Ccr_obs.Metrics.t ->
-  ?prov:Vstore.Prov.t ->
-  ?on_level:(depth:int -> states:int -> unit) ->
-  ?interrupt:(unit -> bool) ->
-  ?ckpt:'s Explore.ckpt ->
   ?on_respawn:(worker:int -> unit) ->
   ?on_degrade:(workers:int -> unit) ->
-  ('s, 'l) Explore.system ->
-  ('s, 'l) Explore.stats
-(** Explore with [workers] processes (default 2; [1] delegates to the
-    in-process engines, forwarding every option including [interrupt]
-    and [ckpt]) of [jobs] domains each (default 1).  Resource caps are
-    applied at BFS-level granularity, as in {!Explore.par_run};
-    [mem_bytes]/[raw_bytes] sum the per-worker stores.  On a violation or
-    deadlock the parent falls back to a sequential re-run for the
-    canonical first event and (with [~trace:true]) its shortest
-    counterexample — unless [prov] is given, in which case the parent
-    records provenance at global-index assignment (ids dense in
-    sequential discovery order), selects the sequential-first event
-    deterministically, and rebuilds the counterexample with
-    {!Explore.replay_path}; as in {!Explore.par_run}, the event's level
-    still completes, so [states]/[max_depth] may then exceed the
-    sequential engine's while the trace is identical.  [metrics]
-    (default: none) publishes per-worker [mpx.w<i>.states_per_s] and
-    [mpx.w<i>.bytes_per_state] gauges through the obs layer.
-    [on_progress] fires in the parent at every level boundary; its
-    [shard_balance] reports how evenly states spread over the workers.
-    [on_level] fires in the parent once per completed level, emitting
-    exactly the sequential engine's (depth, cumulative states)
-    sequence.
+  unit ->
+  's partition
+(** Fork [workers] processes of [jobs] domains each; each builds its
+    shard with [new_store] and stops expanding past [deadline].
+    [metrics] receives per-worker [mpx.w<i>.states_per_s] and
+    [mpx.w<i>.bytes_per_state] gauges; [on_respawn]/[on_degrade] observe
+    a worker replaced after a crash and the worker count dropping after
+    a respawn-budget exhaustion.  Must be called before any domain is
+    spawned in the calling process. *)
 
-    [interrupt] is polled in the parent at each level boundary;
-    [ckpt.ck_save] fires there too (the boundary is complete: all of the
-    level's states are merged and identified), except after a mid-level
-    deadline stop, where the frontier would be partial and the previous
-    checkpoint stands.  [ckpt.ck_resume] must be a level-boundary
-    payload (uniform depth, zero ordinals, contiguous trailing ids) —
-    the sequential engine's mid-level checkpoints are refused with
-    [Invalid_argument].  [on_respawn]/[on_degrade] observe supervision:
-    a worker replaced after a crash, and the worker count dropping after
-    a respawn-budget exhaustion. *)
+(** {2 Deterministic crash injection}
+
+    [CCR_CRASH_AT=level=L] kills the checkpoint-writing process at BFS
+    level [L] (see {!Ckpt.saver}); [CCR_CRASH_AT=worker=W,level=L] kills
+    worker [W] as it is about to expand level [L].  Test-only. *)
+
+type crash_at = { ca_worker : int option; ca_level : int }
+
+val crash_at : unit -> crash_at option
+val crash_here : unit -> unit

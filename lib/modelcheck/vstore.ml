@@ -352,24 +352,11 @@ module Tupleset = struct
     (9 * Array.length t.offs) + Bytes.length t.arena
 end
 
-(* One collapse store over a (possibly shared) intern layer.  [lock]
-   guards the intern tables when several stores share them; the tuple set
-   stays private to the store (the caller serializes per-store access, as
-   the sharded engine's per-shard mutexes do).  [count_interns] lets
-   exactly one store of a sharing group account for the intern memory. *)
-let collapse_over ~init_slots ~split ~interns ~lock ~count_interns () =
+let collapse ?(init_slots = 1024) ~split () =
+  let interns = ref [||] in
   let tuples = Tupleset.create ~init_slots in
   let scratch = ref (Bytes.create 256) in
   let raw = ref 0 in
-  let locked f =
-    match lock with
-    | None -> f ()
-    | Some m ->
-      Mutex.lock m;
-      let r = f () in
-      Mutex.unlock m;
-      r
-  in
   let add key =
     let bounds = split key in
     let n_comp = Array.length bounds in
@@ -377,25 +364,24 @@ let collapse_over ~init_slots ~split ~interns ~lock ~count_interns () =
       scratch := Bytes.create (2 * 10 * n_comp);
     let b = !scratch in
     let pos = ref 0 in
-    locked (fun () ->
-        (* one intern table per component position, sized on first use *)
-        if Array.length !interns = 0 then
-          interns := Array.init n_comp (fun _ -> Intern.create ())
-        else if Array.length !interns <> n_comp then
-          invalid_arg "Vstore.collapse: split returned inconsistent arity";
-        let start = ref 0 in
-        for c = 0 to n_comp - 1 do
-          let stop = bounds.(c) in
-          let id =
-            Intern.id
-              (Array.unsafe_get !interns c)
-              (String.sub key !start (stop - !start))
-          in
-          pos := put_varint b !pos id;
-          start := stop
-        done;
-        if !start <> String.length key then
-          invalid_arg "Vstore.collapse: split did not cover the key");
+    (* one intern table per component position, sized on first use *)
+    if Array.length !interns = 0 then
+      interns := Array.init n_comp (fun _ -> Intern.create ())
+    else if Array.length !interns <> n_comp then
+      invalid_arg "Vstore.collapse: split returned inconsistent arity";
+    let start = ref 0 in
+    for c = 0 to n_comp - 1 do
+      let stop = bounds.(c) in
+      let id =
+        Intern.id
+          (Array.unsafe_get !interns c)
+          (String.sub key !start (stop - !start))
+      in
+      pos := put_varint b !pos id;
+      start := stop
+    done;
+    if !start <> String.length key then
+      invalid_arg "Vstore.collapse: split did not cover the key";
     let fresh = Tupleset.add tuples b !pos in
     if fresh then raw := !raw + String.length key + per_state_overhead;
     fresh
@@ -405,11 +391,7 @@ let collapse_over ~init_slots ~split ~interns ~lock ~count_interns () =
     mem_bytes =
       (fun () ->
         Tupleset.mem_bytes tuples
-        + (if count_interns then
-             Array.fold_left
-               (fun acc it -> acc + Intern.mem_bytes it)
-               0 !interns
-           else 0)
+        + Array.fold_left (fun acc it -> acc + Intern.mem_bytes it) 0 !interns
         + Bytes.length !scratch);
     raw_bytes = (fun () -> !raw);
     count = (fun () -> tuples.Tupleset.count);
@@ -423,28 +405,18 @@ let collapse_over ~init_slots ~split ~interns ~lock ~count_interns () =
         let off = ref 0 in
         while !off < tuples.Tupleset.arena_len do
           let len, data = get_varint arena !off in
-          locked (fun () ->
-              Buffer.clear buf;
-              let pos = ref data and c = ref 0 in
-              while !pos < data + len do
-                let id, next = get_varint arena !pos in
-                Buffer.add_string buf (Intern.get !interns.(!c) id);
-                pos := next;
-                incr c
-              done);
+          Buffer.clear buf;
+          let pos = ref data and c = ref 0 in
+          while !pos < data + len do
+            let id, next = get_varint arena !pos in
+            Buffer.add_string buf (Intern.get !interns.(!c) id);
+            pos := next;
+            incr c
+          done;
           f (Buffer.contents buf);
           off := data + len
         done);
   }
-
-let collapse ?(init_slots = 1024) ~split () =
-  collapse_over ~init_slots ~split ~interns:(ref [||]) ~lock:None
-    ~count_interns:true ()
-
-let collapse_shared ?(init_slots = 256) ~split n =
-  let interns = ref [||] and lock = Some (Mutex.create ()) in
-  Array.init n (fun i ->
-      collapse_over ~init_slots ~split ~interns ~lock ~count_interns:(i = 0) ())
 
 (* ---- out-of-core (append-file) store ------------------------------------
 

@@ -20,8 +20,8 @@
       unlike bitstate hashing — counts stay exact while resident memory
       drops to ~8 bytes per slot.
 
-    All stores are single-threaded; the parallel engine wraps one store
-    per shard behind its own mutex. *)
+    All stores are single-threaded; a multi-shard partition gives each
+    shard its own store, touched by one domain at a time. *)
 
 type t = {
   add : string -> bool;
@@ -64,15 +64,6 @@ val disk : ?path:string -> ?init_slots:int -> ?tail_cap:int -> unit -> t
 (** [?path] names the backing file (created/truncated, left on disk) so a
     checkpointed run can reopen a stable store file; without it the store
     lives in an unlinked temp file that vanishes with the process. *)
-
-val collapse_shared :
-  ?init_slots:int -> split:(string -> int array) -> int -> t array
-(** [n] collapse stores sharing one mutex-guarded intern layer, for the
-    sharded parallel engine: without sharing, every shard would intern
-    its own copy of every component value, multiplying the table memory
-    by the shard count.  Each store's tuple set stays private (callers
-    serialize per-store access, e.g. with per-shard mutexes); only the
-    first store's [mem_bytes] counts the shared tables. *)
 
 val bitstate : int -> t
 (** Supertrace/bitstate hashing with a [2^bits]-bit table and two

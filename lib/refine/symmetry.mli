@@ -34,8 +34,8 @@ open Ccr_semantics
 (** {1 Statistics}
 
     Shared, domain-safe counters: one record can be handed to
-    canonicalizers running in all of {!Ccr_modelcheck.Explore.par_run}'s
-    worker domains. *)
+    canonicalizers running in all of {!Ccr_modelcheck.Explore.run}'s
+    domains. *)
 
 type stats
 

@@ -102,15 +102,10 @@ let default_explorer ?on_level ?interrupt cfg =
   {
     explore =
       (fun ~check_deadlock ~split ~invariants sys ->
-        let store = store_of split in
-        if cfg.jobs > 1 then
-          Explore.par_run ~jobs:cfg.jobs ~store ~max_states:cfg.max_states
-            ?max_mem_bytes:mem_bytes ?max_time_s:cfg.deadline_s
-            ~check_deadlock ~trace:true ~invariants ?on_level ?interrupt sys
-        else
-          Explore.run ~store ~max_states:cfg.max_states
-            ?max_mem_bytes:mem_bytes ?max_time_s:cfg.deadline_s
-            ~check_deadlock ~trace:true ~invariants ?on_level ?interrupt sys);
+        Explore.run ~jobs:cfg.jobs ~store:(store_of split)
+          ~max_states:cfg.max_states ?max_mem_bytes:mem_bytes
+          ?max_time_s:cfg.deadline_s ~check_deadlock ~trace:true ~invariants
+          ?on_level ?interrupt sys);
   }
 
 (* ---- verdicts ------------------------------------------------------------ *)

@@ -1,21 +1,20 @@
 (* Crash-safe checkpoint/resume (DESIGN.md §6h).
 
-   The contract: a checkpoint taken at any save point, loaded back and
-   resumed, reproduces the uninterrupted run's states, transitions and
-   outcome exactly — for the sequential engine at any mid-level cut, and
-   for the multi-process engine at level boundaries.  Damaged files
-   (truncation at every byte, corruption) are refused with a message,
-   never a crash; manifest mismatches are refused before any state is
-   trusted.
+   The contract: every checkpoint is a level boundary; one loaded back
+   and resumed reproduces the uninterrupted run's states, transitions
+   and outcome exactly, at every partition.  A cap stop checkpoints the
+   boundary that completes the stop's level.  Damaged files (truncation
+   at every byte, corruption) and mid-level checkpoints of older
+   versions are refused with a message, never a crash; manifest
+   mismatches are refused before any state is trusted.
 
-   Fork discipline: the [Mpx] cases fork, so this suite runs before any
-   suite that spawns a domain (see suite_mpx.ml); the [par_run] resume
+   Fork discipline: the [~workers] cases fork, so this suite runs before
+   any suite that spawns a domain (see suite_mpx.ml); the [~jobs] resume
    case spawns domains and therefore lives in [par_suite], registered
    after every forking suite. *)
 
 open Test_util
 module Explore = Ccr_modelcheck.Explore
-module Mpx = Ccr_modelcheck.Mpx
 module Vstore = Ccr_modelcheck.Vstore
 module Ckpt = Ccr_modelcheck.Ckpt
 module J = Ccr_obs.Journal
@@ -56,6 +55,17 @@ let load_ok dir =
   | Ok l -> l
   | Error msg -> Alcotest.failf "checkpoint refused: %s" msg
 
+(* The checkpoint of a cap stop is the boundary completing the stop's
+   level: its depth, at least its states, every entry at that depth. *)
+let check_boundary name (first : (_, _) Explore.stats) (l : _ Ckpt.loaded) =
+  checki (name ^ ": boundary depth") first.Explore.max_depth l.Ckpt.l_depth;
+  checkb (name ^ ": boundary holds the stop") true
+    (l.Ckpt.l_states >= first.Explore.states);
+  checkb (name ^ ": one level, no resume ordinal") true
+    (Array.for_all
+       (fun (_, d, o, _) -> d = l.Ckpt.l_depth && o = 0)
+       l.Ckpt.l_frontier)
+
 (* Interrupt [run] at [cap] states with a checkpoint, then resume with
    [run] again and require the uninterrupted pin. *)
 let check_resume name ?store run sys =
@@ -71,8 +81,7 @@ let check_resume name ?store run sys =
         true
         (first.Explore.outcome = Explore.Limit Explore.L_states);
       let l = load_ok dir in
-      checki (Fmt.str "%s cap=%d: saved states" name cap) first.Explore.states
-        l.Ckpt.l_states;
+      check_boundary (Fmt.str "%s cap=%d" name cap) first l;
       let r = run ~max_states:max_int ~ckpt:(resume_of l) in
       checki (Fmt.str "%s cap=%d: states" name cap) seq.Explore.states
         r.Explore.states;
@@ -96,34 +105,47 @@ let tests =
         let seq = Explore.run sys in
         in_dir @@ fun dir ->
         let first =
-          Mpx.run ~workers:2 ~max_states:(seq.Explore.states / 2)
+          Explore.run ~workers:2 ~max_states:(seq.Explore.states / 2)
             ~ckpt:(ckpt_to dir) sys
         in
         checkb "first leg capped" true
           (first.Explore.outcome = Explore.Limit Explore.L_states);
         let l = load_ok dir in
-        checki "boundary is a whole level" 0
-          (Array.fold_left (fun a (_, _, o, _) -> max a o) 0 l.Ckpt.l_frontier);
-        let r = Mpx.run ~workers:2 ~ckpt:(resume_of l) sys in
+        check_boundary "w=2" first l;
+        let r = Explore.run ~workers:2 ~ckpt:(resume_of l) sys in
         checki "states" seq.Explore.states r.Explore.states;
         checki "transitions" seq.Explore.transitions r.Explore.transitions;
         checki "max_depth" seq.Explore.max_depth r.Explore.max_depth;
         (* a worker-count change between sessions is fine: ids are
            assigned by rank, not by worker *)
-        let r3 = Mpx.run ~workers:3 ~ckpt:(resume_of (load_ok dir)) sys in
+        let r3 = Explore.run ~workers:3 ~ckpt:(resume_of (load_ok dir)) sys in
         checki "states (w=3)" seq.Explore.states r3.Explore.states);
-    case "mpx: a sequential mid-level checkpoint is refused" (fun () ->
-        let sys = counter_system ~limit:100 in
+    case "mpx: a sequential mid-level checkpoint is refused at load, for \
+          every engine" (fun () ->
         in_dir @@ fun dir ->
-        (* cap 5 lands mid-level in the sequential engine: some frontier
-           entries carry a non-zero resume ordinal *)
-        ignore (Explore.run ~max_states:5 ~ckpt:(ckpt_to dir) sys);
-        let l = load_ok dir in
-        checkb "really mid-level" true
-          (Array.exists (fun (_, _, o, _) -> o > 0) l.Ckpt.l_frontier);
-        match Mpx.run ~workers:2 ~ckpt:(resume_of l) sys with
-        | _ -> Alcotest.fail "expected Invalid_argument"
-        | exception Invalid_argument _ -> ());
+        (* what older sequential engines wrote at a mid-level cap on
+           [counter_system ~limit:100] with cap 5: the in-flight state 2
+           (depth 2, both successors already traversed: resume ordinal
+           2), ahead of the rest of its level and the depth-3 state 5 *)
+        let frontier = [| (2, 2, 2, 2); (3, 2, 0, 3); (4, 3, 0, 5) |] in
+        ignore
+          (Ckpt.save ~dir ~manifest ~prov:None
+             Explore.
+               {
+                 v_states = 5;
+                 v_transitions = 6;
+                 v_depth = 3;
+                 v_final = true;
+                 v_frontier = (fun () -> frontier);
+                 v_iter_keys =
+                   (fun f -> List.iter f [ "0"; "1"; "2"; "3"; "5" ]);
+               });
+        match Ckpt.load ~dir with
+        | Ok (_ : int Ckpt.loaded) -> Alcotest.fail "mid-level checkpoint loaded"
+        | Error msg ->
+          checkb "names the directory" true (contains msg dir);
+          checkb "says why" true (contains msg "mid-level");
+          checkb "one line" false (String.contains msg '\n'));
     case "mpx: a crashed worker is respawned and the pin holds" (fun () ->
         let sys = bits_system 12 in
         let seq = Explore.run sys in
@@ -133,7 +155,7 @@ let tests =
           Fun.protect
             ~finally:(fun () -> Unix.putenv "CCR_CRASH_AT" "")
             (fun () ->
-              Mpx.run ~workers:2
+              Explore.run ~workers:2
                 ~on_respawn:(fun ~worker:_ -> incr respawns)
                 sys)
         in
@@ -281,13 +303,14 @@ let par_tests =
         let seq = Explore.run sys in
         in_dir @@ fun dir ->
         let first =
-          Explore.par_run ~jobs:4 ~max_states:(seq.Explore.states / 2)
+          Explore.run ~jobs:4 ~max_states:(seq.Explore.states / 2)
             ~ckpt:(ckpt_to dir) sys
         in
         checkb "first leg capped" true
           (first.Explore.outcome = Explore.Limit Explore.L_states);
         let l = load_ok dir in
-        let r = Explore.par_run ~jobs:4 ~ckpt:(resume_of l) sys in
+        check_boundary "j=4" first l;
+        let r = Explore.run ~jobs:4 ~ckpt:(resume_of l) sys in
         checki "states" seq.Explore.states r.Explore.states;
         checki "transitions" seq.Explore.transitions r.Explore.transitions;
         checki "max_depth" seq.Explore.max_depth r.Explore.max_depth;

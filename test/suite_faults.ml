@@ -25,11 +25,8 @@ let k2 = Async.{ k = 2 }
 let mig n = compile ~n (Ccr_protocols.Migratory.system ())
 
 let explore ?(jobs = 1) ?(max_states = 200_000) ~invariants sys =
-  if jobs > 1 then
-    Explore.par_run ~jobs ~max_states ~check_deadlock:true ~trace:true
-      ~invariants sys
-  else
-    Explore.run ~max_states ~check_deadlock:true ~trace:true ~invariants sys
+  Explore.run ~jobs ~max_states ~check_deadlock:true ~trace:true ~invariants
+    sys
 
 let lifted prog invs =
   Injected.no_wedge :: List.map Injected.lift_invariant (invs prog)

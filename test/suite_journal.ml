@@ -175,10 +175,7 @@ let registry_violation_cases jobs_list =
       List.iter
         (fun jobs ->
           let prov = Prov.create () in
-          let r =
-            if jobs = 0 then Explore.run ~prov ~trace:true ~invariants sys
-            else Explore.par_run ~jobs ~prov ~trace:true ~invariants sys
-          in
+          let r = Explore.run ~jobs ~prov ~trace:true ~invariants sys in
           checkb
             (Fmt.str "%s: prov trace matches legacy (j=%d)" e.Registry.name
                jobs)
@@ -200,7 +197,7 @@ let engine_tests =
           (fun jobs ->
             let par, rp =
               journal_of_run (fun ~on_level ->
-                  Explore.par_run ~jobs ~on_level sys)
+                  Explore.run ~jobs ~on_level sys)
             in
             assert_complete (Fmt.str "par j=%d" jobs) rp;
             checks (Fmt.str "identical at j=%d" jobs) seq par)
@@ -226,7 +223,7 @@ let engine_tests =
           (fun jobs ->
             let par, rp =
               run_with (fun ~prov ~on_level ~invariants sys ->
-                  Explore.par_run ~jobs ~prov ~on_level ~invariants
+                  Explore.run ~jobs ~prov ~on_level ~invariants
                     ~trace:true sys)
             in
             checks (Fmt.str "identical at j=%d" jobs) seq par;
@@ -281,7 +278,7 @@ let engine_tests =
           "seq";
         expect
           (fun ~prov ~check_deadlock ~trace ~invariants sys ->
-            Explore.par_run ~jobs:4 ~prov ~check_deadlock ~trace ~invariants
+            Explore.run ~jobs:4 ~prov ~check_deadlock ~trace ~invariants
               sys)
           "par")
   ]

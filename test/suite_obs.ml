@@ -166,9 +166,7 @@ let tests =
         let totals jobs =
           let reg = M.create () in
           let sys = metered_async_system reg prog in
-          let r =
-            if jobs = 1 then Explore.run sys else Explore.par_run ~jobs sys
-          in
+          let r = Explore.run ~jobs sys in
           assert_complete (Fmt.str "j=%d" jobs) r;
           let s = M.snapshot reg in
           ( counter_total s "msg.req",

@@ -1,10 +1,10 @@
-(* Parallel/sequential equivalence of the exploration engines.
+(* Domain partitions of the exploration driver.
 
-   The contract of [Explore.par_run] (DESIGN.md "Parallel exploration"):
-   for runs that complete, [states] and [transitions] equal the sequential
-   [Explore.run]'s exactly, for any number of domains; violations and
-   deadlocks are still detected, with the canonical counterexample coming
-   from the documented sequential fallback re-run. *)
+   The contract of [Explore.run ~jobs] (DESIGN.md §6, "Exploration
+   driver"): outcome, [states], [transitions], [max_depth] and the
+   counterexample equal the one-shard run's exactly, for any number of
+   domains — also where a cap, a violation or a deadlock stops the
+   search. *)
 
 open Test_util
 module Explore = Ccr_modelcheck.Explore
@@ -39,7 +39,7 @@ let check_equiv name sys =
   let seq = Explore.run sys in
   List.iter
     (fun jobs ->
-      let par = Explore.par_run ~jobs sys in
+      let par = Explore.run ~jobs sys in
       checki (Fmt.str "%s: states (j=%d)" name jobs) seq.states par.states;
       checki
         (Fmt.str "%s: transitions (j=%d)" name jobs)
@@ -88,7 +88,7 @@ let tests =
         List.iter
           (fun jobs ->
             let r =
-              Explore.par_run ~jobs ~trace:true
+              Explore.run ~jobs ~trace:true
                 ~invariants:[ ("below7", fun s -> s < 7) ]
                 (counter_system ~limit:100)
             in
@@ -101,7 +101,7 @@ let tests =
             | Some path ->
               let final = snd (List.nth path (List.length path - 1)) in
               checkb "trace ends at the violation" true (final >= 7);
-              (* the fallback re-run is BFS: every prefix state holds *)
+              (* BFS: every prefix state holds *)
               List.iteri
                 (fun i (_, s) ->
                   if i < List.length path - 1 then
@@ -121,7 +121,7 @@ let tests =
                   .h_ctl )
         in
         let r =
-          Explore.par_run ~jobs:2 ~trace:true ~invariants:[ bad_inv ]
+          Explore.run ~jobs:2 ~trace:true ~invariants:[ bad_inv ]
             (async_system prog)
         in
         (match r.outcome with
@@ -131,9 +131,9 @@ let tests =
         match r.trace with
         | Some path -> checkb "trace nonempty" true (List.length path > 1)
         | None -> Alcotest.fail "expected a trace");
-    case "deadlock is detected via the sequential fallback" (fun () ->
+    case "deadlock is detected via the sequential-order merge" (fun () ->
         let r =
-          Explore.par_run ~jobs:2 ~check_deadlock:true ~trace:true
+          Explore.run ~jobs:2 ~check_deadlock:true ~trace:true
             (counter_system ~limit:10)
         in
         (match r.outcome with
@@ -146,23 +146,27 @@ let tests =
         | None -> Alcotest.fail "expected a trace");
     case "violation in the initial state, parallel" (fun () ->
         let r =
-          Explore.par_run ~jobs:2 ~trace:true
+          Explore.run ~jobs:2 ~trace:true
             ~invariants:[ ("never", fun _ -> false) ]
             (bits_system 3)
         in
         match r.outcome with
         | Explore.Violation _ -> checki "only the root" 1 r.states
         | _ -> Alcotest.fail "expected violation");
-    case "state cap reports Unfinished (level granularity)" (fun () ->
-        let r = Explore.par_run ~jobs:2 ~max_states:10 (bits_system 8) in
+    case "state cap reports Unfinished (level by level, exact stop)"
+      (fun () ->
+        let seq = Explore.run ~max_states:10 (bits_system 8) in
+        let r = Explore.run ~jobs:2 ~max_states:10 (bits_system 8) in
         (match r.outcome with
         | Explore.Limit Explore.L_states -> ()
         | _ -> Alcotest.fail "expected state cap");
-        (* the cap applies at BFS-level boundaries: at least the cap, at
-           most one extra level *)
-        checkb "at least the cap" true (r.states >= 10));
+        (* the merge knows every discovery's sequential position, so it
+           stops on the very state the one-shard run stops on *)
+        checki "stopped at cap" 10 r.states;
+        checki "transitions" seq.transitions r.transitions;
+        checki "max_depth" seq.max_depth r.max_depth);
     case "memory cap reports Unfinished" (fun () ->
-        let r = Explore.par_run ~jobs:2 ~max_mem_bytes:500 (bits_system 10) in
+        let r = Explore.run ~jobs:2 ~max_mem_bytes:500 (bits_system 10) in
         match r.outcome with
         | Explore.Limit Explore.L_memory ->
           checkb "mem accounted" true (r.mem_bytes >= 500)
@@ -180,7 +184,7 @@ let tests =
               canon = None;
             }
         in
-        let r = Explore.par_run ~jobs:2 ~max_time_s:0.05 slow in
+        let r = Explore.run ~jobs:2 ~max_time_s:0.05 slow in
         match r.outcome with
         | Explore.Limit Explore.L_time -> ()
         | Explore.Complete -> Alcotest.fail "space too small for the cap"
@@ -188,13 +192,13 @@ let tests =
     case "parallel peak_frontier is the largest BFS level" (fun () ->
         (* level-synchronous BFS over the 8-bit hypercube: level d holds
            C(8,d) states, so the watermark is C(8,4) = 70 exactly *)
-        let r = Explore.par_run ~jobs:2 (bits_system 8) in
+        let r = Explore.run ~jobs:2 (bits_system 8) in
         checki "largest level" 70 r.peak_frontier;
         checki "max_depth" 8 r.max_depth);
     case "parallel bitstate is a sound under-approximation" (fun () ->
         let exact = Explore.run (bits_system 10) in
         let par =
-          Explore.par_run ~jobs:2 ~visited:(Explore.Bitstate 22)
+          Explore.run ~jobs:2 ~visited:(Explore.Bitstate 22)
             (bits_system 10)
         in
         checkb "lower bound" true (par.states <= exact.states);

@@ -96,7 +96,7 @@ let check_stores_equal name prog sys =
         (outcome_complete r.outcome);
       List.iter
         (fun jobs ->
-          let p = Explore.par_run ~jobs ~store:kind sys in
+          let p = Explore.run ~jobs ~store:kind sys in
           checki
             (Fmt.str "%s: states (%s, j=%d)" name sname jobs)
             seq.states p.states;
@@ -138,10 +138,10 @@ let tests =
            read-back comparison path *)
         agrees_with_exact (Vstore.disk ~tail_cap:16 ()) keys);
     qcase ~count:200 ~print:print_keys
-      "shared-intern collapse shards partition like one exact store"
+      "collapse shards partition like one exact store"
       keys_gen
       (fun keys ->
-        let shards = Vstore.collapse_shared ~split:split3 4 in
+        let shards = Array.init 4 (fun _ -> Vstore.collapse ~split:split3 ()) in
         let exact = Vstore.exact () in
         List.for_all
           (fun k ->

@@ -106,10 +106,7 @@ let quotient_count ~jobs sys canon_key =
             };
       }
   in
-  let r =
-    if jobs > 1 then Ccr_modelcheck.Explore.par_run ~jobs sys
-    else Ccr_modelcheck.Explore.run sys
-  in
+  let r = Ccr_modelcheck.Explore.run ~jobs sys in
   assert_complete "quotient" r;
   r.states
 
