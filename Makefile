@@ -82,15 +82,15 @@ ooc-smoke:
 	dune exec bin/ccr.exe -- check migratory -n 4 --level async \
 	  --symmetry off --store disk --workers 2 -j 2
 
-# Loop engine: unit suite (rings, engine==threads registry coherence,
-# trace replay), the run cram checks, then live — a sharded run, a
+# Loop engine: unit suite (rings, registry-wide trace replay through the
+# interpreter), the run cram checks, then live — a sharded run, a
 # hardened fault soak at engine rates, and the engine fuzz oracle.
 engine-smoke:
 	dune build @all
 	dune exec test/test_main.exe -- test engine
 	dune build @test/cram/runtest
-	dune exec bin/ccr.exe -- run lock -n 4 --budget 2000 --engine loop -j 2
-	dune exec bin/ccr.exe -- run migratory -n 2 --budget 200 --engine loop \
+	dune exec bin/ccr.exe -- run lock -n 4 --budget 2000 -j 2
+	dune exec bin/ccr.exe -- run migratory -n 2 --budget 200 \
 	  --faults drop=10,dup=10 --harden --seed 3
 	dune exec bin/ccr.exe -- fuzz --seed 0 --count 40 --oracles engine \
 	  --no-matrix

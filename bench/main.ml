@@ -1207,35 +1207,33 @@ let checkpoint_overhead () =
 module Runtime = Ccr_runtime.Runtime
 module Engine = Ccr_runtime.Engine
 
-let record_throughput_row ~protocol ~n ~engine ~domains (s : Runtime.stats) =
+let record_throughput_row ~protocol ~n ~domains (s : Runtime.stats) =
   if bench_json <> None then
     json_rows :=
       Fmt.str
-        {|  {"protocol": %S, "n": %d, "level": "throughput", "engine": %S, "domains": %d, "messages": %d, "steps": %d, "rendezvous": %d, "time_s": %.6f, "msgs_per_sec": %.1f, "quiescent": %b}|}
+        {|  {"protocol": %S, "n": %d, "level": "throughput", "domains": %d, "messages": %d, "steps": %d, "rendezvous": %d, "time_s": %.6f, "msgs_per_sec": %.1f, "quiescent": %b}|}
         (String.lowercase_ascii protocol)
-        n engine domains s.Runtime.messages s.Runtime.steps
-        s.Runtime.rendezvous s.Runtime.wall_s
+        n domains s.Runtime.messages s.Runtime.steps s.Runtime.rendezvous
+        s.Runtime.wall_s
         (if s.Runtime.wall_s > 0.0 then
            float_of_int s.Runtime.messages /. s.Runtime.wall_s
          else 0.0)
         s.Runtime.quiescent
       :: !json_rows
 
-(* Both engines are driven to a fixed per-run message budget rather than
+(* Each protocol is driven to a fixed per-run message budget rather than
    a step count: a short calibration run measures the protocol's
-   messages-per-cycle, then the cycle budget is sized so each engine
-   moves ~the same number of wire messages and msgs/sec is wall-clock
-   normalized.  The threaded runtime is the baseline the ≥10× claim in
-   DESIGN.md §6g is measured against (on this one-core container the gap
-   is scheduler overhead, not parallelism). *)
+   messages-per-cycle, then the cycle budget is sized so every row moves
+   ~the same number of wire messages and msgs/sec is wall-clock
+   normalized.  The -j 2 row shards the nodes over two domains. *)
 let throughput () =
-  section "Engine throughput: loop engine vs threaded runtime (msgs/sec)";
+  section "Engine throughput: loop engine (msgs/sec)";
   let n = 4 in
   let cfg = Async.{ k = 2 } in
   let target_msgs = if fast then 40_000 else 400_000 in
-  Fmt.pr "fixed message budget ~%d msgs/run, n=%d, 1 core@.@." target_msgs n;
-  Fmt.pr "  %-12s %-8s %9s %9s %10s %12s %9s@." "protocol" "engine" "msgs"
-    "rdv" "time" "msgs/sec" "speedup";
+  Fmt.pr "fixed message budget ~%d msgs/run, n=%d@.@." target_msgs n;
+  Fmt.pr "  %-12s %-8s %9s %9s %10s %12s@." "protocol" "domains" "msgs" "rdv"
+    "time" "msgs/sec";
   List.iter
     (fun name ->
       match Registry.find name with
@@ -1255,7 +1253,11 @@ let throughput () =
             (int_of_float
                (float_of_int target_msgs /. (per_cycle *. float_of_int n)))
         in
-        let report engine domains (s : Runtime.stats) speedup_vs =
+        let report domains =
+          let s =
+            Engine.run ~seed:1 ~deadline_s:120.0 ~domains ~budget ~invariants
+              prog cfg
+          in
           let rate =
             if s.Runtime.wall_s > 0.0 then
               float_of_int s.Runtime.messages /. s.Runtime.wall_s
@@ -1266,40 +1268,13 @@ let throughput () =
             && s.Runtime.invariant_failures = []
             && s.Runtime.protocol_errors = []
           in
-          Fmt.pr "  %-12s %-8s %9d %9d %8.3fs %12.0f %9s%s@." name
-            (if domains > 1 then Fmt.str "%s/j%d" engine domains else engine)
+          Fmt.pr "  %-12s %-8d %9d %9d %8.3fs %12.0f%s@." name domains
             s.Runtime.messages s.Runtime.rendezvous s.Runtime.wall_s rate
-            (match speedup_vs with
-            | Some base when base > 0.0 -> Fmt.str "%.1fx" (rate /. base)
-            | _ -> "-")
             (if ok then "" else "  [NOT COHERENT]");
-          record_throughput_row ~protocol:name ~n ~engine ~domains s;
-          rate
+          record_throughput_row ~protocol:name ~n ~domains s
         in
-        let thr =
-          Runtime.run ~seed:1 ~deadline_s:120.0 ~budget ~invariants prog cfg
-        in
-        let base = report "threads" 1 thr None in
-        let loop =
-          Engine.run ~seed:1 ~deadline_s:120.0 ~budget ~invariants prog cfg
-        in
-        ignore (report "loop" 1 loop (Some base));
-        if not fast then begin
-          let loop2 =
-            Engine.run ~seed:1 ~deadline_s:120.0 ~domains:2 ~budget ~invariants
-              prog cfg
-          in
-          ignore (report "loop" 2 loop2 (Some base))
-        end;
-        (* Home-initiated completions still in flight when the budget
-           runs dry are a scheduling-dependent tail, so the counts track
-           each other without matching exactly (lock, with no
-           home-initiated remote work, matches to the cycle). *)
-        if thr.Runtime.rendezvous <> loop.Runtime.rendezvous then
-          Fmt.pr
-            "  %-12s completed cycles: threads %d vs loop %d \
-             (scheduling-dependent tail)@."
-            name thr.Runtime.rendezvous loop.Runtime.rendezvous)
+        report 1;
+        if not fast then report 2)
     [ "lock"; "invalidate"; "migratory"; "mesi" ]
 
 (* ---- Bechamel micro-benchmarks ------------------------------------------- *)

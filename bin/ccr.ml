@@ -12,8 +12,8 @@
                  checks the retransmit/dedup-hardened transport)
      eq1         verify the §4 stuttering simulation
      sim         simulate the refined protocol and report efficiency
-     run         execute the protocol on real threads, optionally through
-                 the fault-injecting transport
+     run         execute the protocol on the compiled loop engine,
+                 optionally through the fault-injecting transport
      msc         message-sequence chart of a simulated execution
      progress    deadlock + AG-EF-progress analysis (§2.5)
 
@@ -1404,7 +1404,7 @@ let run_cmd =
     Arg.(
       value & opt int 100
       & info [ "budget" ] ~docv:"CYCLES"
-          ~doc:"Protocol cycles each remote thread performs.")
+          ~doc:"Protocol cycles each remote performs.")
   in
   let deadline =
     Arg.(
@@ -1419,49 +1419,37 @@ let run_cmd =
       value & opt int 42
       & info [ "seed" ] ~docv:"SEED"
           ~doc:
-            "Fault-plan seed.  Thread interleavings come from the OS \
-             scheduler; the injected faults are deterministic in the \
-             seed alone.")
-  in
-  let engine =
-    Arg.(
-      value
-      & opt (enum [ ("threads", `Threads); ("loop", `Loop) ]) `Threads
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Execution engine: $(b,threads) runs one interpreting OS \
-             thread per node (the differential oracle); $(b,loop) runs \
-             the domain-sharded event loop over compiled microcode \
-             tables ($(b,--domains), $(b,--batch)).")
+            "Scheduling and fault-plan seed.  A one-domain fault-free \
+             run is deterministic in the seed; otherwise the \
+             interleavings depend on timing, but the injected faults \
+             are still the seed's alone.")
   in
   let domains =
     Arg.(
       value & opt int 1
       & info [ "domains"; "j" ] ~docv:"D"
           ~doc:
-            "Loop engine only: shard the nodes over $(docv) OCaml \
-             domains (clamped to the node count).")
+            "Shard the nodes over $(docv) OCaml domains (clamped to \
+             the node count).")
   in
   let batch =
     Arg.(
       value & opt int 64
       & info [ "batch" ] ~docv:"B"
           ~doc:
-            "Loop engine only: drain up to $(docv) messages per mailbox \
-             visit and fire up to $(docv) local transitions per node \
-             sweep.")
+            "Drain up to $(docv) messages per mailbox visit and fire up \
+             to $(docv) local transitions per node sweep.")
   in
   let steps =
     Arg.(
       value & opt (some int) None
       & info [ "steps" ] ~docv:"N"
           ~doc:
-            "Stop after $(docv) node transitions (both engines honour \
-             the same cap; the run then reports a step-cap stop instead \
-             of quiescence).")
+            "Stop after $(docv) node transitions (the run then reports \
+             a step-cap stop instead of quiescence).")
   in
-  let run (e : Registry.t) n k generic budget deadline seed engine domains
-      batch steps faults harden metrics_file journal_file =
+  let run (e : Registry.t) n k generic budget deadline seed domains batch
+      steps faults harden metrics_file journal_file =
     let reg = Obs.setup ~trace_file:None in
     let ppf = Obs.report_ppf ~metrics_file in
     let module J = Obs.J in
@@ -1476,8 +1464,6 @@ let run_cmd =
         ("budget", J.Int budget);
         ("seed", J.Int seed);
         ("harden", J.Bool harden);
-        ( "engine",
-          J.Str (match engine with `Threads -> "threads" | `Loop -> "loop") );
         ("domains", J.Int domains);
       ];
     (match fault_spec_of faults with
@@ -1493,19 +1479,11 @@ let run_cmd =
         (fault_spec_of faults)
     in
     let s =
-      match engine with
-      | `Threads ->
-        Ccr_runtime.Runtime.run ~seed ~deadline_s:deadline ?max_steps:steps
-          ~metrics:reg ?faults:fplan ~budget
-          ~invariants:(e.Registry.async_invariants prog)
-          prog
-          Async.{ k }
-      | `Loop ->
-        Ccr_runtime.Engine.run ~seed ~deadline_s:deadline ?max_steps:steps
-          ~domains ~batch ~metrics:reg ?faults:fplan ~budget
-          ~invariants:(e.Registry.async_invariants prog)
-          prog
-          Async.{ k }
+      Ccr_runtime.Engine.run ~seed ~deadline_s:deadline ?max_steps:steps
+        ~domains ~batch ~metrics:reg ?faults:fplan ~budget
+        ~invariants:(e.Registry.async_invariants prog)
+        prog
+        Async.{ k }
     in
     Obs.emit reg ~trace_file:None ~metrics_file;
     Obs.jend jnl
@@ -1534,14 +1512,14 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:
-         "Execute the refined protocol — on real threads or on the \
-          domain-sharded loop engine ($(b,--engine)), optionally through \
-          the fault-injecting transport — and check the coherence \
-          invariants on the final configuration.  Non-quiescent runs \
-          report the stuck node and exit 2.")
+         "Execute the refined protocol on the domain-sharded loop engine \
+          over compiled microcode tables, optionally through the \
+          fault-injecting transport, and check the coherence invariants \
+          on the final configuration.  Non-quiescent runs report the \
+          stuck node and exit 2.")
     Term.(
       const run $ protocol_arg $ n_arg $ k_arg $ generic_arg $ budget
-      $ deadline $ seed $ engine $ domains $ batch $ steps $ faults_arg
+      $ deadline $ seed $ domains $ batch $ steps $ faults_arg
       $ harden_arg $ Obs.metrics_arg $ Obs.journal_arg)
 
 (* ---- fuzz ---------------------------------------------------------------- *)

@@ -371,109 +371,25 @@ let o_store ctx =
 let o_engine ctx =
   match Lazy.force ctx.prog with
   | Error e -> Fail (exn_msg e)
-  | Ok prog ->
+  | Ok prog -> (
     let cfg = Async.{ k = ctx.spec.Gen.k } in
-    let traced () =
-      let trace = ref [] in
-      let s =
-        Engine.run ~seed:0 ~deadline_s:5.0 ~max_steps:50_000
-          ~on_step:(fun l -> trace := l :: !trace)
-          ~budget:2 ~invariants:[] prog cfg
-      in
-      (s, List.rev !trace)
+    let replay () =
+      Engine.replay ~deadline_s:5.0 ~max_steps:50_000 ~budget:2 ~invariants:[]
+        prog cfg
     in
-    let s, trace = traced () in
-    if s.Runtime.protocol_errors <> [] then
-      Fail
-        (Fmt.str "engine protocol error: %s"
-           (String.concat "; " s.Runtime.protocol_errors))
-    else if s.Runtime.steps <> List.length trace then
-      Fail
-        (Fmt.str "engine counted %d steps but traced %d labels"
-           s.Runtime.steps (List.length trace))
-    else begin
-      (* Replay the executed schedule through the interpreter: after each
-         engine label the frontier holds every interpreter state
-         reachable by the labels so far (labels do not pin choose-set
-         payloads, so several states can carry the same label; the
-         frontier is deduplicated and capped). *)
-      let frontier = ref [ Async.initial prog cfg ] in
-      let illegal = ref None in
-      let stepno = ref 0 in
-      List.iter
-        (fun (l : Async.label) ->
-          if !illegal = None then begin
-            incr stepno;
-            let seen = Hashtbl.create 16 in
-            let next =
-              List.concat_map
-                (fun st ->
-                  List.filter_map
-                    (fun ((l' : Async.label), st') ->
-                      if l' = l then begin
-                        let key = Async.encode st' in
-                        if Hashtbl.mem seen key then None
-                        else begin
-                          Hashtbl.add seen key ();
-                          Some st'
-                        end
-                      end
-                      else None)
-                    (Async.successors prog cfg st))
-                !frontier
-            in
-            match next with
-            | [] -> illegal := Some (!stepno, l)
-            | _ ->
-              frontier :=
-                if List.length next > 64 then
-                  List.filteri (fun i _ -> i < 64) next
-                else next
-          end)
-        trace;
-      match !illegal with
-      | Some (i, l) ->
-        Fail
-          (Fmt.str
-             "engine step %d (%a) is not a transition the interpreter               offers"
-             i Async.pp_label l)
-      | None ->
-        let completes (l : Async.label) =
-          match l.Async.rule with
-          | Async.H_C1 | Async.H_C1_silent | Async.H_T1_repl | Async.R_C3_ack
-          | Async.R_C3_silent | Async.R_repl_recv ->
-            true
-          | _ -> false
-        in
-        let comp = List.length (List.filter completes trace) in
-        let quiet_state (st : Async.state) =
-          st.Async.h.Async.h_mode = Async.Hcomm
-          && Array.for_all
-               (fun (r : Async.remote) -> r.Async.r_mode = Async.Rcomm)
-               st.Async.r
-          && Array.for_all (( = ) []) st.Async.to_h
-          && Array.for_all (( = ) []) st.Async.to_r
-        in
-        if comp <> s.Runtime.rendezvous then
+    match replay () with
+    | Error m -> Fail m
+    | Ok (s, trace) -> (
+      match replay () with
+      | Error m -> Fail ("second run: " ^ m)
+      | Ok (s2, trace2) ->
+        if trace2 <> trace then
+          Fail "engine trace is not deterministic in the seed"
+        else if s2.Runtime.messages <> s.Runtime.messages then
           Fail
-            (Fmt.str
-               "engine reported %d rendezvous but the trace completes %d"
-               s.Runtime.rendezvous comp)
-        else if s.Runtime.quiescent && not (List.exists quiet_state !frontier)
-        then
-          Fail
-            "engine reported quiescence but no replayed interpreter state              is quiescent"
-        else begin
-          let s2, trace2 = traced () in
-          if trace2 <> trace then
-            Fail "engine trace is not deterministic in the seed"
-          else if s2.Runtime.messages <> s.Runtime.messages then
-            Fail
-              (Fmt.str "engine message count is not deterministic: %d vs %d"
-                 s.Runtime.messages s2.Runtime.messages)
-          else Pass
-        end
-    end
+            (Fmt.str "engine message count is not deterministic: %d vs %d"
+               s.Runtime.messages s2.Runtime.messages)
+        else Pass))
 
 let o_resume ctx =
   match (Lazy.force ctx.prog, Lazy.force ctx.async_stats) with

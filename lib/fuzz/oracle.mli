@@ -24,8 +24,8 @@
       is shared — and with a tiny spill buffer forcing the disk
       read-back path; in parallel with 2 domains when the baseline
       completed);
-    - [Engine]: a budgeted traced run of the loop engine
-      ({!Ccr_runtime.Engine}) replays label-for-label through
+    - [Engine]: a budgeted traced run of the loop engine replays
+      ({!Ccr_runtime.Engine.replay}) label-for-label through
       {!Ccr_refine.Async.successors} — every transition the compiled
       microcode tables execute must be one the interpreter offers from
       the same configuration (strictly stronger than label-count

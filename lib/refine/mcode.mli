@@ -20,8 +20,9 @@
 
     The step functions mirror {!Async.home_local}/{!Async.home_recv}/
     {!Async.remote_local}/{!Async.remote_recv} rule for rule — the
-    engine==threads differential tests and the [engine] fuzz oracle
-    check that correspondence — but execute exactly one uniformly-chosen
+    engine's trace replay through {!Async.successors} (tested over the
+    whole registry, and the [engine] fuzz oracle) checks that
+    correspondence — but execute exactly one uniformly-chosen
     enabled transition (single-pass reservoir selection) instead of
     materializing the successor list.
 
@@ -43,8 +44,8 @@ type remote
 val compile : Prog.t -> t
 
 val home_make : t -> k:int -> seed:int -> home
-(** [k] is the home buffer capacity ({!Async.config}); the rng seed
-    mirrors {!Runtime.run}'s home thread. *)
+(** [k] is the home buffer capacity ({!Async.config}); [seed] seeds the
+    home's transition choice. *)
 
 val remote_make : t -> seed:int -> int -> remote
 (** [remote_make t ~seed i] builds remote [i]'s machine. *)
@@ -82,9 +83,9 @@ val rule_of_code : int -> Async.rule_id
 val code_of_rule : Async.rule_id -> int
 
 val completes : int -> bool
-(** Same rendezvous-completion rules as {!Runtime}: true for the codes
-    of H-C1, H-C1-silent, H-T1-repl, R-C3-ack, R-C3-silent and
-    R-repl-recv. *)
+(** The rendezvous-completion rules, as the simulator counts them:
+    true for the codes of H-C1, H-C1-silent, H-T1-repl, R-C3-ack,
+    R-C3-silent and R-repl-recv. *)
 
 (** {2 Observation}
 
@@ -101,7 +102,7 @@ val remote_at_comm : remote -> bool
 
 val remote_at_start : remote -> bool
 (** Control at the initial state in communication mode — the condition
-    {!Runtime.run} uses to charge the cycle budget. *)
+    the engine uses to charge the cycle budget. *)
 
 val home_snapshot : home -> Async.home
 val remote_snapshot : remote -> Async.remote

@@ -6,8 +6,8 @@
     queued while their one-slot buffer is full (Table 1).
 
     A channel can be {!close}d (poisoned): sends are dropped and
-    consumers see an empty channel, so node threads polling it wind down
-    immediately instead of blocking the join behind a wedged peer. *)
+    consumers see an empty channel, so nodes polling it wind down
+    immediately instead of waiting on a wedged peer. *)
 
 type 'a t
 

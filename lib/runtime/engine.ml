@@ -50,6 +50,15 @@ let bump hist v =
   let b = Ccr_obs.Metrics.bucket_of v in
   hist.(b) <- hist.(b) + 1
 
+(* Every mode communicating and every channel drained. *)
+let quiescent_state (st : Async.state) =
+  st.Async.h.Async.h_mode = Async.Hcomm
+  && Array.for_all
+       (fun (r : Async.remote) -> r.Async.r_mode = Async.Rcomm)
+       st.Async.r
+  && Array.for_all (( = ) []) st.Async.to_h
+  && Array.for_all (( = ) []) st.Async.to_r
+
 let run ?(seed = 42) ?(deadline_s = 30.0) ?max_steps ?(domains = 1)
     ?(batch = 64) ?(ring_cap = 1024) ?metrics ?faults ?on_step ~budget
     ~invariants (prog : Prog.t) (cfg : Async.config) =
@@ -533,17 +542,9 @@ let run ?(seed = 42) ?(deadline_s = 30.0) ?max_steps ?(domains = 1)
   in
   (* the "stall" verdict is only tentative: promoted to quiescent when
      the joined configuration really is one *)
-  let chans_empty =
-    Array.for_all (fun l -> l = []) final.Async.to_h
-    && Array.for_all (fun l -> l = []) final.Async.to_r
-  in
-  let modes_comm =
-    hsnap.Async.h_mode = Async.Hcomm
-    && Array.for_all (fun r -> r.Async.r_mode = Async.Rcomm) rsnaps
-  in
   let cause0 = Atomic.get stop_cause in
   let quiescent =
-    cause0 = "stall" && spent () && chans_empty && modes_comm && !errors = []
+    cause0 = "stall" && spent () && quiescent_state final && !errors = []
   in
   let cause = if quiescent then "quiescent" else cause0 in
   let wall_s = Unix.gettimeofday () -. t0 in
@@ -606,6 +607,69 @@ let run ?(seed = 42) ?(deadline_s = 30.0) ?max_steps ?(domains = 1)
     faults = Fault.freeze fcounts;
     watchdog;
     wall_s;
-    engine = "loop";
     stop_cause = cause;
   }
+
+(* After each engine label the frontier holds the interpreter states
+   reachable by the labels so far.  Labels do not pin choose-set
+   payloads, so several states can carry the same label; the frontier is
+   deduplicated by encoding and capped at 64 states. *)
+let rec walk prog cfg i frontier = function
+  | [] -> Ok frontier
+  | (l : Async.label) :: rest -> (
+    let seen = Hashtbl.create 16 in
+    let fresh st =
+      let key = Async.encode st in
+      if Hashtbl.mem seen key then false
+      else begin
+        Hashtbl.add seen key ();
+        true
+      end
+    in
+    let next =
+      List.concat_map
+        (fun st ->
+          List.filter_map
+            (fun (l', st') -> if l' = l && fresh st' then Some st' else None)
+            (Async.successors prog cfg st))
+        frontier
+    in
+    match next with
+    | [] -> Error (i, l)
+    | _ -> walk prog cfg (i + 1) (List.filteri (fun j _ -> j < 64) next) rest)
+
+let replay ?deadline_s ?max_steps ~budget ~invariants prog cfg =
+  let trace = ref [] in
+  let (s : Runtime.stats) =
+    run ~seed:0 ?deadline_s ?max_steps
+      ~on_step:(fun l -> trace := l :: !trace)
+      ~budget ~invariants prog cfg
+  in
+  let trace = List.rev !trace in
+  let fail fmt = Fmt.kstr (fun m -> Error m) fmt in
+  if s.protocol_errors <> [] then
+    fail "engine protocol error: %s" (String.concat "; " s.protocol_errors)
+  else if s.steps <> List.length trace then
+    fail "engine counted %d steps but traced %d labels" s.steps
+      (List.length trace)
+  else
+    match walk prog cfg 1 [ Async.initial prog cfg ] trace with
+    | Error (i, l) ->
+      fail "engine step %d (%a) is not a transition the interpreter offers" i
+        Async.pp_label l
+    | Ok frontier ->
+      let completed =
+        List.length
+          (List.filter
+             (fun (l : Async.label) ->
+               Mcode.completes (Mcode.code_of_rule l.rule))
+             trace)
+      in
+      if completed <> s.rendezvous then
+        fail "engine reported %d rendezvous but the trace completes %d"
+          s.rendezvous completed
+      else if s.quiescent && not (List.exists quiescent_state frontier) then
+        fail
+          "engine reported quiescence but no replayed interpreter state is \
+           quiescent"
+      else Ok (s, trace)

@@ -7,8 +7,9 @@ let delay_s = 0.01
 type frame = Data of int * Wire.t | Tack of int
 
 (* One direction of a duplex pair.  Sender-side fields are only touched
-   by the sending thread, receiver-side fields only by the receiving
-   thread; the [pipe] and [ready] channels carry data between them. *)
+   by the sending node's domain, receiver-side fields only by the
+   receiving node's; the [pipe] and [ready] channels carry data between
+   them. *)
 type dir = {
   pipe : frame Channel.t;
   (* sender side *)

@@ -1,4 +1,4 @@
-(** Fault-injecting transport between the runtime's node threads.
+(** Fault-injecting transport between the engine's nodes.
 
     Wraps the raw {!Channel}s with the fault layer: every protocol send
     is given its planned fate ({!Ccr_faults.Plan.decide}) — delivered,
@@ -13,10 +13,10 @@
     fault plan (the budget is spent on protocol messages), so a finite
     budget is always survivable.
 
-    Thread ownership: for each direction, the sender-side state is only
-    touched by [send]/[tick] (the sending thread) and the receiver-side
-    state only by [peek]/[pop] (the receiving thread); the pipes between
-    them are mutex-guarded {!Channel}s. *)
+    Ownership: for each direction, the sender-side state is only touched
+    by [send]/[tick] (the sending node's domain) and the receiver-side
+    state only by [peek]/[pop] (the receiving node's domain); the pipes
+    between them are mutex-guarded {!Channel}s. *)
 
 open Ccr_refine
 open Ccr_faults
@@ -27,18 +27,18 @@ val make :
   n:int -> mode:Injected.mode -> plan:Plan.t -> counts:Fault.counts -> t
 
 val send : t -> Fault.chan -> Wire.t -> unit
-(** Called by the channel's sending thread only. *)
+(** Called by the channel's sending side only. *)
 
 val peek : t -> Fault.chan -> Wire.t option
 (** Next deliverable message (pumps the pipe first).  Called by the
-    channel's receiving thread only. *)
+    channel's receiving side only. *)
 
 val pop : t -> Fault.chan -> Wire.t option
 
 val tick : t -> Fault.chan -> unit
 (** Sender-side timers: flush due delayed frames, retransmit frames
     unacknowledged past the timeout.  Call regularly from the sending
-    thread. *)
+    side. *)
 
 val quiet : t -> bool
 (** Nothing in flight anywhere: pipes, ready queues, resequencing
@@ -54,4 +54,4 @@ val inbox_length : t -> Fault.chan -> int
 val drain : t -> Fault.chan -> Wire.t list
 (** Remaining undelivered messages in FIFO-ish order (deliverable first,
     then in-flight, then resequencing buffer), for reassembling the final
-    global state after the threads join. *)
+    global state after the domains join. *)

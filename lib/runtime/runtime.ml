@@ -1,5 +1,3 @@
-open Ccr_core
-open Ccr_refine
 open Ccr_faults
 
 type stats = {
@@ -18,334 +16,8 @@ type stats = {
   faults : Fault.fcounts;
   watchdog : (string * string) list;
   wall_s : float;
-  engine : string;
   stop_cause : string;
 }
-
-(* Per-node shared cell: the node's state, guarded by a mutex so the
-   monitor (and the final assembly) can read it consistently. *)
-type 'a cell = { mutex : Mutex.t; mutable v : 'a; mutable idle : bool }
-
-let cell v = { mutex = Mutex.create (); v; idle = false }
-
-let with_cell c f =
-  Mutex.lock c.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock c.mutex) (fun () -> f c)
-
-(* Completion counting mirrors {!Sim}: each rendezvous is counted exactly
-   once, at the transition that commits it on the passive side (or at the
-   reply completion). *)
-let completes (l : Async.label) =
-  match l.rule with
-  | Async.H_C1 | Async.H_C1_silent | Async.H_T1_repl | Async.R_C3_ack
-  | Async.R_C3_silent | Async.R_repl_recv ->
-    true
-  | _ -> false
-
-let run ?(seed = 42) ?(deadline_s = 30.0) ?max_steps ?metrics ?faults ~budget
-    ~invariants (prog : Prog.t) (cfg : Async.config) =
-  let t0 = Unix.gettimeofday () in
-  let n = prog.n in
-  let mode, plan =
-    match faults with
-    | Some (m, p) -> (m, p)
-    | None -> (Injected.Vanilla, Plan.make ~n Fault.none [])
-  in
-  let fcounts = Fault.zero () in
-  let link = Faultlink.make ~n ~mode ~plan ~counts:fcounts in
-  let stop = Atomic.make false in
-  let messages = Atomic.make 0 in
-  (* Per-kind message counters.  The node loops are systhreads, not
-     domains, so they must not write DLS metric shards directly; they
-     bump atomics and the registry is filled once at the end. *)
-  let reqs_a = Atomic.make 0
-  and acks_a = Atomic.make 0
-  and nacks_a = Atomic.make 0
-  and datas_a = Atomic.make 0 in
-  let send_counted ch (w : Wire.t) =
-    Atomic.incr messages;
-    (match w with
-    | Wire.Req m ->
-      Atomic.incr reqs_a;
-      if m.Wire.m_payload <> [] then Atomic.incr datas_a
-    | Wire.Ack -> Atomic.incr acks_a
-    | Wire.Nack -> Atomic.incr nacks_a);
-    Faultlink.send link ch w
-  in
-  (* Pause windows: one plan tick = one millisecond of wall time. *)
-  let tick_now () = int_of_float ((Unix.gettimeofday () -. t0) *. 1000.) in
-  let paused_now i = Plan.paused_at plan i (tick_now ()) in
-  (* Written by the home thread only; read after the joins. *)
-  let occ_hist = Array.make (cfg.k + 1) 0 in
-  let record_occ (h : Async.home) =
-    let occ = min (List.length h.Async.h_buf) cfg.k in
-    occ_hist.(occ) <- occ_hist.(occ) + 1
-  in
-  let steps = Atomic.make 0 in
-  let rendezvous_by = Array.init n (fun _ -> Atomic.make 0) in
-  let errors_mutex = Mutex.create () in
-  let errors = ref [] in
-  let stop_cause = ref "deadline" in
-  let record_error e =
-    Mutex.lock errors_mutex;
-    errors := e :: !errors;
-    stop_cause := "error";
-    Mutex.unlock errors_mutex;
-    Atomic.set stop true;
-    (* poison the transport so every other node thread winds down now
-       instead of polling until the deadline *)
-    Faultlink.close link
-  in
-  let count l =
-    Atomic.incr steps;
-    if completes l then Atomic.incr rendezvous_by.(l.Async.actor)
-  in
-  let pick rng = function
-    | [] -> None
-    | l -> Some (List.nth l (Random.State.int rng (List.length l)))
-  in
-  (* ---- home thread ----------------------------------------------------- *)
-  let hcell = cell (Async.initial_home prog) in
-  let home_thread () =
-    let rng = Random.State.make [| seed; 7919 |] in
-    let next = ref 0 in
-    try
-      while not (Atomic.get stop) do
-        for j = 0 to n - 1 do
-          Faultlink.tick link (Fault.To_r j)
-        done;
-        let worked = ref false in
-        (* 1. serve incoming messages, round-robin over the remotes *)
-        for off = 0 to n - 1 do
-          let i = (!next + off) mod n in
-          if not !worked then
-            match Faultlink.peek link (Fault.To_h i) with
-            | Some w ->
-              with_cell hcell (fun c ->
-                  match pick rng (Async.home_recv prog cfg c.v i w) with
-                  | Some (l, h', outs) ->
-                    ignore (Faultlink.pop link (Fault.To_h i));
-                    c.v <- h';
-                    record_occ h';
-                    List.iter
-                      (fun (j, w) -> send_counted (Fault.To_r j) w)
-                      outs;
-                    count l;
-                    worked := true;
-                    next := (i + 1) mod n
-                  | None -> ())
-            | None -> ()
-        done;
-        (* 2. otherwise take a local transition (C1/C2/tau) *)
-        if not !worked then
-          with_cell hcell (fun c ->
-              match pick rng (Async.home_local prog cfg c.v) with
-              | Some (l, h', outs) ->
-                c.v <- h';
-                record_occ h';
-                List.iter (fun (j, w) -> send_counted (Fault.To_r j) w) outs;
-                count l;
-                worked := true
-              | None -> ());
-        with_cell hcell (fun c -> c.idle <- not !worked);
-        if not !worked then Thread.yield ()
-      done
-    with Async.Protocol_error e -> record_error ("home: " ^ e)
-  in
-  (* ---- remote threads --------------------------------------------------- *)
-  let rcells = Array.init n (fun _ -> cell (Async.initial_remote prog)) in
-  let budgets = Array.make n budget in
-  let remote_thread i () =
-    let rng = Random.State.make [| seed; i |] in
-    try
-      while not (Atomic.get stop) do
-        if paused_now i then begin
-          (* injected fault: the node stops reacting for a while *)
-          with_cell rcells.(i) (fun c -> c.idle <- true);
-          Thread.delay 0.001
-        end
-        else begin
-          Faultlink.tick link (Fault.To_h i);
-          let worked = ref false in
-          (* 1. consume a message from the home if possible *)
-          (match Faultlink.peek link (Fault.To_r i) with
-          | Some w ->
-            with_cell rcells.(i) (fun c ->
-                match pick rng (Async.remote_recv prog c.v i w) with
-                | Some (l, r', outs) ->
-                  ignore (Faultlink.pop link (Fault.To_r i));
-                  c.v <- r';
-                  List.iter (fun w -> send_counted (Fault.To_h i) w) outs;
-                  count l;
-                  worked := true
-                | None -> () (* one-slot buffer full: leave it queued *))
-          | None -> ());
-          (* 2. otherwise act locally; a fresh protocol cycle consumes
-             budget, and a spent remote stays quiet in its initial state *)
-          if not !worked then
-            with_cell rcells.(i) (fun c ->
-                let at_start =
-                  c.v.Async.r_ctl = prog.remote.p_init
-                  && c.v.Async.r_mode = Async.Rcomm
-                in
-                if not (at_start && budgets.(i) <= 0) then
-                  match pick rng (Async.remote_local prog c.v i) with
-                  | Some (l, r', outs) ->
-                    if at_start then budgets.(i) <- budgets.(i) - 1;
-                    c.v <- r';
-                    List.iter (fun w -> send_counted (Fault.To_h i) w) outs;
-                    count l;
-                    worked := true
-                  | None -> ());
-          with_cell rcells.(i) (fun c -> c.idle <- not !worked);
-          if not !worked then Thread.yield ()
-        end
-      done
-    with Async.Protocol_error e ->
-      record_error (Fmt.str "remote %d: %s" i e)
-  in
-  let threads =
-    Thread.create home_thread ()
-    :: List.init n (fun i -> Thread.create (remote_thread i) ())
-  in
-  (* ---- monitor: detect quiescence or the deadline ----------------------- *)
-  let quiescent = ref false in
-  let step_capped () =
-    match max_steps with None -> false | Some cap -> Atomic.get steps >= cap
-  in
-  let rec monitor () =
-    if Atomic.get stop then ()
-    else if Unix.gettimeofday () -. t0 > deadline_s then Atomic.set stop true
-    else if step_capped () then begin
-      stop_cause := "step-cap";
-      Atomic.set stop true
-    end
-    else begin
-      let channels_empty = Faultlink.quiet link in
-      let spent = Array.for_all (fun b -> b <= 0) budgets in
-      let all_idle =
-        with_cell hcell (fun c -> c.idle && c.v.Async.h_mode = Async.Hcomm)
-        && Array.for_all
-             (fun rc ->
-               with_cell rc (fun c ->
-                   c.idle && c.v.Async.r_mode = Async.Rcomm))
-             rcells
-      in
-      if channels_empty && spent && all_idle then begin
-        (* double-check after a pause: idleness must be stable *)
-        Thread.delay 0.005;
-        let still =
-          Faultlink.quiet link
-          && with_cell hcell (fun c -> c.idle)
-          && Array.for_all (fun rc -> with_cell rc (fun c -> c.idle)) rcells
-        in
-        if still then begin
-          quiescent := true;
-          stop_cause := "quiescent";
-          Atomic.set stop true
-        end
-        else monitor ()
-      end
-      else begin
-        Thread.delay 0.001;
-        monitor ()
-      end
-    end
-  in
-  monitor ();
-  List.iter Thread.join threads;
-  (* pause windows the run lived through *)
-  fcounts.pauses <-
-    List.length
-      (List.filter
-         (fun (w : Plan.window) -> w.w_start < tick_now ())
-         plan.Plan.windows);
-  (* ---- watchdog: who is stuck where ------------------------------------- *)
-  let hmode_desc = function
-    | Async.Hcomm -> "comm"
-    | Async.Htrans { peer; await; _ } ->
-      Fmt.str "transient→r%d awaiting %s" peer
-        (match await with `Ack -> "ack" | `Repl m -> "reply " ^ m)
-  in
-  let rmode_desc = function
-    | Async.Rcomm -> "comm"
-    | Async.Rtrans _ -> "transient awaiting ack/nack"
-    | Async.Rwait { repl; _ } -> "awaiting reply " ^ repl
-  in
-  let watchdog =
-    ( "home",
-      with_cell hcell (fun c ->
-          Fmt.str "ctl=%s, %s, %d buffered, inbox %d"
-            prog.home.p_states.(c.v.Async.h_ctl).cs_name
-            (hmode_desc c.v.Async.h_mode)
-            (List.length c.v.Async.h_buf)
-            (Array.fold_left ( + ) 0
-               (Array.init n (fun i ->
-                    Faultlink.inbox_length link (Fault.To_h i)))) ) )
-    :: List.init n (fun i ->
-           ( Fmt.str "remote %d" i,
-             with_cell rcells.(i) (fun c ->
-                 Fmt.str "ctl=%s, %s, budget left %d, inbox %d"
-                   prog.remote.p_states.(c.v.Async.r_ctl).cs_name
-                   (rmode_desc c.v.Async.r_mode)
-                   budgets.(i)
-                   (Faultlink.inbox_length link (Fault.To_r i))) ))
-  in
-  (* ---- reassemble the final global state and check it ------------------- *)
-  let final =
-    {
-      Async.h = with_cell hcell (fun c -> c.v);
-      r = Array.map (fun rc -> with_cell rc (fun c -> c.v)) rcells;
-      to_h = Array.init n (fun i -> Faultlink.drain link (Fault.To_h i));
-      to_r = Array.init n (fun i -> Faultlink.drain link (Fault.To_r i));
-    }
-  in
-  let invariant_failures =
-    List.filter_map
-      (fun (name, check) -> if check final then None else Some name)
-      invariants
-  in
-  (match metrics with
-  | Some reg ->
-    let open Ccr_obs.Metrics in
-    add (counter reg "msg.req") (Atomic.get reqs_a);
-    add (counter reg "msg.ack") (Atomic.get acks_a);
-    add (counter reg "msg.nack") (Atomic.get nacks_a);
-    add (counter reg "msg.data") (Atomic.get datas_a);
-    add
-      (counter reg "rendezvous")
-      (Array.fold_left (fun a c -> a + Atomic.get c) 0 rendezvous_by);
-    let h = histogram reg "home_buffer_occupancy" in
-    Array.iteri (fun occ cnt -> observe_n h occ cnt) occ_hist;
-    if faults <> None then begin
-      add (counter reg "fault.drop") fcounts.drops;
-      add (counter reg "fault.dup") fcounts.dups;
-      add (counter reg "fault.delay") fcounts.delays;
-      add (counter reg "fault.pause") fcounts.pauses;
-      add (counter reg "fault.retransmit") fcounts.retransmits;
-      add (counter reg "fault.absorbed") fcounts.absorbed;
-      add (counter reg "fault.delivered") fcounts.delivered
-    end
-  | None -> ());
-  {
-    completions = Array.map Atomic.get rendezvous_by;
-    rendezvous = Array.fold_left (fun a c -> a + Atomic.get c) 0 rendezvous_by;
-    messages = Atomic.get messages;
-    reqs = Atomic.get reqs_a;
-    acks = Atomic.get acks_a;
-    nacks = Atomic.get nacks_a;
-    data_msgs = Atomic.get datas_a;
-    buf_occupancy = occ_hist;
-    steps = Atomic.get steps;
-    quiescent = !quiescent;
-    invariant_failures;
-    protocol_errors = List.rev !errors;
-    faults = Fault.freeze fcounts;
-    watchdog;
-    wall_s = Unix.gettimeofday () -. t0;
-    engine = "threads";
-    stop_cause = !stop_cause;
-  }
 
 let pp_stats ppf s =
   Fmt.pf ppf
@@ -374,7 +46,7 @@ let pp_stats ppf s =
     s.faults
     (fun ppf wd ->
       if not s.quiescent then begin
-        Fmt.pf ppf "@,stopped: %s [%s engine]" s.stop_cause s.engine;
+        Fmt.pf ppf "@,stopped: %s" s.stop_cause;
         List.iter (fun (who, what) -> Fmt.pf ppf "@,stuck? %s: %s" who what) wd
       end)
     s.watchdog

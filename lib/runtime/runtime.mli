@@ -1,26 +1,12 @@
-(** Concurrent execution of a refined protocol.
-
-    The paper's output is a protocol "that can be implemented directly,
-    for example in microcode" — this module is that implementation in
-    software: the home and each remote run as {e real threads}, each
-    interpreting its own node-local slice of the refinement rules
-    ({!Async.home_local}/{!Async.home_recv}/{!Async.remote_local}/
-    {!Async.remote_recv}) and exchanging {!Wire} messages over in-order
-    {!Channel}s — through the fault-injecting {!Faultlink} transport when
-    a fault plan is given.  Nothing coordinates the nodes besides the
-    messages — the interleavings are whatever the OS scheduler produces.
+(** The result of executing a refined protocol with {!Engine.run}.
 
     Workload: each remote runs [budget] protocol cycles (a cycle starts
     whenever the remote leaves its initial control state) and then goes
-    quiet, still answering home requests.  The run ends when every node
-    is idle with empty channels, or at [deadline_s].
+    quiet, still answering home requests.  The final configuration is
+    reassembled into a global {!Ccr_refine.Async.state} and handed to
+    the caller's invariants: coherence must hold at the end of a real
+    execution, not only in the model. *)
 
-    The final configuration is reassembled into a global {!Async.state}
-    and handed to the caller's invariants: coherence must hold at the
-    end of a real concurrent execution, not only in the model. *)
-
-open Ccr_core
-open Ccr_refine
 open Ccr_faults
 
 type stats = {
@@ -37,48 +23,19 @@ type stats = {
   steps : int;  (** node transitions executed *)
   quiescent : bool;  (** clean termination before the deadline *)
   invariant_failures : string list;  (** on the final global state *)
-  protocol_errors : string list;  (** {!Async.Protocol_error} from any thread *)
+  protocol_errors : string list;
+      (** {!Ccr_refine.Async.Protocol_error}s raised by any node *)
   faults : Fault.fcounts;
       (** injection accounting (all zero without a fault plan) *)
   watchdog : (string * string) list;
-      (** per-node snapshot taken after the join: control state, mode,
+      (** per-node snapshot taken after the run: control state, mode,
           remaining budget, inbox depth — on a deadline hit this names
           the stuck node instead of a bare [quiescent = false] *)
   wall_s : float;
-  engine : string;  (** which engine produced the run: ["threads"] or ["loop"] *)
   stop_cause : string;
       (** why the run ended: ["quiescent"], ["deadline"], ["step-cap"],
-          ["stall"] (loop engine only: deterministic no-progress exit
-          before the deadline) or ["error"] *)
+          ["stall"] (deterministic no-progress exit before the deadline)
+          or ["error"] *)
 }
-
-val run :
-  ?seed:int ->
-  ?deadline_s:float ->
-  ?max_steps:int ->
-  ?metrics:Ccr_obs.Metrics.t ->
-  ?faults:Injected.mode * Plan.t ->
-  budget:int ->
-  invariants:(string * (Async.state -> bool)) list ->
-  Prog.t ->
-  Async.config ->
-  stats
-(** @param budget protocol cycles per remote (default deadline 30 s).
-    [max_steps] (default: unlimited) stops the run once that many node
-    transitions have executed, with [stop_cause = "step-cap"] — the same
-    cap {!Engine.run} honours, so [--steps] behaves identically on both
-    engines.
-    [metrics] (default: none) fills [msg.req]/[msg.ack]/[msg.nack]/
-    [msg.data]/[rendezvous] counters and the [home_buffer_occupancy]
-    histogram in the given registry once, after the threads join — the
-    node loops themselves only bump atomics.  [faults] (default: none)
-    routes every message through {!Faultlink} under the given plan:
-    [Vanilla] executes drops/dups/delays on the paper's unprotected
-    channels (expect a deadline hit or a protocol error — that is the
-    point), [Hardened] runs the timeout/retransmit/dedup transport and
-    must stay quiescent and coherent; [fault.*] counters are added to
-    [metrics] when a plan is given.  A thread that raises
-    {!Async.Protocol_error} poisons the transport ({!Channel.close}) so
-    the other node threads exit promptly. *)
 
 val pp_stats : stats Fmt.t

@@ -240,7 +240,7 @@ let spec_hash (e : Registry.t) cfg =
     (Digest.string
        (String.concat "\x00"
           [
-            ir; string_of_int cfg.n; string_of_int cfg.k;
+            e.Registry.name; ir; string_of_int cfg.n; string_of_int cfg.k;
             string_of_bool cfg.generic; level_name cfg; symmetry_name cfg;
             faults_name cfg; string_of_bool cfg.harden;
           ]))

@@ -109,9 +109,10 @@ val outcome_tag : _ Explore.outcome -> string
     and validated; they get no built-in invariants, like [.ccr] files. *)
 val resolve : spec_src -> (Ccr_protocols.Registry.t, string) result
 
-(** Pins *what* is being explored: marshalled IR plus instance parameters
-    and semantics flags.  Store/caps excluded — they may change across a
-    checkpoint resume. *)
+(** Pins *what* is being explored: the registry name and marshalled IR
+    (entries without IR, such as [migratory-hand], differ by name alone)
+    plus instance parameters and semantics flags.  Store/caps excluded —
+    they may change across a checkpoint resume. *)
 val spec_hash : Ccr_protocols.Registry.t -> config -> string
 
 (** Content-addressed result-cache key: {!spec_hash} plus the

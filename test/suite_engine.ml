@@ -1,11 +1,10 @@
 (* The domain-sharded loop engine and its SPSC ring mailboxes.
 
-   The threaded runtime (suite_runtime) is the differential baseline:
-   everything it guarantees — quiescence, coherence of the final global
-   state, fault-soak survival — must hold when the same workload runs
-   through the compiled microcode tables, sharded or not.  On top of
-   that the engine is deterministic per seed, so its traced schedules
-   can be replayed exactly through the reference interpreter. *)
+   The reference is the interpreter: a single-domain run is
+   deterministic per seed, so its traced schedule is replayed label by
+   label through Async.successors (Engine.replay) for every registry
+   protocol.  Quiescence, coherence of the final global state and
+   fault-soak survival must hold sharded or not. *)
 
 open Ccr_protocols
 open Ccr_faults
@@ -37,17 +36,19 @@ let registry_entry name =
   | Some e -> e
   | None -> Alcotest.failf "no registry entry %S" name
 
-let traced ?(budget = 3) ?(n = 2) name =
-  let e = registry_entry name in
+(* A traced run replayed through the interpreter; any discrepancy fails
+   the test, and the final state must be quiescent and coherent. *)
+let replayed ?(budget = 3) ?(n = 2) (e : Registry.t) =
   let prog = e.Registry.instantiate ~reqrep:true ~n in
-  let trace = ref [] in
-  let s =
-    Engine.run ~seed:0 ~budget
-      ~invariants:(e.Registry.async_invariants prog)
-      ~on_step:(fun l -> trace := l :: !trace)
-      prog k2
-  in
-  (prog, s, List.rev !trace)
+  let what = Fmt.str "%s n=%d" e.Registry.name n in
+  match
+    Engine.replay ~budget ~invariants:(e.Registry.async_invariants prog) prog
+      k2
+  with
+  | Error m -> Alcotest.failf "%s: %s" what m
+  | Ok (s, trace) ->
+    assert_clean what s;
+    (s, trace)
 
 let tests =
   [
@@ -107,25 +108,20 @@ let tests =
         done;
         Domain.join producer;
         checkb "stream fully delivered" true (Ring.is_empty r));
-    case "whole registry: engine matches the threaded runtime's outcome"
+    case "whole registry: engine matches the trace replay of the interpreter"
       (fun () ->
         List.iter
           (fun (e : Registry.t) ->
-            let prog = e.Registry.instantiate ~reqrep:true ~n:4 in
-            let invariants = e.Registry.async_invariants prog in
-            let thr = Runtime.run ~seed:1 ~budget:20 ~invariants prog k2 in
-            let loop = Engine.run ~seed:1 ~budget:20 ~invariants prog k2 in
-            assert_clean (e.Registry.name ^ " (threads)") thr;
-            assert_clean (e.Registry.name ^ " (loop)") loop;
-            checkb (e.Registry.name ^ ": engine tagged") true
-              (loop.engine = "loop" && thr.engine = "threads");
-            (* budgets are spent on both engines: every remote completes
-               its 20 cycles, each worth at least one rendezvous — the
-               tail above that floor (home-initiated completions still
-               in flight at shutdown) is scheduling-dependent and not
-               comparable exactly *)
-            checkb (e.Registry.name ^ ": both engines spend the budget") true
-              (loop.rendezvous >= 4 * 20 && thr.rendezvous >= 4 * 20))
+            List.iter
+              (fun n ->
+                let s, _ = replayed ~budget:20 ~n e in
+                (* every remote completes its 20 cycles, each worth at
+                   least one rendezvous *)
+                checkb
+                  (Fmt.str "%s n=%d: the budget is spent" e.Registry.name n)
+                  true
+                  (s.rendezvous >= n * 20))
+              [ 3; 4 ])
           Registry.all);
     case "sharded runs stay coherent (-j 1/2/4)" (fun () ->
         let e = registry_entry "lock" in
@@ -150,85 +146,54 @@ let tests =
         in
         assert_clean "ring_cap=4" s);
     case "traced schedules are deterministic per seed" (fun () ->
-        let _, s1, t1 = traced ~budget:4 "migratory" in
-        let _, s2, t2 = traced ~budget:4 "migratory" in
-        assert_clean "run 1" s1;
-        assert_clean "run 2" s2;
+        let migratory = registry_entry "migratory" in
+        let s1, t1 = replayed ~budget:4 migratory in
+        let s2, t2 = replayed ~budget:4 migratory in
         checki "same step count" s1.steps s2.steps;
         checki "same messages" s1.messages s2.messages;
         checkb "identical label traces" true (t1 = t2);
         checki "trace covers every step" s1.steps (List.length t1));
     case "every traced step is a legal interpreter transition" (fun () ->
-        (* frontier replay: after each engine label the set of
-           interpreter states reachable by the labels so far must be
-           non-empty, and a quiescent report must contain a truly
-           quiescent configuration *)
-        let prog, s, trace = traced ~budget:2 "migratory" in
-        assert_clean "traced run" s;
-        let frontier = ref [ Async.initial prog k2 ] in
-        List.iteri
-          (fun i (l : Async.label) ->
-            let next =
-              List.concat_map
-                (fun st ->
-                  List.filter_map
-                    (fun (l', st') -> if l' = l then Some st' else None)
-                    (Async.successors prog k2 st))
-                !frontier
-            in
-            if next = [] then
-              Alcotest.failf "step %d (%a) is not offered by the interpreter"
-                (i + 1) Async.pp_label l;
-            frontier := next)
-          trace;
-        checkb "final frontier contains the quiescent state" true
-          (List.exists
-             (fun (st : Async.state) ->
-               st.Async.h.Async.h_mode = Async.Hcomm
-               && Array.for_all
-                    (fun (r : Async.remote) -> r.Async.r_mode = Async.Rcomm)
-                    st.Async.r
-               && Array.for_all (( = ) []) st.Async.to_h
-               && Array.for_all (( = ) []) st.Async.to_r)
-             !frontier));
-    case "step cap stops the engine like the threaded runtime" (fun () ->
+        (* Engine.replay fails on the first label the interpreter does
+           not offer, and on a quiescence report no replayed state
+           confirms; n=2 complements the registry-wide case's n=3/4 *)
+        List.iter (fun e -> ignore (replayed ~budget:2 e)) Registry.all);
+    case "step cap stops the engine promptly" (fun () ->
         let e = registry_entry "lock" in
         let prog = e.Registry.instantiate ~reqrep:true ~n:4 in
-        let loop =
+        let s =
           Engine.run ~seed:0 ~max_steps:50 ~budget:10_000 ~invariants:[] prog
             k2
         in
-        let thr =
-          Runtime.run ~seed:0 ~max_steps:50 ~budget:10_000 ~invariants:[] prog
-            k2
-        in
-        checkb "loop capped" true (not loop.quiescent);
-        checks "loop cause" "step-cap" loop.stop_cause;
-        checks "threads cause" "step-cap" thr.stop_cause;
+        checkb "capped" true (not s.quiescent);
+        checks "cause" "step-cap" s.stop_cause;
         (* domains drain in batches, so the cap is a stop signal, not an
            exact count — but it must be the same order of magnitude *)
-        checkb "loop stopped promptly" true (loop.steps < 50 + 1024);
-        checkb "watchdog names the engine" true
-          (List.exists
-             (fun (_, d) -> contains_sub ~sub:"loop engine" d)
-             loop.watchdog
-          || loop.watchdog <> []));
+        checkb "stopped promptly" true (s.steps < 50 + 1024);
+        checki "watchdog covers the home and every remote" 5
+          (List.length s.watchdog));
     case "hardened fault soak at engine rates loses nothing" (fun () ->
-        let e = registry_entry "migratory" in
-        let prog = e.Registry.instantiate ~reqrep:true ~n:2 in
-        let s =
-          Engine.run ~seed:3
-            ~faults:
-              ( Injected.Hardened,
-                Plan.random ~n:2 ~seed:3 (fspec "drop=10,dup=10") )
-            ~budget:100
-            ~invariants:(e.Registry.async_invariants prog)
-            prog k2
-        in
-        assert_clean "hardened soak" s;
-        checkb "faults actually injected" true (Fault.injected s.faults >= 10);
-        checkb "ARQ repaired the drops" true
-          (s.faults.Fault.f_retransmits >= 1));
+        List.iter
+          (fun (name, n, seed, spec, budget, min_injected) ->
+            let e = registry_entry name in
+            let prog = e.Registry.instantiate ~reqrep:true ~n in
+            let s =
+              Engine.run ~seed
+                ~faults:(Injected.Hardened, Plan.random ~n ~seed (fspec spec))
+                ~budget
+                ~invariants:(e.Registry.async_invariants prog)
+                prog k2
+            in
+            let what = Fmt.str "hardened %s %s" name spec in
+            assert_clean what s;
+            checkb (what ^ ": faults actually injected") true
+              (Fault.injected s.faults >= min_injected);
+            checkb (what ^ ": ARQ repaired the drops") true
+              (s.faults.Fault.f_retransmits >= 1))
+          [
+            ("migratory", 2, 3, "drop=10,dup=10", 100, 10);
+            ("invalidate", 3, 13, "drop=2,dup=2,delay=2", 40, 4);
+          ]);
     case "tracing a fault-injected run is refused" (fun () ->
         let e = registry_entry "migratory" in
         let prog = e.Registry.instantiate ~reqrep:true ~n:2 in

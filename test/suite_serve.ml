@@ -367,6 +367,20 @@ let tests =
                 checki "high-fd round trip" 200 status;
                 checkb "service banner" true
                   (contains_sub ~sub:"ccr-serve" body))));
+    case "cache key: entries without IR differ by name" (fun () ->
+        (* [migratory-hand] has no IR, so its marshalled [system] is
+           [None] — the same bytes as any other IR-less entry *)
+        let hand =
+          match Registry.find "migratory-hand" with
+          | Some e -> e
+          | None -> Alcotest.fail "no migratory-hand entry"
+        in
+        let other = { hand with Registry.name = "other" } in
+        let cfg = { Api.default with Api.spec = Api.Named "migratory-hand" } in
+        checkb "spec hashes differ" true
+          (Api.spec_hash hand cfg <> Api.spec_hash other cfg);
+        checkb "cache keys differ" true
+          (Api.cache_key hand cfg <> Api.cache_key other cfg));
   ]
 
 let suite = ("serve", tests)
