@@ -66,21 +66,20 @@ fuzz-smoke:
 	dune exec bin/ccr.exe -- fuzz --seed 0 --count 100 --max-states 8000 \
 	  --out-dir /tmp/ccr-fuzz-smoke
 
-# Storage & multi-process exploration: unit suites (mpx must fork
-# before any test spawns a domain, so it runs alone first), then live —
-# the memory-cliff headline (collapse completes migratory n=5 under an
-# 8 MB cap that the plain store blows through), the out-of-core store,
-# and a two-worker run whose counts must match.
+# Storage: the store unit suite, then live — the memory-cliff headline
+# (collapse completes migratory n=5 under an 8 MB cap that the plain
+# store blows through) and the out-of-core store under two domain
+# shards, whose counts must match the one-shard run's.
 ooc-smoke:
 	dune build @all
-	dune exec test/test_main.exe -- test mpx
 	dune exec test/test_main.exe -- test store
 	! dune exec bin/ccr.exe -- check migratory -n 5 --level async \
 	  --symmetry off --mem 8 --max-states 2000000 2>/dev/null
 	dune exec bin/ccr.exe -- check migratory -n 5 --level async \
 	  --symmetry off --mem 8 --max-states 2000000 --store collapse
 	dune exec bin/ccr.exe -- check migratory -n 4 --level async \
-	  --symmetry off --store disk --workers 2 -j 2
+	  --symmetry off --store disk -j 2 \
+	  | grep -q '16129 states, 58516 transitions'
 
 # Loop engine: unit suite (rings, registry-wide trace replay through the
 # interpreter), the run cram checks, then live — a sharded run, a
@@ -111,17 +110,15 @@ journal-smoke:
 	  --journal /tmp/ccr-journal-smoke/fuzz.jsonl
 	dune exec bin/ccr.exe -- report /tmp/ccr-journal-smoke
 
-# Crash-safe checkpoint/resume: the unit suites (torn-write refusal,
-# per-store resume pins, supervised respawn), the resume fuzz oracle,
-# then live — runs SIGKILLed mid-exploration by CCR_CRASH_AT, resumed
-# from their checkpoints and required to land on the uninterrupted pin
-# (invalidate async n=3: 9263 states / 27191 transitions) under the
-# sequential, multi-domain and multi-process engines; plus a worker
-# kill that the supervisor must absorb without a resume.
+# Crash-safe checkpoint/resume: the unit suite (torn-write refusal,
+# per-store and per-domain-count resume pins, the strict CCR_CRASH_AT
+# parse), the resume fuzz oracle, then live — runs SIGKILLed
+# mid-exploration by CCR_CRASH_AT, resumed from their checkpoints and
+# required to land on the uninterrupted pin (invalidate async n=3:
+# 9263 states / 27191 transitions) at one and at two domains.
 resume-smoke:
 	dune build @all
 	dune exec test/test_main.exe -- test ckpt
-	dune exec test/test_main.exe -- test ckpt-par
 	dune exec bin/ccr.exe -- fuzz --seed 0 --count 25 --oracles resume \
 	  --no-matrix
 	rm -rf /tmp/ccr-resume-smoke && mkdir -p /tmp/ccr-resume-smoke
@@ -134,10 +131,6 @@ resume-smoke:
 	  --level async -j 2 --checkpoint /tmp/ccr-resume-smoke/par 2>/dev/null
 	dune exec bin/ccr.exe -- check invalidate -n 3 --level async -j 2 \
 	  --resume /tmp/ccr-resume-smoke/par \
-	  | grep -q '9263 states, 27191 transitions'
-	CCR_CRASH_AT=worker=1,level=10 dune exec bin/ccr.exe -- check invalidate \
-	  -n 3 --level async --workers 2 \
-	  --checkpoint /tmp/ccr-resume-smoke/mpx \
 	  | grep -q '9263 states, 27191 transitions'
 
 # Checking service: the black-box conformance suite (forked daemons over

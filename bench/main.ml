@@ -53,13 +53,13 @@ let outcome_tag = function
 (* Protocol names are normalized to lowercase so the same workload keys
    identically whichever section emitted it (table3 used to say
    "Migratory" where the parallel section said "migratory"). *)
-let record_row ?metrics ?store ?workers ?journal_bytes ?provenance_bytes
+let record_row ?metrics ?store ?journal_bytes ?provenance_bytes
     ?checkpoint_bytes ?resumes ~protocol ~n ~level ~jobs
     (r : (_, _) Explore.stats) =
   if bench_json <> None then
     json_rows :=
       Fmt.str
-        {|  {"protocol": %S, "n": %d, "level": %S, "states": %d, "transitions": %d, "time_s": %.6f, "mem_bytes": %d, "outcome": %S, "jobs": %d%s%s%s%s%s%s%s}|}
+        {|  {"protocol": %S, "n": %d, "level": %S, "states": %d, "transitions": %d, "time_s": %.6f, "mem_bytes": %d, "outcome": %S, "jobs": %d%s%s%s%s%s%s}|}
         (String.lowercase_ascii protocol)
         n level r.states r.transitions r.time_s r.mem_bytes
         (outcome_tag r.outcome) jobs
@@ -67,9 +67,6 @@ let record_row ?metrics ?store ?workers ?journal_bytes ?provenance_bytes
         | None -> ""
         | Some s ->
           Fmt.str {|, "store": %S, "raw_bytes": %d|} s r.raw_bytes)
-        (match workers with
-        | None -> ""
-        | Some w -> Fmt.str {|, "workers": %d|} w)
         (match journal_bytes with
         | None -> ""
         | Some b -> Fmt.str {|, "journal_bytes": %d|} b)
@@ -243,8 +240,8 @@ let table3_64 () =
 let storage () =
   let module Vstore = Ccr_modelcheck.Vstore in
   section
-    "Storage: collapse compression, the out-of-core store and \
-     multi-process exploration vs the Table 3 memory cliff";
+    "Storage: collapse compression and the out-of-core store vs the \
+     Table 3 memory cliff";
   let sys_of prog =
     Explore.
       {
@@ -256,19 +253,18 @@ let storage () =
   in
   Fmt.pr "%-26s %9s %10s %8s %9s %9s %7s %s@." "workload" "states" "trans"
     "time(s)" "resident" "raw" "ratio" "outcome";
-  let row ~protocol ~n ?(jobs = 1) ?workers ~store:(sname, kind) ?cap_mb
+  let row ~protocol ~n ?(jobs = 1) ~store:(sname, kind) ?cap_mb
       ?max_time prog =
     let sys = sys_of prog in
     let max_mem_bytes = Option.map (fun mb -> mb * 1024 * 1024) cap_mb in
     let max_time_s = Option.value max_time ~default:time_cap in
     let r =
-      Explore.run ~jobs ?workers ~store:kind ?max_mem_bytes ~max_time_s sys
+      Explore.run ~jobs ~store:kind ?max_mem_bytes ~max_time_s sys
     in
-    record_row ~protocol ~n ~level:"async" ~jobs ~store:sname ?workers r;
+    record_row ~protocol ~n ~level:"async" ~jobs ~store:sname r;
     let name =
-      Fmt.str "%s n=%d %s%s%s%s" protocol n sname
+      Fmt.str "%s n=%d %s%s%s" protocol n sname
         (if jobs > 1 then Fmt.str " j=%d" jobs else "")
-        (match workers with Some w when w > 1 -> Fmt.str " w=%d" w | _ -> "")
         (match cap_mb with Some mb -> Fmt.str " @%dMB" mb | None -> "")
     in
     Fmt.pr "%-26s %9d %10d %8.2f %7.1fMB %7.1fMB %6.1fx %s@." name r.states
@@ -300,34 +296,12 @@ let storage () =
   ignore
     (row ~protocol:"migratory" ~n:6 ~store:("disk", Vstore.Disk)
        ~max_time:(max time_cap 60.0) m6);
-  (* Multi-process: two workers, each with its own collapse store — the
-     counts must equal the sequential run's exactly.  These rows fork,
-     which the runtime forbids after any Domain.spawn, so they precede
-     every jobs>1 row (the workers' own domain pools live in the
-     children). *)
-  let m3 = mig 3 in
-  let seq3 =
-    row ~protocol:"migratory" ~n:3 ~store:("mem", Vstore.Mem) m3
-  in
-  let mpx3 =
-    row ~protocol:"migratory" ~n:3 ~workers:2 ~jobs:2
-      ~store:("collapse", Vstore.Collapse (Async.split_key m3))
-      m3
-  in
   ignore
     (row ~protocol:"migratory" ~n:5
        ~store:("collapse", Vstore.Collapse split5)
        ~cap_mb:8 ~jobs:bench_jobs m5);
-  Fmt.pr "@.workers=2 determinism: %s (%d/%d states, %d/%d transitions)@."
-    (if
-       seq3.Explore.states = mpx3.Explore.states
-       && seq3.Explore.transitions = mpx3.Explore.transitions
-     then "counts identical to sequential"
-     else "MISMATCH")
-    mpx3.Explore.states seq3.Explore.states mpx3.Explore.transitions
-    seq3.Explore.transitions;
   Fmt.pr
-    "(The plain store stopped at %d states; collapse finished all %d in the \
+    "@.(The plain store stopped at %d states; collapse finished all %d in the \
      same 8 MB — the Table 3 'Unfinished' wall is a storage artifact, not a \
      state-count one.)@."
     mem5.Explore.states col5.Explore.states
@@ -1360,9 +1334,6 @@ let () =
   figures ();
   table3 ();
   table3_64 ();
-  (* storage forks worker processes, which the OCaml 5 runtime only
-     allows before the first Domain.spawn — so it runs before any
-     parallel section *)
   storage ();
   parallel ();
   rule_coverage ();

@@ -127,17 +127,6 @@ let store_arg =
            transition counts; only memory use differs.  The report prints \
            resident vs raw bytes for the compressed stores.")
 
-let workers_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "workers" ] ~docv:"W"
-        ~doc:
-          "Partition the state space over W forked worker processes (each \
-           running $(b,-j) domains), exchanging frontier batches over \
-           pipes.  Outcomes, counts, caps and counterexample traces are \
-           identical to one-shard and $(b,-j) runs; memory caps meter the \
-           summed per-worker stores.")
-
 let faults_arg =
   Arg.(
     value
@@ -209,8 +198,8 @@ module Obs = struct
              JSONL (one JSON object per line): configuration, level \
              boundaries, cap hits, fault budgets, violations with their \
              provenance-derived rule path, rule coverage, final stats.  \
-             Journals are byte-identical across $(b,-j)/$(b,--workers) \
-             settings; read them back with $(b,ccr report).")
+             Journals are byte-identical across $(b,-j) settings; read \
+             them back with $(b,ccr report).")
 
   let trace_arg =
     Arg.(
@@ -477,7 +466,7 @@ let explain_cmd =
             "Explain visited state $(docv) of the refined level: walk the \
              provenance chain back to the initial state and print the \
              rule-annotated path.  Ids are BFS discovery order — the \
-             same at any $(b,-j)/$(b,--workers) setting.")
+             same at any $(b,-j) setting.")
   in
   (* The rule-annotated path: row names from Tables 1-2, one step per
      line, plus the per-transaction flow as an MSC when the labels carry
@@ -760,15 +749,14 @@ let check_cmd =
              checkpointing there.  The checkpoint's spec hash, instance \
              parameters and semantics flags must match this command line \
              (a mismatch is refused with a field-by-field diff); store, \
-             provenance kind, $(b,-j) and $(b,--workers) may change \
-             freely.  Counts, traces and journal tails are byte-identical \
-             to the uninterrupted run.")
+             provenance kind and $(b,-j) may change freely.  Counts, \
+             traces and journal tails are byte-identical to the \
+             uninterrupted run.")
   in
   let run (e : Registry.t) n k generic level symmetry faults harden max_states
-      mem jobs store_sel workers prov_sel deadline checkpoint_dir
-      checkpoint_every resume_dir progress progress_interval trace_file
-      metrics_file journal_file =
-    let workers = max 1 workers in
+      mem jobs store_sel prov_sel deadline checkpoint_dir checkpoint_every
+      resume_dir progress progress_interval trace_file metrics_file
+      journal_file =
     let cfg =
       {
         Api.spec = Api.Named e.Registry.name;
@@ -822,6 +810,9 @@ let check_cmd =
           | Error msg -> fail_usage msg)
         checkpoint_every
     in
+    (* a malformed crash directive would otherwise surface only at the
+       first checkpoint write *)
+    (match Ckpt.crash_at () with Error msg -> fail_usage msg | Ok _ -> ());
     let prov = Option.map (fun kind -> Vstore.Prov.create ~kind ()) prov_sel in
     let sym_name = Api.symmetry_name cfg in
     let level_name = Api.level_name cfg in
@@ -873,7 +864,6 @@ let check_cmd =
         ("store", J.Str (Api.store_name cfg));
         ("max_states", J.Int max_states);
         ("jobs", J.Int jobs);
-        ("workers", J.Int workers);
       ]
     in
     (match loaded with
@@ -954,9 +944,9 @@ let check_cmd =
     let sym_stats = Sym.make_stats () in
     (* Orbit sizes are harvested from the canonicalizing domain's local
        storage, readable only when freshness is decided right there:
-       sequential, single-process, fault-free auto runs. *)
+       sequential, fault-free auto runs. *)
     let on_orbit =
-      if symmetry = `Auto && fspec = None && jobs <= 1 && workers <= 1 then begin
+      if symmetry = `Auto && fspec = None && jobs <= 1 then begin
         let h = Obs.M.histogram reg "canon.orbit_states" in
         Some (fun o -> Obs.M.observe h o)
       end
@@ -984,8 +974,8 @@ let check_cmd =
           | None -> fun key -> [| String.length key |])
     in
     (* The CLI's full-featured explorer behind [Api.check_entry]:
-       checkpointing, worker processes, provenance and the progress UI —
-       none of which the serve daemon needs. *)
+       checkpointing, provenance and the progress UI — none of which the
+       serve daemon needs. *)
     let explorer =
       {
         Api.explore =
@@ -1036,10 +1026,9 @@ let check_cmd =
                   }
             in
             Obs.T.with_span "explore" (fun () ->
-                Explore.run ~jobs ~workers ~store ~max_states
-                  ?max_mem_bytes:mem_bytes ?max_time_s:deadline
-                  ~check_deadlock ~trace:true ~invariants ?on_progress
-                  ?progress_every:progress_interval ~metrics:reg ?prov
+                Explore.run ~jobs ~store ~max_states ?max_mem_bytes:mem_bytes
+                  ?max_time_s:deadline ~check_deadlock ~trace:true ~invariants
+                  ?on_progress ?progress_every:progress_interval ?prov
                   ?on_level ?interrupt ?ckpt:ckpt_ctl sys));
       }
     in
@@ -1138,7 +1127,6 @@ let check_cmd =
         String.concat ""
           [
             (if jobs > 1 then Fmt.str ", j=%d" jobs else "");
-            (if workers > 1 then Fmt.str ", w=%d" workers else "");
             (match store_sel with
             | `Mem -> ""
             | `Collapse -> ", store=collapse"
@@ -1233,7 +1221,7 @@ let check_cmd =
     Term.(
       const run $ protocol_arg $ n_arg $ k_arg $ generic_arg $ level
       $ symmetry $ faults_arg $ harden_arg $ max_states_arg $ mem $ jobs_arg
-      $ store_arg $ workers_arg $ prov_arg $ deadline_arg $ checkpoint_arg
+      $ store_arg $ prov_arg $ deadline_arg $ checkpoint_arg
       $ checkpoint_every_arg $ resume_arg $ Obs.progress_arg
       $ Obs.progress_interval_arg $ Obs.trace_arg $ Obs.metrics_arg
       $ Obs.journal_arg)

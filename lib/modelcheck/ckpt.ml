@@ -317,8 +317,8 @@ let load ~dir =
 
 (* Fields that pin what is being explored: resuming under a different
    value would silently produce garbage counts, so any difference refuses
-   with a field-by-field diff.  Store/prov kinds, job/worker counts and
-   caps are deliberately absent — they affect how, not what, and may
+   with a field-by-field diff.  Store/prov kinds, job counts and caps
+   are deliberately absent — they affect how, not what, and may
    change across sessions. *)
 let guard_keys =
   [ "spec_hash"; "protocol"; "level"; "n"; "k"; "generic"; "symmetry";
@@ -375,10 +375,29 @@ let parse_every s =
 
 (* ---- deterministic crash injection ---------------------------------------- *)
 
-type crash_at = Mpx.crash_at = { ca_worker : int option; ca_level : int }
+(* Only [level=L] is accepted: a stray or retired form (the multi-process
+   era's [worker=W,level=L]) would otherwise kill this very process at a
+   level nobody asked for, or silently never fire. *)
+let crash_at () =
+  match Sys.getenv_opt "CCR_CRASH_AT" with
+  | None | Some "" -> Ok None
+  | Some s -> (
+    let level =
+      if String.starts_with ~prefix:"level=" s then
+        let digits = String.sub s 6 (String.length s - 6) in
+        if digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits
+        then int_of_string_opt digits
+        else None
+      else None
+    in
+    match level with
+    | Some l -> Ok (Some l)
+    | None ->
+      Error
+        (Printf.sprintf
+           "CCR_CRASH_AT=%S refused: expected level=L, with L a BFS depth" s))
 
-let crash_at = Mpx.crash_at
-let crash_here = Mpx.crash_here
+let crash_here () = Unix.kill (Unix.getpid ()) Sys.sigkill
 
 (* ---- the engine-facing save callback -------------------------------------- *)
 
@@ -386,9 +405,7 @@ let saver ~dir ~manifest ~prov ?every ?on_save () =
   let last_states = ref 0 in
   let last_time = ref (Unix.gettimeofday ()) in
   let crash =
-    match crash_at () with
-    | Some { ca_worker = None; ca_level } -> Some ca_level
-    | _ -> None
+    match crash_at () with Ok l -> l | Error msg -> invalid_arg msg
   in
   fun (v : 's Explore.ckpt_view) ->
     let due =

@@ -70,9 +70,11 @@ val load : dir:string -> ('s loaded, string) result
 val guard_keys : string list
 (** Manifest fields that pin {e what} is being explored ([spec_hash],
     [protocol], [level], [n], [k], [generic], [symmetry], [faults],
-    [harden]).  Store kind, provenance kind, job/worker counts and
-    resource caps are deliberately absent: they affect how, not what,
-    and may change between sessions of one run. *)
+    [harden]).  Store kind, provenance kind, job counts and resource
+    caps are deliberately absent: they affect how, not what, and may
+    change between sessions of one run — so may keys a loaded manifest
+    carries beyond these, such as the ["workers"] count of checkpoints
+    written by the retired multi-process engine. *)
 
 val mismatch :
   expected:(string * Ccr_obs.Journal.value) list ->
@@ -104,23 +106,19 @@ val saver :
     frontier is non-empty: a finished exploration has nothing a resume
     could continue, so the (large) final write is skipped.  [on_save]
     observes each completed
-    write (for journaling and byte metering).  Honors the [level=L] form
-    of [CCR_CRASH_AT] (see {!crash_at}) by killing the process {e after}
-    the boundary's write. *)
+    write (for journaling and byte metering).  Honors [CCR_CRASH_AT]
+    (see {!crash_at}) by killing the process {e after} the boundary's
+    write.
+    @raise Invalid_argument when [CCR_CRASH_AT] is malformed. *)
 
-(** {2 Deterministic crash injection}
+(** {2 Deterministic crash injection} *)
 
-    [CCR_CRASH_AT=level=L] kills the checkpoint-writing process at BFS
-    level [L]; [CCR_CRASH_AT=worker=W,level=L] kills multi-process
-    worker [W] as it is about to expand level [L].  Test-only: this is
-    how the resume smoke and the supervision suite make crashes
-    reproducible. *)
-
-type crash_at = Mpx.crash_at = { ca_worker : int option; ca_level : int }
-
-val crash_at : unit -> crash_at option
-(** The parsed [CCR_CRASH_AT] directive, if any. *)
-
-val crash_here : unit -> unit
-(** [SIGKILL] the current process — no atexit, no flush, the closest
-    portable stand-in for power loss. *)
+val crash_at : unit -> (int option, string) result
+(** The [CCR_CRASH_AT] directive.  [CCR_CRASH_AT=level=L] makes
+    {!saver} [SIGKILL] the process — no atexit, no flush, the closest
+    portable stand-in for power loss — right after it writes the
+    boundary at BFS depth [L]: [Ok (Some L)].  Unset or empty: [Ok None].
+    Anything else — an unknown key, a non-numeric level, or the retired
+    [worker=W,level=L] form — is [Error] with a one-line message naming
+    the variable.  Test-only: this is how the resume smoke makes
+    crashes reproducible. *)

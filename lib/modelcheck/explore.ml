@@ -103,79 +103,156 @@ let make_store ~shards visited kind =
     let rec log2 n = if n <= 1 then 0 else 1 + log2 ((n + 1) / 2) in
     Vstore.bitstate (b - log2 shards)
 
-(* ---- partitions ------------------------------------------------------------
+(* ---- domain shards ----------------------------------------------------------
 
-   The driver below runs one BFS level at a time against a partition of
-   the visited-key space ({!Mpx.partition}).  With one shard it streams:
+   The driver below runs one BFS level at a time against [jobs] visited
+   stores, one per shard of the key space.  With one shard it streams:
    successors are deduplicated the moment they are generated, which is
-   already sequential discovery order.  The other partitions — domains
-   here, forked processes in {!Mpx} — expand the whole level, route each
-   candidate to the shard owning its key, and let each owner dedup its
-   candidates in tag order; the driver's rank merge then replays the
-   fresh ones in sequential order. *)
+   already sequential discovery order.  With more, the domains expand the
+   whole level, route each candidate to the shard owning its key, and let
+   each owner dedup its candidates in tag order; the driver's rank merge
+   then replays the fresh ones in sequential order. *)
 
 (* Shard routing uses a third hash seed so it stays independent of both the
    exact store's probe hash (seed 0) and the bitstate positions (0 and 1). *)
 let shard_seed = 2
 
-(* One domain per store: the domains drain the frontier off an atomic
-   cursor, bucketing each successor by the shard that owns its key; then
-   each domain owns one shard and dedups that shard's candidates, without
-   locks.  [succ], [key_of] and the invariants run concurrently. *)
-let shard_partition ~key_of ~succ ~violated ~halt stores =
-  let jobs = Array.length stores in
-  let owner key = Hashtbl.seeded_hash shard_seed key mod jobs in
-  let level ~depth:_ frontier =
-    (* out.(d).(o): the candidates domain [d] generated for shard [o] *)
-    let out, halted =
-      Mpx.expand ~jobs ~shards:jobs ~owner ~key_of ~succ ~halt ~index:Fun.id
-        frontier
+(* A candidate's tag packs its frontier index and successor ordinal into
+   one int that sorts in sequential discovery order. *)
+let tag i ord =
+  if ord > 0xffff then invalid_arg "Explore.run: more than 65536 successors";
+  (i lsl 16) lor ord
+
+(* Successor candidates as columns — tag, key, state — appended in tag
+   order: three words per candidate in arrays that live in the major
+   heap, rather than a tuple and a list cell each on the minor heap. *)
+type 's cands = {
+  mutable tags : int array;
+  mutable keys : string array;
+  mutable sts : 's array;
+  mutable n : int;
+}
+
+let cands () = { tags = [||]; keys = [||]; sts = [||]; n = 0 }
+
+let push c t key st =
+  if c.n = Array.length c.tags then begin
+    let cap = max 64 (2 * c.n) in
+    let grow a x =
+      let b = Array.make cap x in
+      Array.blit a 0 b 0 c.n;
+      b
     in
-    let nsucc =
-      Mpx.count_succ (Array.length frontier)
-        (List.concat_map Array.to_list (Array.to_list out))
-    in
-    if halted then { Mpx.nsucc; fresh = [||]; viol = None; halted = true }
+    c.tags <- grow c.tags 0;
+    c.keys <- grow c.keys "";
+    c.sts <- grow c.sts st
+  end;
+  c.tags.(c.n) <- t;
+  c.keys.(c.n) <- key;
+  c.sts.(c.n) <- st;
+  c.n <- c.n + 1
+
+(* Visit the candidates of [bufs], each sorted by tag, in tag order:
+   [f b h] for the [h]-th candidate of buffer [b]. *)
+let merge_iter bufs f =
+  let heads = Array.make (Array.length bufs) 0 in
+  let more = ref true in
+  while !more do
+    let best = ref (-1) and best_t = ref max_int in
+    Array.iteri
+      (fun b c ->
+        let h = heads.(b) in
+        if h < c.n && c.tags.(h) < !best_t then begin
+          best := b;
+          best_t := c.tags.(h)
+        end)
+      bufs;
+    if !best < 0 then more := false
     else begin
-      let fresh = Array.make jobs (Mpx.cands ()) in
-      let viols = Array.make jobs None in
-      Mpx.parallel jobs (fun o ->
-          let f, v =
-            Mpx.dedup ~add:stores.(o).Vstore.add ~violated
-              (Array.map (fun m -> m.(o)) out)
-          in
-          fresh.(o) <- f;
-          viols.(o) <- v);
-      {
-        nsucc;
-        fresh;
-        viol = Array.fold_left Mpx.first_viol None viols;
-        halted = false;
-      }
+      let h = heads.(!best) in
+      heads.(!best) <- h + 1;
+      f !best h
     end
+  done
+
+(* [f 0] .. [f (n - 1)], each on its own domain ([f 0] on the caller's);
+   an exception re-raises once every domain has joined. *)
+let parallel n f =
+  let doms = List.init (n - 1) (fun k -> Domain.spawn (fun () -> f (k + 1))) in
+  let mine = match f 0 with () -> None | exception e -> Some e in
+  let errs =
+    List.filter_map
+      (fun d -> match Domain.join d with () -> None | exception e -> Some e)
+      doms
   in
-  let sum f = Array.fold_left (fun a s -> a + f s) 0 stores in
-  let most f = Array.fold_left (fun m s -> max m (f s)) 0 stores in
-  {
-    Mpx.level;
-    seed = (fun key -> ignore (stores.(owner key).Vstore.add key));
-    iter_keys = (fun f -> Array.iter (fun s -> s.Vstore.iter_keys f) stores);
-    mem_bytes = (fun () -> sum (fun s -> s.Vstore.mem_bytes ()));
-    raw_bytes = (fun () -> sum (fun s -> s.Vstore.raw_bytes ()));
-    balance =
-      (fun () ->
-        let total = sum (fun s -> s.Vstore.count ()) in
-        if total = 0 then 1.0
-        else
-          float_of_int (most (fun s -> s.Vstore.count ()) * jobs)
-          /. float_of_int total);
-    fallbacks = (fun () -> 0);
-    close = ignore;
-  }
+  match (mine, errs) with
+  | Some e, _ | None, e :: _ -> raise e
+  | None, [] -> ()
+
+(* Expand [states] on [jobs] domains, off an atomic cursor: every
+   successor of the k-th state as (tag k ord, key, state), in per-domain
+   buffers bucketed by [owner key] — each sorted by tag.  [out.(d).(o)]
+   holds what domain [d] generated for shard [o].  Expansion stops once
+   [halt ()] says so; the flag reports it. *)
+let expand ~jobs ~owner ~key_of ~succ ~halt states =
+  let len = Array.length states in
+  let out = Array.init jobs (fun _ -> Array.init jobs (fun _ -> cands ())) in
+  let cursor = Atomic.make 0 and halted = Atomic.make false in
+  parallel jobs (fun d ->
+      let mine = out.(d) in
+      let rec claim () =
+        let start = Atomic.fetch_and_add cursor 32 in
+        if start < len then begin
+          for k = start to min len (start + 32) - 1 do
+            if Atomic.get halted || halt () then Atomic.set halted true
+            else
+              List.iteri
+                (fun ord (_, st') ->
+                  let key = key_of st' in
+                  push mine.(owner key) (tag k ord) key st')
+                (succ states.(k))
+          done;
+          claim ()
+        end
+      in
+      claim ());
+  (out, Atomic.get halted)
+
+(* Successor counts per frontier index, from the candidates' tags. *)
+let count_succ len out =
+  let nsucc = Array.make len 0 in
+  Array.iter
+    (Array.iter (fun c ->
+         for k = 0 to c.n - 1 do
+           let i = c.tags.(k) lsr 16 in
+           nsucc.(i) <- nsucc.(i) + 1
+         done))
+    out;
+  nsucc
+
+let first_viol a b =
+  match (a, b) with
+  | None, v | v, None -> v
+  | Some (t1, _), Some (t2, _) -> if t1 <= t2 then a else b
+
+(* Dedup one owner's candidates, given as tag-sorted buffers, in
+   sequential discovery order: the fresh ones, and the tag-least fresh
+   violation. *)
+let dedup ~add ~violated bufs =
+  let fresh = cands () and viol = ref None in
+  merge_iter bufs (fun b h ->
+      let c = bufs.(b) in
+      let t = c.tags.(h) and st = c.sts.(h) in
+      if add c.keys.(h) then begin
+        push fresh t c.keys.(h) st;
+        if !viol = None then
+          Option.iter (fun name -> viol := Some (t, name)) (violated st)
+      end);
+  (fresh, !viol)
 
 (* ---- the driver -------------------------------------------------------------
 
-   Whatever the partition, the driver sees each level's discoveries in
+   At any shard count, the driver sees each level's discoveries in
    sequential BFS order: frontier index [i] expanded (with its successor
    count), then its fresh successors by ordinal.  Everything observable is
    decided here, once: ids and provenance, [on_level], invariant and
@@ -186,13 +263,13 @@ let shard_partition ~key_of ~succ ~violated ~halt stores =
    the transition count at a stop on [(i, ord)] is the successor count of
    indices before [i] plus [ord + 1]. *)
 
-let run ?(jobs = 1) ?(workers = 1) ?(visited = Exact) ?(store = Vstore.Mem)
-    ?max_states ?max_mem_bytes ?max_time_s ?(check_deadlock = false)
-    ?(trace = false) ?(invariants = []) ?on_progress ?(progress_every = 8192)
-    ?prov ?on_level ?interrupt ?ckpt ?metrics ?on_respawn ?on_degrade sys =
+let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
+    ?max_mem_bytes ?max_time_s ?(check_deadlock = false) ?(trace = false)
+    ?(invariants = []) ?on_progress ?(progress_every = 8192) ?prov ?on_level
+    ?interrupt ?ckpt sys =
   let t0 = Unix.gettimeofday () in
   let key_of, on_fresh, canon_fallbacks = key_fns sys in
-  let jobs = max 1 jobs and workers = max 1 workers in
+  let jobs = max 1 jobs in
   (* counterexamples are rebuilt from provenance: without the caller's
      table, an internal one (8 bytes per state) *)
   let prov =
@@ -210,22 +287,21 @@ let run ?(jobs = 1) ?(workers = 1) ?(visited = Exact) ?(store = Vstore.Mem)
     | _, Some f when f () -> Some L_interrupt
     | _ -> None
   in
-  (* one in-process shard streams; see the partitions above *)
-  let stream, part =
-    if workers > 1 then
-      ( None,
-        Mpx.partition ~workers ~jobs
-          ~new_store:(fun () -> make_store ~shards:workers visited store)
-          ~key_of ~canon_fallbacks ~succ:sys.succ ~violated ~deadline ?metrics
-          ?on_respawn ?on_degrade () )
+  let stores =
+    Array.init jobs (fun _ -> make_store ~shards:jobs visited store)
+  in
+  let owner key = Hashtbl.seeded_hash shard_seed key mod jobs in
+  let sum f = Array.fold_left (fun a s -> a + f s) 0 stores in
+  let mem_bytes () = sum (fun s -> s.Vstore.mem_bytes ()) in
+  (* largest shard over the mean shard *)
+  let balance () =
+    let total = sum (fun s -> s.Vstore.count ()) in
+    if total = 0 then 1.0
     else
-      let stores =
-        Array.init jobs (fun _ -> make_store ~shards:jobs visited store)
+      let most =
+        Array.fold_left (fun m s -> max m (s.Vstore.count ())) 0 stores
       in
-      ( (if jobs = 1 then Some stores.(0) else None),
-        shard_partition ~key_of ~succ:sys.succ ~violated
-          ~halt:(fun () -> poll () <> None)
-          stores )
+      float_of_int (most * jobs) /. float_of_int total
   in
   let n_states = ref 0 and trans = ref 0 and trans_before = ref 0 in
   let max_depth = ref 0 and peak = ref 0 in
@@ -267,8 +343,8 @@ let run ?(jobs = 1) ?(workers = 1) ?(visited = Exact) ?(store = Vstore.Mem)
               frontier = !next_len;
               rate =
                 (if elapsed > 0. then float_of_int !n_states /. elapsed else 0.);
-              mem_bytes = part.Mpx.mem_bytes ();
-              shard_balance = part.Mpx.balance ();
+              mem_bytes = mem_bytes ();
+              shard_balance = balance ();
               elapsed_s = elapsed;
             }
         end
@@ -299,7 +375,7 @@ let run ?(jobs = 1) ?(workers = 1) ?(visited = Exact) ?(store = Vstore.Mem)
       | None -> ());
       (match (max_states, max_mem_bytes) with
       | Some cap, _ when !n_states >= cap -> stop ~transitions (Limit L_states)
-      | _, Some cap when part.Mpx.mem_bytes () >= cap ->
+      | _, Some cap when mem_bytes () >= cap ->
         stop ~transitions (Limit L_memory)
       | _ -> ());
       progress depth
@@ -337,29 +413,6 @@ let run ?(jobs = 1) ?(workers = 1) ?(visited = Exact) ?(store = Vstore.Mem)
       incr i
     done
   in
-  (* the rank merge: every shard's fresh candidates in tag order, each
-     frontier index expanded before its first discovery *)
-  let merge_level ~base ~depth frontier (lv : _ Mpx.level) =
-    let vtag, vname =
-      match lv.Mpx.viol with Some (t, n) -> (t, Some n) | None -> (-1, None)
-    in
-    let next_i = ref 0 in
-    let expand_upto i =
-      while !next_i <= i && not (stopped ()) do
-        expanded ~base !next_i frontier.(!next_i) lv.Mpx.nsucc.(!next_i);
-        incr next_i
-      done
-    in
-    Mpx.merge_iter lv.Mpx.fresh (fun b h ->
-        let c = lv.Mpx.fresh.(b) in
-        let t = c.Mpx.tags.(h) in
-        expand_upto (t lsr 16);
-        if not (stopped ()) then
-          admit ~parent:(base + (t lsr 16)) ~ord:(t land 0xffff)
-            ~depth:(depth + 1) c.Mpx.sts.(h) (fun () ->
-              if t = vtag then vname else None));
-    expand_upto (Array.length frontier - 1)
-  in
   let offer ~final ~base ~depth frontier =
     Option.iter
       (fun c ->
@@ -372,9 +425,59 @@ let run ?(jobs = 1) ?(workers = 1) ?(visited = Exact) ?(store = Vstore.Mem)
             v_frontier =
               (fun () ->
                 Array.mapi (fun i st -> (base + i, depth, 0, st)) frontier);
-            v_iter_keys = part.Mpx.iter_keys;
+            v_iter_keys =
+              (fun f -> Array.iter (fun s -> s.Vstore.iter_keys f) stores);
           })
       ckpt
+  in
+  (* the domain shards' level: expand, dedup per owner, then the rank
+     merge replays every shard's fresh candidates in tag order, each
+     frontier index expanded before its first discovery *)
+  let shard_level ~base ~depth frontier =
+    let out, halted =
+      expand ~jobs ~owner ~key_of ~succ:sys.succ
+        ~halt:(fun () -> poll () <> None)
+        frontier
+    in
+    if halted then begin
+      (* nothing was deduplicated: the stores still hold exactly this
+         boundary *)
+      stop ~transitions:!trans (Limit (Option.value (poll ()) ~default:L_time));
+      offer ~final:true ~base ~depth frontier
+    end
+    else begin
+      let nsucc = count_succ (Array.length frontier) out in
+      let fresh = Array.make jobs (cands ()) in
+      let viols = Array.make jobs None in
+      parallel jobs (fun o ->
+          let f, v =
+            dedup ~add:stores.(o).Vstore.add ~violated
+              (Array.map (fun m -> m.(o)) out)
+          in
+          fresh.(o) <- f;
+          viols.(o) <- v);
+      let vtag, vname =
+        match Array.fold_left first_viol None viols with
+        | Some (t, n) -> (t, Some n)
+        | None -> (-1, None)
+      in
+      let next_i = ref 0 in
+      let expand_upto i =
+        while !next_i <= i && not (stopped ()) do
+          expanded ~base !next_i frontier.(!next_i) nsucc.(!next_i);
+          incr next_i
+        done
+      in
+      merge_iter fresh (fun b h ->
+          let c = fresh.(b) in
+          let t = c.tags.(h) in
+          expand_upto (t lsr 16);
+          if not (stopped ()) then
+            admit ~parent:(base + (t lsr 16)) ~ord:(t land 0xffff)
+              ~depth:(depth + 1) c.sts.(h) (fun () ->
+                if t = vtag then vname else None));
+      expand_upto (Array.length frontier - 1)
+    end
   in
   (* one level per call: poll, offer the boundary, expand and merge *)
   let rec level ~first frontier depth =
@@ -390,41 +493,30 @@ let run ?(jobs = 1) ?(workers = 1) ?(visited = Exact) ?(store = Vstore.Mem)
       if (not first) || halted <> None then
         offer ~final:(halted <> None) ~base ~depth frontier;
       if halted = None then begin
-        (match stream with
-        | Some s -> stream_level s ~base ~depth frontier
-        | None ->
-          let lv = part.Mpx.level ~depth frontier in
-          if lv.Mpx.halted then begin
-            (* nothing was deduplicated: the stores still hold exactly
-               this boundary *)
-            stop ~transitions:!trans
-              (Limit (Option.value (poll ()) ~default:L_time));
-            offer ~final:true ~base ~depth frontier
-          end
-          else merge_level ~base ~depth frontier lv);
+        if jobs = 1 then stream_level stores.(0) ~base ~depth frontier
+        else shard_level ~base ~depth frontier;
         level ~first:false (take ()) (depth + 1)
       end
     end
   in
-  Fun.protect ~finally:part.Mpx.close (fun () ->
-      match ckpt with
-      | Some { ck_resume = Some r; _ } ->
-        r.r_keys part.Mpx.seed;
-        n_states := r.r_states;
-        trans := r.r_transitions;
-        let d0 =
-          if Array.length r.r_frontier = 0 then 0
-          else
-            let _, d, _, _ = r.r_frontier.(0) in
-            d
-        in
-        max_depth := d0;
-        level ~first:true (Array.map (fun (_, _, _, st) -> st) r.r_frontier) d0
-      | _ ->
-        part.Mpx.seed (key_of sys.init);
-        admit ~parent:0 ~ord:(-1) ~depth:0 sys.init (fun () ->
-            violated sys.init);
-        level ~first:true (take ()) 0);
+  let seed key = ignore (stores.(owner key).Vstore.add key) in
+  (match ckpt with
+  | Some { ck_resume = Some r; _ } ->
+    r.r_keys seed;
+    n_states := r.r_states;
+    trans := r.r_transitions;
+    let d0 =
+      if Array.length r.r_frontier = 0 then 0
+      else
+        let _, d, _, _ = r.r_frontier.(0) in
+        d
+    in
+    max_depth := d0;
+    level ~first:true (Array.map (fun (_, _, _, st) -> st) r.r_frontier) d0
+  | _ ->
+    seed (key_of sys.init);
+    admit ~parent:0 ~ord:(-1) ~depth:0 sys.init (fun () -> violated sys.init);
+    level ~first:true (take ()) 0);
   let states, transitions, max_depth =
     if !outcome = None then (!n_states, !trans, !max_depth) else !stop_counts
   in
@@ -440,11 +532,11 @@ let run ?(jobs = 1) ?(workers = 1) ?(visited = Exact) ?(store = Vstore.Mem)
     states;
     transitions;
     time_s = Unix.gettimeofday () -. t0;
-    mem_bytes = part.Mpx.mem_bytes ();
-    raw_bytes = part.Mpx.raw_bytes ();
+    mem_bytes = mem_bytes ();
+    raw_bytes = sum (fun s -> s.Vstore.raw_bytes ());
     peak_frontier = !peak;
     max_depth;
-    canon_fallbacks = canon_fallbacks () + part.Mpx.fallbacks ();
+    canon_fallbacks = canon_fallbacks ();
     trace;
   }
 

@@ -14,13 +14,13 @@ type 's canon = {
           a symmetry of the system) *)
   canon_fresh : ('s -> unit) option;
       (** if given, called on each state right after it is found fresh.
-          With one shard ([jobs = workers = 1]) that is right after the
-          state's [canon_key] call, in the same domain, so per-state
+          With one shard ([jobs = 1]) that is right after the state's
+          [canon_key] call, in the same domain, so per-state
           canonicalization by-products (e.g. orbit sizes held in
-          domain-local storage) are still readable; the other partitions
-          decide freshness in other domains or processes, so such
-          by-products are {e not} readable there — attach domain-local
-          harvesting only to one-shard runs *)
+          domain-local storage) are still readable; with more shards
+          freshness is decided in other domains, so such by-products
+          are {e not} readable there — attach domain-local harvesting
+          only to one-shard runs *)
   canon_fallbacks : unit -> int;
       (** read at the end of the search: how many canonicalizations gave
           up on exactness and returned a merely injective key (sound, but
@@ -40,12 +40,6 @@ type ('s, 'l) system = {
   canon : 's canon option;
       (** optional symmetry reduction; [None] = explore the full space *)
 }
-
-val key_fns :
-  ('s, 'l) system -> ('s -> string) * ('s -> unit) * (unit -> int)
-(** The visited-set key function, fresh-state callback and fallback
-    counter of a system ([encode] and no-ops without a [canon] hook).
-    Shared with the multi-process partition ({!Mpx}). *)
 
 type limit =
   | L_states
@@ -149,7 +143,6 @@ type 's ckpt = {
 
 val run :
   ?jobs:int ->
-  ?workers:int ->
   ?visited:visited_mode ->
   ?store:Vstore.kind ->
   ?max_states:int ->
@@ -164,31 +157,24 @@ val run :
   ?on_level:(depth:int -> states:int -> unit) ->
   ?interrupt:(unit -> bool) ->
   ?ckpt:'s ckpt ->
-  ?metrics:Ccr_obs.Metrics.t ->
-  ?on_respawn:(worker:int -> unit) ->
-  ?on_degrade:(workers:int -> unit) ->
   ('s, 'l) system ->
   ('s, 'l) stats
-(** Breadth-first search from [init], one level at a time, over a
-    partition of the visited-key space: one shard (the default), [jobs]
-    OCaml 5 domain shards, or [workers] forked processes of [jobs]
-    domains each ({!Mpx}).  Each partition routes a candidate to the
-    shard owning its key, each owner deduplicates its candidates in
+(** Breadth-first search from [init], one level at a time, over [jobs]
+    shards of the visited-key space (default 1), each an OCaml 5 domain
+    with its own store.  Beyond one shard, each candidate is routed to
+    the shard owning its key, each owner deduplicates its candidates in
     sequential discovery order, and one rank merge replays the fresh
     ones in that order — so [outcome], [states], [transitions],
     [max_depth], [trace] and the [on_level] sequence are identical at
-    every [jobs]/[workers] setting, including where a cap or an event
-    stops the search (with [Exact] visited sets; [Bitstate] counts are
-    approximate, with per-partition collision patterns).  [mem_bytes]
-    and [raw_bytes] sum the shards.
+    every [jobs] setting, including where a cap or an event stops the
+    search (with [Exact] visited sets; [Bitstate] counts are
+    approximate, with per-shard collision patterns).  [mem_bytes] and
+    [raw_bytes] sum the shards.
 
-    Requirements beyond one shard: [succ], [encode], [canon_key] and the
+    Requirement beyond one shard: [succ], [encode], [canon_key] and the
     invariants must be safe to call concurrently from several domains
     (true of all systems in this repository: they only read the
-    compiled program); with [workers > 1], states and labels must
-    contain no closures (they cross process boundaries via [Marshal]),
-    and the call must come before any domain is spawned in the calling
-    process (it forks).
+    compiled program).
 
     [store] (default {!Vstore.Mem}) selects the visited-set
     representation — collapse-compressed or out-of-core, see {!Vstore};
@@ -203,16 +189,11 @@ val run :
     given.  [max_time_s] and [interrupt] are polled before every
     expansion and stop with [Limit L_time]/[Limit L_interrupt]; beyond
     one shard a level they interrupt is discarded, so the figures are
-    those of its boundary ([workers] poll [interrupt] only at
-    boundaries).  [on_progress] (default: none) is invoked every
+    those of its boundary.  [on_progress] (default: none) is invoked every
     [progress_every] (default 8192) discoveries with a live
     {!Ccr_obs.Progress.sample}, whose [shard_balance] reports how evenly
     the visited set spreads over the shards.  [on_level] fires once per
-    completed BFS level with its depth and the cumulative state count.
-    [metrics] (default: none) publishes per-worker
-    [mpx.w<i>.states_per_s] and [mpx.w<i>.bytes_per_state] gauges;
-    [on_respawn]/[on_degrade] observe worker supervision (see
-    {!Mpx}). *)
+    completed BFS level with its depth and the cumulative state count. *)
 
 val replay_path :
   Vstore.Prov.t -> ('s, 'l) system -> int -> ('l option * 's) list

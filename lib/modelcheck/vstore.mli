@@ -20,7 +20,7 @@
       unlike bitstate hashing — counts stay exact while resident memory
       drops to ~8 bytes per slot.
 
-    All stores are single-threaded; a multi-shard partition gives each
+    All stores are single-threaded; [Explore.run ~jobs] gives each domain
     shard its own store, touched by one domain at a time. *)
 
 type t = {

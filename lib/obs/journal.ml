@@ -14,9 +14,9 @@
    float format, and the engines only feed the journal
    parallelism-independent facts (level boundaries as (depth, cumulative
    states), never timings or interleavings) — so journals are
-   byte-identical across [-j]/[--workers] counts.  The file write happens
-   once, at the end of the run (before any failure exit), in append mode:
-   a journal file accumulates one line-block per invocation.
+   byte-identical across [-j] counts.  The file write happens once, at
+   the end of the run (before any failure exit), in append mode: a
+   journal file accumulates one line-block per invocation.
 
    The [value] type and [parse] double as the repository's minimal JSON
    codec (no external JSON dependency): [ccr report] reads journals and

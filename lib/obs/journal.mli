@@ -9,8 +9,8 @@
 
     Rendering is deterministic (caller field order, fixed float format),
     and the engines only feed parallelism-independent facts, so journals
-    are byte-identical across [-j]/[--workers] counts — the property
-    [ccr report] and the cram tests rely on.
+    are byte-identical across [-j] counts — the property [ccr report]
+    and the cram tests rely on.
 
     {!value} and {!parse} double as the repository's minimal JSON codec
     (there is no external JSON dependency): [ccr report] reads journals

@@ -283,7 +283,7 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
       (* Symmetry hooks: dedup by canonical key, keep concrete states.
          Orbit-size harvesting ([on_orbit]) reads the canonicalizing
          domain's local storage, so callers only pass it for sequential
-         single-process runs. *)
+         runs. *)
       let canon_of ~orbits key =
         Some
           {

@@ -3,7 +3,7 @@
 
     Extracted from the [ccr check] command so the CLI and the [ccr serve]
     daemon run the exact same code path.  The CLI injects a full-featured
-    {!explorer} (checkpointing, multi-process Mpx, provenance, progress);
+    {!explorer} (checkpointing, provenance, progress);
     the daemon uses {!default_explorer}.  Everything user-visible — the
     rendered outcome line, counterexample states, starvation witnesses,
     journal events — is produced here so that a daemon verdict is

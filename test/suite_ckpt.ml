@@ -6,18 +6,15 @@
    boundary that completes the stop's level.  Damaged files (truncation
    at every byte, corruption) and mid-level checkpoints of older
    versions are refused with a message, never a crash; manifest
-   mismatches are refused before any state is trusted.
-
-   Fork discipline: the [~workers] cases fork, so this suite runs before
-   any suite that spawns a domain (see suite_mpx.ml); the [~jobs] resume
-   case spawns domains and therefore lives in [par_suite], registered
-   after every forking suite. *)
+   mismatches are refused before any state is trusted. *)
 
 open Test_util
 module Explore = Ccr_modelcheck.Explore
 module Vstore = Ccr_modelcheck.Vstore
 module Ckpt = Ccr_modelcheck.Ckpt
 module J = Ccr_obs.Journal
+module Api = Ccr_serve.Api
+module Registry = Ccr_protocols.Registry
 
 (* counter_system / bits_system come from Test_util. *)
 
@@ -97,31 +94,36 @@ let check_resume name ?store run sys =
         (r.Explore.outcome = Explore.Complete))
     caps
 
+(* With [CCR_CRASH_AT] set to [value] for the duration of [f]; the
+   runtime cannot unset a variable, and the empty string means unset. *)
+let with_crash_at value f =
+  Unix.putenv "CCR_CRASH_AT" value;
+  Fun.protect ~finally:(fun () -> Unix.putenv "CCR_CRASH_AT" "") f
+
+(* The manifest [ccr check --checkpoint] writes for [cfg] (the guarded
+   fields plus the run's identity and engine shape), with [extra] keys. *)
+let cli_manifest (e : Registry.t) cfg extra =
+  [
+    ("spec_hash", J.Str (Api.spec_hash e cfg));
+    ("protocol", J.Str e.Registry.name);
+    ("level", J.Str (Api.level_name cfg));
+    ("n", J.Int cfg.Api.n);
+    ("k", J.Int cfg.Api.k);
+    ("generic", J.Bool cfg.Api.generic);
+    ("symmetry", J.Str (Api.symmetry_name cfg));
+    ("faults", J.Str (Api.faults_name cfg));
+    ("harden", J.Bool cfg.Api.harden);
+    ("run_id", J.Str "0123456789ab");
+    ("resumes", J.Int 0);
+    ("store", J.Str (Api.store_name cfg));
+    ("max_states", J.Int cfg.Api.max_states);
+  ]
+  @ extra
+
 let tests =
   [
-    (* ---- multi-process first: these fork ---- *)
-    case "mpx: boundary checkpoint resumes to the sequential pin" (fun () ->
-        let sys = bits_system 10 in
-        let seq = Explore.run sys in
-        in_dir @@ fun dir ->
-        let first =
-          Explore.run ~workers:2 ~max_states:(seq.Explore.states / 2)
-            ~ckpt:(ckpt_to dir) sys
-        in
-        checkb "first leg capped" true
-          (first.Explore.outcome = Explore.Limit Explore.L_states);
-        let l = load_ok dir in
-        check_boundary "w=2" first l;
-        let r = Explore.run ~workers:2 ~ckpt:(resume_of l) sys in
-        checki "states" seq.Explore.states r.Explore.states;
-        checki "transitions" seq.Explore.transitions r.Explore.transitions;
-        checki "max_depth" seq.Explore.max_depth r.Explore.max_depth;
-        (* a worker-count change between sessions is fine: ids are
-           assigned by rank, not by worker *)
-        let r3 = Explore.run ~workers:3 ~ckpt:(resume_of (load_ok dir)) sys in
-        checki "states (w=3)" seq.Explore.states r3.Explore.states);
-    case "mpx: a sequential mid-level checkpoint is refused at load, for \
-          every engine" (fun () ->
+    case "a mid-level checkpoint of an older version is refused at load"
+      (fun () ->
         in_dir @@ fun dir ->
         (* what older sequential engines wrote at a mid-level cap on
            [counter_system ~limit:100] with cap 5: the in-flight state 2
@@ -146,23 +148,6 @@ let tests =
           checkb "names the directory" true (contains msg dir);
           checkb "says why" true (contains msg "mid-level");
           checkb "one line" false (String.contains msg '\n'));
-    case "mpx: a crashed worker is respawned and the pin holds" (fun () ->
-        let sys = bits_system 12 in
-        let seq = Explore.run sys in
-        let respawns = ref 0 in
-        Unix.putenv "CCR_CRASH_AT" "worker=1,level=4";
-        let r =
-          Fun.protect
-            ~finally:(fun () -> Unix.putenv "CCR_CRASH_AT" "")
-            (fun () ->
-              Explore.run ~workers:2
-                ~on_respawn:(fun ~worker:_ -> incr respawns)
-                sys)
-        in
-        checkb "at least one respawn" true (!respawns >= 1);
-        checki "states" seq.Explore.states r.Explore.states;
-        checki "transitions" seq.Explore.transitions r.Explore.transitions);
-    (* ---- sequential: fork-free, domain-free ---- *)
     case "seq: resume matches the uninterrupted run (all stores)" (fun () ->
         let sys = counter_system ~limit:400 in
         check_resume "counter mem"
@@ -294,10 +279,6 @@ let tests =
         match Ckpt.parse_every "nope" with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "garbage accepted");
-  ]
-
-let par_tests =
-  [
     case "par (j=4): boundary checkpoint resumes to the pin" (fun () ->
         let sys = bits_system 12 in
         let seq = Explore.run sys in
@@ -317,7 +298,94 @@ let par_tests =
         (* cross-engine: a boundary checkpoint resumes sequentially too *)
         let rs = Explore.run ~ckpt:(resume_of (load_ok dir)) sys in
         checki "states (seq resume)" seq.Explore.states rs.Explore.states);
+    case "CCR_CRASH_AT accepts level=L and nothing else" (fun () ->
+        with_crash_at "" (fun () ->
+            checkb "empty: no crash" true (Ckpt.crash_at () = Ok None));
+        with_crash_at "level=14" (fun () ->
+            checkb "level=14" true (Ckpt.crash_at () = Ok (Some 14)));
+        List.iter
+          (fun value ->
+            with_crash_at value @@ fun () ->
+            (match Ckpt.crash_at () with
+            | Ok _ -> Alcotest.failf "CCR_CRASH_AT=%s accepted" value
+            | Error msg ->
+              checkb (value ^ ": names the variable") true
+                (contains msg "CCR_CRASH_AT");
+              checkb (value ^ ": one line") false (String.contains msg '\n'));
+            (* the saver refuses it too, before any exploration *)
+            match Ckpt.saver ~dir:"unused" ~manifest ~prov:None () with
+            | (_ : int Explore.ckpt_view -> unit) ->
+              Alcotest.failf "saver accepted CCR_CRASH_AT=%s" value
+            | exception Invalid_argument _ -> ())
+          [
+            (* the retired multi-process form: would now kill this process *)
+            "worker=1,level=10";
+            "level=abc";
+            "level=";
+            "level=-3";
+            "depth=3";
+            "level=3,depth=4";
+          ]);
+    case "a checkpoint from a --workers run resumes at j=1 and j=2" (fun () ->
+        (* invalidate async n=3 under symmetry, uninterrupted: 9263
+           states, 27191 transitions *)
+        let cfg =
+          { Api.default with Api.spec = Api.Named "invalidate"; n = 3 }
+        in
+        let e = Result.get_ok (Api.resolve cfg.Api.spec) in
+        let check_with explorer =
+          match Api.check_entry ~explorer e cfg with
+          | Ok (v, _) -> v
+          | Error msg -> Alcotest.failf "check refused: %s" msg
+        in
+        in_dir @@ fun dir ->
+        (* what [--workers 2 -j 2 --checkpoint DIR] wrote before the
+           multi-process engine was removed *)
+        let written =
+          cli_manifest e cfg [ ("jobs", J.Int 2); ("workers", J.Int 2) ]
+        in
+        let first =
+          check_with
+            {
+              Api.explore =
+                (fun ~check_deadlock ~split:_ ~invariants sys ->
+                  Explore.run ~max_states:4000 ~check_deadlock ~invariants
+                    ~ckpt:
+                      {
+                        Explore.ck_resume = None;
+                        ck_save =
+                          Ckpt.saver ~dir ~manifest:written ~prov:None ();
+                      }
+                    sys);
+            }
+        in
+        checks "first leg capped" "limit-states" first.Api.v_outcome;
+        let found = (load_ok dir).Ckpt.l_manifest in
+        checkb "the manifest carries workers" true
+          (List.mem_assoc "workers" found);
+        checkb "manifest accepted" true
+          (Ckpt.mismatch
+             ~expected:(cli_manifest e cfg [ ("jobs", J.Int 1) ])
+             ~found
+          = None);
+        List.iter
+          (fun jobs ->
+            let v =
+              check_with
+                {
+                  Api.explore =
+                    (fun ~check_deadlock ~split:_ ~invariants sys ->
+                      (* the loaded frontier is trusted to be this system's
+                         states: the manifest passed the guard above *)
+                      Explore.run ~jobs ~check_deadlock ~invariants
+                        ~ckpt:(resume_of (load_ok dir))
+                        sys);
+                }
+            in
+            checks (Fmt.str "j=%d: outcome" jobs) "complete" v.Api.v_outcome;
+            checki (Fmt.str "j=%d: states" jobs) 9263 v.Api.v_states;
+            checki (Fmt.str "j=%d: transitions" jobs) 27191 v.Api.v_transitions)
+          [ 1; 2 ]);
   ]
 
 let suite = ("ckpt", tests)
-let par_suite = ("ckpt-par", par_tests)

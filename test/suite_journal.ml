@@ -2,8 +2,7 @@
    JSONL event buffer, and the load-bearing determinism property — a
    journal fed by the engines' [on_level] hook and the provenance-derived
    trace is byte-identical at every [-j] setting, including runs that end
-   in a violation.  The [--workers] half of that property forks, so it
-   lives in suite_mpx (which must run before any domain spawns). *)
+   in a violation. *)
 
 open Test_util
 module J = Ccr_obs.Journal

@@ -1,39 +1,20 @@
-(* Domain partitions of the exploration driver.
+(* Domain shards of the exploration driver.
 
    The contract of [Explore.run ~jobs] (DESIGN.md §6, "Exploration
    driver"): outcome, [states], [transitions], [max_depth] and the
    counterexample equal the one-shard run's exactly, for any number of
-   domains — also where a cap, a violation or a deadlock stops the
-   search. *)
+   domains and any exact store — also where a cap, a violation or a
+   deadlock stops the search. *)
 
 open Test_util
 module Explore = Ccr_modelcheck.Explore
+module Vstore = Ccr_modelcheck.Vstore
+module Async = Ccr_refine.Async
 module Registry = Ccr_protocols.Registry
 
 let jobs_list = [ 1; 2; 4 ]
 
-(* Same synthetic systems as suite_explore: known counts. *)
-let counter_system ~limit =
-  Explore.
-    {
-      init = 0;
-      succ =
-        (fun s ->
-          if s >= limit then []
-          else [ ("inc", s + 1); ("double", min limit (2 * s + 1)) ]);
-      encode = string_of_int;
-      canon = None;
-    }
-
-let bits_system k =
-  Explore.
-    {
-      init = 0;
-      succ =
-        (fun s -> List.init k (fun i -> (Fmt.str "flip%d" i, s lxor (1 lsl i))));
-      encode = string_of_int;
-      canon = None;
-    }
+(* counter_system / bits_system come from Test_util. *)
 
 let check_equiv name sys =
   let seq = Explore.run sys in
@@ -55,6 +36,118 @@ let check_equiv name sys =
         (Fmt.str "%s: peak_frontier positive (j=%d)" name jobs)
         true (par.peak_frontier > 0))
     jobs_list
+
+(* The cross-setting pin.  Every row runs at every jobs count in
+   [jobs_list] over the in-memory and the out-of-core store, uncapped and
+   capped at a third and a half of its uncapped state count, and must
+   report the one-shard in-memory run's outcome, states, transitions,
+   max_depth and counterexample.  The rows cover every registry protocol
+   (complete, and violating an invariant that fails on the last state
+   BFS discovers), the fault-injected migratory protocol under one
+   dropped ack, and a deadlocking counter. *)
+type row =
+  | Row : {
+      name : string;
+      sys : ('s, 'l) Explore.system;
+      invariants : (string * ('s -> bool)) list;
+    }
+      -> row
+
+let not_last sys =
+  let g = Ccr_modelcheck.Graph.build sys in
+  let states = g.Ccr_modelcheck.Graph.states in
+  let last = sys.Explore.encode states.(Array.length states - 1) in
+  [ ("not-last", fun st -> sys.Explore.encode st <> last) ]
+
+let pin_rows () =
+  let registry =
+    List.concat_map
+      (fun (e : Registry.t) ->
+        let prog = e.Registry.instantiate ~reqrep:true ~n:2 in
+        let sys = async_system prog in
+        [
+          Row
+            {
+              name = e.Registry.name;
+              sys;
+              invariants = e.Registry.async_invariants prog;
+            };
+          Row
+            {
+              name = e.Registry.name ^ " not-last";
+              sys;
+              invariants = not_last sys;
+            };
+        ])
+      Registry.all
+  in
+  let module Injected = Ccr_faults.Injected in
+  let prog = compile ~n:2 (Ccr_protocols.Migratory.system ()) in
+  let sp = Result.get_ok (Ccr_faults.Fault.parse "drop=1@ack") in
+  let cfg = Async.{ k = 2 } in
+  let faulty =
+    Explore.
+      {
+        init = Injected.initial sp prog cfg;
+        succ = Injected.successors Injected.Vanilla sp prog cfg;
+        encode = Injected.encode;
+        canon = None;
+      }
+  in
+  registry
+  @ [
+      Row
+        {
+          name = "migratory drop=1@ack";
+          sys = faulty;
+          invariants =
+            Injected.no_wedge
+            :: List.map Injected.lift_invariant
+                 (Ccr_protocols.Migratory.async_invariants prog);
+        };
+      Row
+        {
+          name = "migratory drop=1@ack not-last";
+          sys = faulty;
+          invariants = not_last faulty;
+        };
+      Row { name = "counter"; sys = counter_system ~limit:60; invariants = [] };
+    ]
+
+let cross_setting_pin () =
+  List.iter
+    (fun (Row { name; sys; invariants }) ->
+      let run ?max_states ?store jobs =
+        Explore.run ~jobs ?store ?max_states ~check_deadlock:true ~trace:true
+          ~invariants sys
+      in
+      let full = run 1 in
+      List.iter
+        (fun cap ->
+          let base = run ?max_states:cap 1 in
+          List.iter
+            (fun (sname, store) ->
+              List.iter
+                (fun jobs ->
+                  let r = run ?max_states:cap ~store jobs in
+                  let what field =
+                    Fmt.str "%s cap=%s j=%d store=%s: %s" name
+                      (match cap with Some c -> string_of_int c | None -> "-")
+                      jobs sname field
+                  in
+                  checkb (what "outcome") true
+                    (r.Explore.outcome = base.Explore.outcome);
+                  checki (what "states") base.Explore.states r.Explore.states;
+                  checki (what "transitions") base.Explore.transitions
+                    r.Explore.transitions;
+                  checki (what "max_depth") base.Explore.max_depth
+                    r.Explore.max_depth;
+                  checkb (what "trace") true
+                    (r.Explore.trace = base.Explore.trace))
+                jobs_list)
+            [ ("mem", Vstore.Mem); ("disk", Vstore.Disk) ])
+        [ None; Some (full.Explore.states / 3); Some (full.Explore.states / 2) ])
+    (pin_rows ())
 
 let tests =
   [
@@ -206,6 +299,8 @@ let tests =
         (* total table memory equals the sequential table's 2^22 bits,
            spread over the shards *)
         checki "table bytes" (1 lsl 22 / 8) par.mem_bytes);
+    case "every setting stops where the one-shard run stops"
+      cross_setting_pin;
   ]
 
 let suite = ("par_explore", tests)

@@ -1,12 +1,11 @@
 let () =
   Alcotest.run "ccrefine"
     [
-      (* must run first: their forking cases are illegal once any other
-         suite has spawned a domain (see suite_mpx.ml); suite_ckpt's
-         domain-spawning cases are split off into [par_suite] below *)
-      Suite_ckpt.suite;
+      (* must run first: it forks daemons, which the OCaml 5 runtime
+         refuses once any other suite has spawned a domain (see
+         Test_util.with_forked_daemon) *)
       Suite_serve.suite;
-      Suite_mpx.suite;
+      Suite_ckpt.suite;
       Suite_journal.suite;
       Suite_value.suite;
       Suite_expr.suite;
@@ -32,5 +31,4 @@ let () =
       Suite_parse.suite;
       Suite_random.suite;
       Suite_fuzz.suite;
-      Suite_ckpt.par_suite;
     ]

@@ -169,10 +169,10 @@ let with_temp_dir prefix f =
     (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
 
-(* Fork-first discipline (see suite_mpx.ml): the OCaml 5 runtime refuses
-   [Unix.fork] once any domain has ever been spawned in the process, so
-   every suite using this helper must be registered before the first
-   domain-spawning case.  The child runs a real [ccr serve] daemon on an
+(* Fork-first discipline: the OCaml 5 runtime refuses [Unix.fork] once
+   any domain has ever been spawned in the process — even one long since
+   joined — so suite_serve, the one suite using this helper, is
+   registered before every domain-spawning suite (see test_main.ml).  The child runs a real [ccr serve] daemon on an
    ephemeral loopback port and reports the port over a pipe; [f ~port]
    runs in the parent, and the daemon is SIGTERMed (clean shutdown:
    running explorations are interrupted at their next safe point) when it
