@@ -120,6 +120,7 @@ let run_rv prog =
         init = Ccr_semantics.Rendezvous.initial prog;
         succ = Ccr_semantics.Rendezvous.successors prog;
         encode = Ccr_semantics.Rendezvous.encode;
+        decode = Ccr_semantics.Rendezvous.decode prog;
         canon = None;
       }
 
@@ -131,6 +132,7 @@ let run_async ?(k = 2) prog =
         init = Async.initial prog cfg;
         succ = Async.successors prog cfg;
         encode = Async.encode;
+        decode = Async.decode prog;
         canon = None;
       }
 
@@ -167,6 +169,7 @@ let run_async_metered ?(k = 2) prog =
           init = Async.initial prog cfg;
           succ = Async.successors ~meter prog cfg;
           encode = Async.encode;
+          decode = Async.decode prog;
           canon = None;
         }
   in
@@ -248,6 +251,7 @@ let storage () =
         init = Async.initial prog Async.{ k = 2 };
         succ = Async.successors prog Async.{ k = 2 };
         encode = Async.encode;
+        decode = Async.decode prog;
         canon = None;
       }
   in
@@ -325,6 +329,7 @@ let parallel () =
           init = Async.initial prog Async.{ k = 2 };
           succ = Async.successors prog Async.{ k = 2 };
           encode = Async.encode;
+          decode = Async.decode prog;
           canon = None;
         }
     in
@@ -561,6 +566,7 @@ let faults_bench () =
           init = I.initial sp prog cfg;
           succ = I.successors mode sp prog cfg;
           encode = I.encode;
+          decode = I.decode prog;
           canon = None;
         }
     in
@@ -698,6 +704,7 @@ let progress () =
             init = Async.initial prog cfg;
             succ = Async.successors prog cfg;
             encode = Async.encode;
+            decode = Async.decode prog;
             canon = None;
           }
     in
@@ -756,6 +763,7 @@ let symmetry () =
             init = Ccr_semantics.Rendezvous.initial prog;
             succ = Ccr_semantics.Rendezvous.successors prog;
             encode = Ccr_semantics.Rendezvous.encode;
+            decode = Ccr_semantics.Rendezvous.decode prog;
             canon = canon_of stats key;
           }
     in
@@ -776,6 +784,7 @@ let symmetry () =
             init = Async.initial prog cfg;
             succ = Async.successors prog cfg;
             encode = Async.encode;
+            decode = Async.decode prog;
             canon = canon_of stats key;
           }
     in
@@ -894,6 +903,7 @@ let breadth () =
               init = Async.initial prog Async.{ k = 2 };
               succ = Async.successors prog Async.{ k = 2 };
               encode = Async.encode;
+              decode = Async.decode prog;
               canon = None;
             }
       in
@@ -934,6 +944,7 @@ let journal_overhead () =
         init = Async.initial prog cfg;
         succ = Async.successors prog cfg;
         encode = Async.encode;
+        decode = Async.decode prog;
         canon = None;
       }
   in
@@ -995,6 +1006,7 @@ let checkpoint_overhead () =
         init = Async.initial prog cfg;
         succ = Async.successors prog cfg;
         encode = Async.encode;
+        decode = Async.decode prog;
         canon = None;
       }
   in

@@ -136,7 +136,7 @@ let faults_arg =
           "Inject network faults from a budget spec: comma-separated \
            $(b,drop=K), $(b,dup=K), $(b,delay=K), $(b,pause=K), each \
            channel fault optionally filtered by message class as in \
-           $(b,drop=1\\@ack) ($(b,\\@req), $(b,\\@ack), $(b,\\@nack)).  \
+           $(b,drop=1@ack) ($(b,@req), $(b,@ack), $(b,@nack)).  \
            $(b,check) explores every placement within the budget; \
            $(b,sim) and $(b,run) draw one deterministic plan from \
            $(b,--seed).")
@@ -510,6 +510,7 @@ let explain_cmd =
               init = Async.initial prog cfg;
               succ = Async.successors prog cfg;
               encode = Async.encode;
+              decode = Async.decode prog;
               canon = None;
             }
         in
@@ -574,6 +575,7 @@ let explain_cmd =
               init = Injected.initial spec prog cfg;
               succ = Injected.successors mode spec prog cfg;
               encode = Injected.encode;
+              decode = Injected.decode prog;
               canon = None;
             }
         in
@@ -1074,6 +1076,9 @@ let check_cmd =
         (float_of_int m.Api.m_peak_frontier);
       Obs.M.set (Obs.M.gauge reg "max_depth") (float_of_int v.Api.v_max_depth);
       Obs.M.set (Obs.M.gauge reg "mem_bytes") (float_of_int m.Api.m_mem_bytes);
+      Obs.M.set
+        (Obs.M.gauge reg "process.peak_rss_mb")
+        (Obs.M.peak_rss_mb ());
       Obs.M.set (Obs.M.gauge reg "raw_bytes") (float_of_int m.Api.m_raw_bytes);
       if symmetry <> `Off then begin
         Obs.M.add (Obs.M.counter reg "canon.calls") (Sym.calls sym_stats);
@@ -1734,6 +1739,7 @@ let progress_cmd =
             init = Async.initial prog cfg;
             succ = Async.successors prog cfg;
             encode = Async.encode;
+            decode = Async.decode prog;
             canon = None;
           }
     in

@@ -46,6 +46,7 @@ let () =
               init = Ccr_semantics.Rendezvous.initial prog;
               succ = Ccr_semantics.Rendezvous.successors prog;
               encode = Ccr_semantics.Rendezvous.encode;
+              decode = Ccr_semantics.Rendezvous.decode prog;
               canon = None;
             }
       in
@@ -58,6 +59,7 @@ let () =
               init = Async.initial prog cfg;
               succ = Async.successors prog cfg;
               encode = Async.encode;
+              decode = Async.decode prog;
               canon = None;
             }
       in
@@ -85,6 +87,7 @@ let () =
               init = Ccr_semantics.Rendezvous.initial prog;
               succ = Ccr_semantics.Rendezvous.successors prog;
               encode = Ccr_semantics.Rendezvous.encode;
+              decode = Ccr_semantics.Rendezvous.decode prog;
               canon = None;
             }
       in

@@ -83,6 +83,7 @@ let () =
           init = Ccr_semantics.Rendezvous.initial prog;
           succ = Ccr_semantics.Rendezvous.successors prog;
           encode = Ccr_semantics.Rendezvous.encode;
+          decode = Ccr_semantics.Rendezvous.decode prog;
           canon = None;
         }
   in
@@ -111,6 +112,7 @@ let () =
           init = Ccr_refine.Async.initial prog cfg;
           succ = Ccr_refine.Async.successors prog cfg;
           encode = Ccr_refine.Async.encode;
+          decode = Ccr_refine.Async.decode prog;
           canon = None;
         }
   in

@@ -70,6 +70,7 @@ let () =
           init = Async.initial prog2 cfg;
           succ = Async.successors prog2 cfg;
           encode = Async.encode;
+          decode = Async.decode prog2;
           canon = None;
         }
   in

@@ -78,16 +78,20 @@ let pp_domain ppf = function
   | Drid -> Fmt.string ppf "rid"
   | Dset -> Fmt.string ppf "rid set"
 
+(* Closure-free: the encoders run once per transition on the model
+   checker's hot path, and a local helper capturing [buf] would be
+   allocated on every call. *)
+let add_byte buf i = Buffer.add_char buf (Char.unsafe_chr (i land 0xff))
+
 let encode_int buf i =
-  let byte i = Buffer.add_char buf (Char.chr (i land 0xff)) in
   (* small non-negative ints in one byte; larger in five *)
-  if i >= 0 && i < 0xf8 then byte i
+  if i >= 0 && i < 0xf8 then add_byte buf i
   else begin
-    byte 0xf8;
-    byte (i land 0xff);
-    byte ((i lsr 8) land 0xff);
-    byte ((i lsr 16) land 0xff);
-    byte ((i asr 24) land 0xff)
+    add_byte buf 0xf8;
+    add_byte buf i;
+    add_byte buf (i lsr 8);
+    add_byte buf (i lsr 16);
+    add_byte buf (i asr 24)
   end
 
 (* Single source of the rid/set byte layout, shared with {!encode_perm}:
@@ -101,15 +105,13 @@ let encode_set buf m =
   encode_int buf m
 
 let encode buf v =
-  let byte i = Buffer.add_char buf (Char.chr (i land 0xff)) in
-  let int i = encode_int buf i in
   match v with
-  | Vunit -> byte 0
-  | Vbool false -> byte 1
-  | Vbool true -> byte 2
+  | Vunit -> add_byte buf 0
+  | Vbool false -> add_byte buf 1
+  | Vbool true -> add_byte buf 2
   | Vint i ->
-    byte 3;
-    int (if i >= 0 then 2 * i else (-2 * i) + 1)
+    add_byte buf 3;
+    encode_int buf (if i >= 0 then 2 * i else (-2 * i) + 1)
   | Vrid r -> encode_rid buf r
   | Vset m -> encode_set buf m
 
@@ -150,3 +152,92 @@ let skip s pos =
   | 0 | 1 | 2 -> pos + 1 (* unit, false, true *)
   | 3 | 4 | 5 -> skip_int s (pos + 1) (* int, rid, set: tag then varint *)
   | b -> invalid_arg (Printf.sprintf "Value.skip: bad tag byte %d" b)
+
+(* ---- decoding encoded keys ----------------------------------------------
+
+   The inverse of the encoders above, for keys read back as states.  A
+   cursor walks the key; every reader checks the bytes it needs before
+   touching them and accepts only the exact bytes an encoder writes, so a
+   truncated or damaged key is refused with its byte offset instead of
+   raising an index error or decoding to a state that encodes otherwise. *)
+
+type cursor = { key : string; mutable pos : int; who : string }
+
+let cursor ~who key = { key; pos = 0; who }
+
+let refuse c at what =
+  invalid_arg (Printf.sprintf "%s: %s at byte %d" c.who what at)
+
+let decode_int c =
+  let p = c.pos in
+  if p >= String.length c.key then refuse c p "truncated key";
+  let b = Char.code (String.unsafe_get c.key p) in
+  if b < 0xf8 then begin
+    c.pos <- p + 1;
+    b
+  end
+  else begin
+    if b > 0xf8 then refuse c p (Printf.sprintf "bad integer byte %d" b);
+    if p + 5 > String.length c.key then refuse c p "truncated key";
+    let i, p' = read_int c.key p in
+    if i >= 0 && i < 0xf8 then refuse c p "non-canonical integer";
+    c.pos <- p';
+    i
+  end
+
+let decode_count c =
+  let p = c.pos in
+  let i = decode_int c in
+  if i < 0 then refuse c p (Printf.sprintf "negative count %d" i);
+  i
+
+let decode_string c len =
+  let p = c.pos in
+  if len < 0 || p + len > String.length c.key then refuse c p "truncated key";
+  c.pos <- p + len;
+  String.sub c.key p len
+
+let decode_char c =
+  let p = c.pos in
+  if p >= String.length c.key then refuse c p "truncated key";
+  c.pos <- p + 1;
+  String.unsafe_get c.key p
+
+let decode_end c =
+  if c.pos <> String.length c.key then refuse c c.pos "trailing bytes"
+
+(* Decoded values below [shared] come from these tables, so decoded
+   states share their small values as generated ones do. *)
+let shared = 64
+let v_false = Vbool false
+let v_true = Vbool true
+let v_ints = Array.init shared (fun i -> Vint i)
+let v_rids = Array.init shared (fun r -> Vrid r)
+let v_sets = Array.init shared (fun m -> Vset m)
+let pick table mk i = if i >= 0 && i < shared then table.(i) else mk i
+
+let decode c =
+  let p = c.pos in
+  match decode_char c with
+  | '\000' -> Vunit
+  | '\001' -> v_false
+  | '\002' -> v_true
+  | '\003' ->
+    (* zigzag: 2i for i >= 0, -2i + 1 below; 1 would be a second zero *)
+    let z = decode_int c in
+    if z < 0 || z = 1 then refuse c (p + 1) "non-canonical integer";
+    if z land 1 = 0 then pick v_ints (fun i -> Vint i) (z asr 1)
+    else Vint (-(z asr 1))
+  | '\004' -> pick v_rids (fun r -> Vrid r) (decode_int c)
+  | '\005' -> pick v_sets (fun m -> Vset m) (decode_int c)
+  | b -> refuse c p (Printf.sprintf "bad value tag %d" (Char.code b))
+
+let decode_values c len =
+  if len = 0 then [||]
+  else begin
+    let a = Array.make len (decode c) in
+    for i = 1 to len - 1 do
+      a.(i) <- decode c
+    done;
+    a
+  end

@@ -85,3 +85,43 @@ val skip_int : string -> int -> int
 val skip : string -> int -> int
 (** Position just past the {!encode}d value at [pos].
     @raise Invalid_argument if [pos] does not hold a value tag. *)
+
+(** {2 Decoding encoded keys}
+
+    The inverse of the encoders, over a cursor into a key.  Each reader
+    accepts exactly the bytes the matching encoder writes: a truncated
+    or damaged key raises [Invalid_argument] naming the cursor's decoder
+    and the byte offset, never an index error, so a key that decodes at
+    all decodes to the state that encodes back to it. *)
+
+type cursor = private { key : string; mutable pos : int; who : string }
+
+val cursor : who:string -> string -> cursor
+(** A cursor at byte 0 of a key; [who] (e.g. ["Async.decode"]) opens
+    every refusal message. *)
+
+val refuse : cursor -> int -> string -> 'a
+(** [refuse c at what] raises
+    [Invalid_argument "<who>: <what> at byte <at>"]. *)
+
+val decode_int : cursor -> int
+(** Read an {!encode_int} varint. *)
+
+val decode_count : cursor -> int
+(** {!decode_int}, refusing a negative value (list lengths, sizes). *)
+
+val decode_string : cursor -> int -> string
+(** [decode_string c len] reads [len] raw bytes. *)
+
+val decode_char : cursor -> char
+(** Read one raw byte. *)
+
+val decode : cursor -> t
+(** Read an {!encode}d value. *)
+
+val decode_values : cursor -> int -> t array
+(** [decode_values c len] reads [len] {!encode}d values, in order. *)
+
+val decode_end : cursor -> unit
+(** Refuse bytes past the cursor: a decoder calls it once its layout is
+    read in full. *)

@@ -276,6 +276,62 @@ let encode fs =
     Buffer.add_string b m);
   Buffer.contents b
 
+(* The inverse of [encode], field for field. *)
+let dec_marker c =
+  let p = c.Value.pos in
+  if Value.decode_char c <> '\xfd' then
+    Value.refuse c p "expected the fault marker"
+
+let dec_lost c n =
+  let a = Array.make n None in
+  for i = 0 to n - 1 do
+    let p = c.Value.pos in
+    match Value.decode_char c with
+    | 'n' -> ()
+    | 'l' -> a.(i) <- Some (Wire.decode c)
+    | _ -> Value.refuse c p "bad lost-message tag"
+  done;
+  a
+
+let dec_paused c n =
+  let a = Array.make n false in
+  for i = 0 to n - 1 do
+    let p = c.Value.pos in
+    match Value.decode_char c with
+    | 'P' -> a.(i) <- true
+    | '.' -> ()
+    | _ -> Value.refuse c p "bad pause flag"
+  done;
+  a
+
+let decode (prog : Prog.t) key =
+  let c = Value.cursor ~who:"Injected.decode" key in
+  let base = Async.decode_from prog c in
+  dec_marker c;
+  let b_drop = Value.decode_int c in
+  let b_dup = Value.decode_int c in
+  let b_delay = Value.decode_int c in
+  let b_pause = Value.decode_int c in
+  let lost_h = dec_lost c prog.n in
+  let lost_r = dec_lost c prog.n in
+  let paused = dec_paused c prog.n in
+  let wedged =
+    if c.Value.pos = String.length key then None
+    else begin
+      let p = c.Value.pos in
+      if Value.decode_char c <> 'W' then Value.refuse c p "trailing bytes";
+      Some (Value.decode_string c (String.length key - c.Value.pos))
+    end
+  in
+  {
+    base;
+    left = { b_drop; b_dup; b_delay; b_pause };
+    lost_h;
+    lost_r;
+    paused;
+    wedged;
+  }
+
 (* Collapse-store splitter: the async boundaries of the prefix (the fault
    markers after [\xfd] never look like async state bytes to the parser —
    the async part is self-delimiting, so the parse stops exactly at the
@@ -405,6 +461,15 @@ let rv_encode fs =
   Value.encode_int b fs.rv_left;
   Array.iter (fun p -> Buffer.add_char b (if p then 'P' else '.')) fs.rv_paused;
   Buffer.contents b
+
+let rv_decode (prog : Prog.t) key =
+  let c = Value.cursor ~who:"Injected.rv_decode" key in
+  let rv_base = Rv.decode_from prog c in
+  dec_marker c;
+  let rv_left = Value.decode_int c in
+  let rv_paused = dec_paused c prog.n in
+  Value.decode_end c;
+  { rv_base; rv_left; rv_paused }
 
 let pp_rv_label ppf = function
   | Rv_step l -> Rv.pp_label ppf l

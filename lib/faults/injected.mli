@@ -86,6 +86,11 @@ val protocol_successors :
 
 val encode : fstate -> string
 
+val decode : Prog.t -> string -> fstate
+(** The inverse of {!encode}, as {!Ccr_refine.Async.decode}.
+    @raise Invalid_argument naming [Injected.decode] and the byte offset
+    on a malformed key. *)
+
 val split_key : Ccr_core.Prog.t -> string -> int array
 (** Collapse-store splitter over {!encode}d keys: the async boundaries of
     the embedded base state ({!Async.split_key}) plus one trailing
@@ -124,5 +129,10 @@ type rv_label =
 val rv_initial : Fault.spec -> Prog.t -> rv_fstate
 val rv_successors : Prog.t -> rv_fstate -> (rv_label * rv_fstate) list
 val rv_encode : rv_fstate -> string
+val rv_decode : Prog.t -> string -> rv_fstate
+(** The inverse of {!rv_encode}.
+    @raise Invalid_argument naming [Injected.rv_decode] and the byte
+    offset on a malformed key. *)
+
 val pp_rv_label : rv_label Fmt.t
 val pp_rv_fstate : Prog.t -> rv_fstate Fmt.t

@@ -92,9 +92,39 @@ type ctx = {
   prog : (Prog.t, exn) Result.t Lazy.t;
   async_stats :
     ((Async.state, Async.label) Explore.stats, exn) Result.t Lazy.t;
+  async_codec : string option ref;
+      (** the first key-codec break the shared exploration met *)
 }
 
 let capture f = try Ok (f ()) with e -> Error e
+
+(* The key codec on every state an exploration generates:
+   [decode (encode st) = st], and the decoded state encodes back to the
+   same key.  The first break is kept in [bad]; the exploration runs on. *)
+let codec_checked bad (sys : (_, _) Explore.system) =
+  let check st =
+    if !bad = None then begin
+      let key = sys.Explore.encode st in
+      match sys.Explore.decode key with
+      | st' ->
+        if st' <> st || sys.Explore.encode st' <> key then
+          bad := Some (Fmt.str "decode does not invert encode on key %S" key)
+      | exception Invalid_argument m ->
+        bad := Some ("decode refused an encoded state: " ^ m)
+    end
+  in
+  check sys.Explore.init;
+  {
+    sys with
+    Explore.succ =
+      (fun st ->
+        let outs = sys.Explore.succ st in
+        List.iter (fun (_, st') -> check st') outs;
+        outs);
+  }
+
+let codec_verdict bad outcome =
+  match !bad with Some m -> Fail m | None -> outcome
 
 let async_sys prog cfg =
   Explore.
@@ -102,11 +132,13 @@ let async_sys prog cfg =
       init = Async.initial prog cfg;
       succ = Async.successors prog cfg;
       encode = Async.encode;
+      decode = Async.decode prog;
       canon = None;
     }
 
 let make_ctx ?rules ~max_states spec =
   let prog = lazy (capture (fun () -> Gen.compile spec)) in
+  let async_codec = ref None in
   let async_stats =
     lazy
       (match Lazy.force prog with
@@ -114,7 +146,7 @@ let make_ctx ?rules ~max_states spec =
       | Ok p ->
         capture (fun () ->
             let cfg = Async.{ k = spec.Gen.k } in
-            let base = async_sys p cfg in
+            let base = codec_checked async_codec (async_sys p cfg) in
             let succ =
               match rules with
               | None -> base.Explore.succ
@@ -131,7 +163,7 @@ let make_ctx ?rules ~max_states spec =
             Explore.run ~max_states ~check_deadlock:true
               { base with Explore.succ }))
   in
-  { spec; max_states; prog; async_stats }
+  { spec; max_states; prog; async_stats; async_codec }
 
 (* ---- the oracles --------------------------------------------------------- *)
 
@@ -181,22 +213,28 @@ let o_rv ctx =
   match Lazy.force ctx.prog with
   | Error e -> Fail (exn_msg e)
   | Ok prog ->
+    let bad = ref None in
     let r =
       Explore.run ~max_states:ctx.max_states ~check_deadlock:true
-        Explore.
-          {
-            init = Rendezvous.initial prog;
-            succ = Rendezvous.successors prog;
-            encode = Rendezvous.encode;
-            canon = None;
-          }
+        (codec_checked bad
+           Explore.
+             {
+               init = Rendezvous.initial prog;
+               succ = Rendezvous.successors prog;
+               encode = Rendezvous.encode;
+               decode = Rendezvous.decode prog;
+               canon = None;
+             })
     in
-    explored_ok "rendezvous exploration" r (Rendezvous.pp_state prog)
+    codec_verdict bad
+      (explored_ok "rendezvous exploration" r (Rendezvous.pp_state prog))
 
 let o_async ctx =
   match (Lazy.force ctx.prog, Lazy.force ctx.async_stats) with
   | Error e, _ | _, Error e -> Fail (exn_msg e)
-  | Ok prog, Ok r -> explored_ok "async exploration" r (Async.pp_state prog)
+  | Ok prog, Ok r ->
+    codec_verdict ctx.async_codec
+      (explored_ok "async exploration" r (Async.pp_state prog))
 
 let o_eq1 ctx =
   match Lazy.force ctx.prog with
@@ -291,19 +329,23 @@ let o_faults ctx =
   | Ok prog ->
     let cfg = Async.{ k = ctx.spec.Gen.k } in
     let budget = { Fault.none with Fault.drop = 1 } in
+    let bad = ref None in
     let r =
       Explore.run ~max_states:ctx.max_states ~check_deadlock:true
         ~invariants:[ Injected.no_wedge ]
-        Explore.
-          {
-            init = Injected.initial budget prog cfg;
-            succ = Injected.successors Injected.Hardened budget prog cfg;
-            encode = Injected.encode;
-            canon = None;
-          }
+        (codec_checked bad
+           Explore.
+             {
+               init = Injected.initial budget prog cfg;
+               succ = Injected.successors Injected.Hardened budget prog cfg;
+               encode = Injected.encode;
+               decode = Injected.decode prog;
+               canon = None;
+             })
     in
-    explored_ok "hardened exploration under drop=1" r
-      (Injected.pp_fstate prog)
+    codec_verdict bad
+      (explored_ok "hardened exploration under drop=1" r
+         (Injected.pp_fstate prog))
 
 let o_store ctx =
   match (Lazy.force ctx.prog, Lazy.force ctx.async_stats) with

@@ -8,16 +8,21 @@
     - [Validate]: the built system passes {!Ccr_core.Validate.check};
     - [Roundtrip]: pretty-printing to the [.ccr] syntax and re-parsing
       yields a structurally identical {!Ccr_core.Ir.system};
-    - [Rv]: rendezvous-level exploration finds no deadlock;
+    - [Rv]: rendezvous-level exploration finds no deadlock, and the
+      state-key codec round-trips on every state it generates
+      ([decode (encode st) = st], and the decoded state encodes back to
+      the same key);
     - [Async]: refined-level exploration finds no deadlock and no
-      {!Ccr_refine.Async.Protocol_error};
+      {!Ccr_refine.Async.Protocol_error}, and the codec round-trips as
+      for [Rv];
     - [Eq1]: the §4 stuttering simulation (Equation 1) holds;
     - [Symmetry]: the fast and brute-force symmetry quotients agree, and
       are no larger than the full space;
     - [Par]: the 4-domain parallel explorer reports the same state and
       transition counts as the sequential one;
     - [Faults]: under a one-drop budget the hardened transport stays
-      safe — no wedge, no deadlock;
+      safe — no wedge, no deadlock — and the fault-injected codec
+      round-trips as for [Rv];
     - [Store]: the collapse-compressed and disk-backed visited stores
       report the same state and transition counts as the exact in-memory
       store (sequentially even under a state cap — the discovery order

@@ -8,6 +8,7 @@ type ('s, 'l) system = {
   init : 's;
   succ : 's -> ('l * 's) list;
   encode : 's -> string;
+  decode : string -> 's;
   canon : 's canon option;
 }
 
@@ -21,6 +22,15 @@ let key_fns sys =
     ( c.canon_key,
       (match c.canon_fresh with None -> fun _ -> () | Some f -> f),
       c.canon_fallbacks )
+
+(* The frontier entry of a fresh state [st] stored under [key]: the key
+   itself without symmetry reduction (the very string the store holds),
+   the concrete state's encoding with it — the concrete state, not its
+   orbit representative, is what gets expanded and replayed. *)
+let frontier_key sys =
+  match sys.canon with
+  | None -> fun key _ -> key
+  | Some _ -> fun _ st -> sys.encode st
 
 type limit = L_states | L_memory | L_time | L_interrupt
 
@@ -189,13 +199,14 @@ let parallel n f =
   | Some e, _ | None, e :: _ -> raise e
   | None, [] -> ()
 
-(* Expand [states] on [jobs] domains, off an atomic cursor: every
-   successor of the k-th state as (tag k ord, key, state), in per-domain
-   buffers bucketed by [owner key] — each sorted by tag.  [out.(d).(o)]
-   holds what domain [d] generated for shard [o].  Expansion stops once
-   [halt ()] says so; the flag reports it. *)
-let expand ~jobs ~owner ~key_of ~succ ~halt states =
-  let len = Array.length states in
+(* Expand the frontier [keys] on [jobs] domains, off an atomic cursor,
+   decoding each key as it is claimed: every successor of the k-th state
+   as (tag k ord, key, state), in per-domain buffers bucketed by
+   [owner key] — each sorted by tag.  [out.(d).(o)] holds what domain [d]
+   generated for shard [o].  Expansion stops once [halt ()] says so; the
+   flag reports it. *)
+let expand ~jobs ~owner ~key_of ~succ ~decode ~halt keys =
+  let len = Array.length keys in
   let out = Array.init jobs (fun _ -> Array.init jobs (fun _ -> cands ())) in
   let cursor = Atomic.make 0 and halted = Atomic.make false in
   parallel jobs (fun d ->
@@ -210,7 +221,7 @@ let expand ~jobs ~owner ~key_of ~succ ~halt states =
                 (fun ord (_, st') ->
                   let key = key_of st' in
                   push mine.(owner key) (tag k ord) key st')
-                (succ states.(k))
+                (succ (decode keys.(k)))
           done;
           claim ()
         end
@@ -236,15 +247,15 @@ let first_viol a b =
   | Some (t1, _), Some (t2, _) -> if t1 <= t2 then a else b
 
 (* Dedup one owner's candidates, given as tag-sorted buffers, in
-   sequential discovery order: the fresh ones, and the tag-least fresh
-   violation. *)
-let dedup ~add ~violated bufs =
+   sequential discovery order: the fresh ones, each with its frontier
+   key, and the tag-least fresh violation. *)
+let dedup ~add ~fkey ~violated bufs =
   let fresh = cands () and viol = ref None in
   merge_iter bufs (fun b h ->
       let c = bufs.(b) in
-      let t = c.tags.(h) and st = c.sts.(h) in
-      if add c.keys.(h) then begin
-        push fresh t c.keys.(h) st;
+      let t = c.tags.(h) and key = c.keys.(h) and st = c.sts.(h) in
+      if add key then begin
+        push fresh t (fkey key st) st;
         if !viol = None then
           Option.iter (fun name -> viol := Some (t, name)) (violated st)
       end);
@@ -269,6 +280,7 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
     ?interrupt ?ckpt sys =
   let t0 = Unix.gettimeofday () in
   let key_of, on_fresh, canon_fallbacks = key_fns sys in
+  let fkey = frontier_key sys in
   let jobs = max 1 jobs in
   (* counterexamples are rebuilt from provenance: without the caller's
      table, an internal one (8 bytes per state) *)
@@ -320,7 +332,9 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
         && match o with Limit (L_states | L_memory) -> true | _ -> false
     end
   in
-  (* the level under construction, in id order *)
+  (* the level under construction, in id order, as frontier keys: states
+     are decoded only when expanded, so nothing structured outlives a
+     level *)
   let next = ref [||] and next_len = ref 0 in
   let take () =
     let a = Array.sub !next 0 !next_len in
@@ -349,7 +363,7 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
             }
         end
   in
-  let admit ~parent ~ord ~depth st viol =
+  let admit ~parent ~ord ~depth key st viol =
     if not !finishing then on_fresh st;
     let id = !n_states in
     Option.iter (fun p -> Vstore.Prov.record p ~id ~parent ~ord) prov;
@@ -360,11 +374,11 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
     end;
     incr n_states;
     if !next_len = Array.length !next then begin
-      let a = Array.make (max 1024 (2 * !next_len)) st in
+      let a = Array.make (max 1024 (2 * !next_len)) key in
       Array.blit !next 0 a 0 !next_len;
       next := a
     end;
-    !next.(!next_len) <- st;
+    !next.(!next_len) <- key;
     incr next_len;
     if not !finishing then begin
       let transitions = !trans_before + ord + 1 in
@@ -381,19 +395,19 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
       progress depth
     end
   in
-  let expanded ~base i st n =
+  let expanded ~base i key n =
     trans_before := !trans;
     trans := !trans + n;
     if n = 0 && check_deadlock && not !finishing then begin
       bad_id := base + i;
-      stop ~transitions:!trans (Deadlock st)
+      stop ~transitions:!trans (Deadlock (sys.decode key))
     end
   in
   let stream_level (s : Vstore.t) ~base ~depth frontier =
     let len = Array.length frontier in
     let i = ref 0 in
     while !i < len && not (stopped ()) do
-      let st = frontier.(!i) in
+      let key = frontier.(!i) in
       (* consult the time cap and the interrupt before every expansion
          (the boundary's own poll covers the first) *)
       (if !i > 0 && not !finishing then
@@ -401,13 +415,16 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
          | Some l -> stop ~transitions:!trans (Limit l)
          | None -> ());
       if not (stopped ()) then begin
-        let succs = sys.succ st in
-        expanded ~base !i st (List.length succs);
+        let succs = sys.succ (sys.decode key) in
+        expanded ~base !i key (List.length succs);
         List.iteri
           (fun ord (_, st') ->
-            if (not (stopped ())) && s.Vstore.add (key_of st') then
-              admit ~parent:(base + !i) ~ord ~depth:(depth + 1) st' (fun () ->
-                  violated st'))
+            if not (stopped ()) then begin
+              let key' = key_of st' in
+              if s.Vstore.add key' then
+                admit ~parent:(base + !i) ~ord ~depth:(depth + 1)
+                  (fkey key' st') st' (fun () -> violated st')
+            end)
           succs
       end;
       incr i
@@ -424,7 +441,9 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
             v_final = final;
             v_frontier =
               (fun () ->
-                Array.mapi (fun i st -> (base + i, depth, 0, st)) frontier);
+                Array.mapi
+                  (fun i key -> (base + i, depth, 0, sys.decode key))
+                  frontier);
             v_iter_keys =
               (fun f -> Array.iter (fun s -> s.Vstore.iter_keys f) stores);
           })
@@ -435,7 +454,7 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
      frontier index expanded before its first discovery *)
   let shard_level ~base ~depth frontier =
     let out, halted =
-      expand ~jobs ~owner ~key_of ~succ:sys.succ
+      expand ~jobs ~owner ~key_of ~succ:sys.succ ~decode:sys.decode
         ~halt:(fun () -> poll () <> None)
         frontier
     in
@@ -451,7 +470,7 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
       let viols = Array.make jobs None in
       parallel jobs (fun o ->
           let f, v =
-            dedup ~add:stores.(o).Vstore.add ~violated
+            dedup ~add:stores.(o).Vstore.add ~fkey ~violated
               (Array.map (fun m -> m.(o)) out)
           in
           fresh.(o) <- f;
@@ -474,7 +493,7 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
           expand_upto (t lsr 16);
           if not (stopped ()) then
             admit ~parent:(base + (t lsr 16)) ~ord:(t land 0xffff)
-              ~depth:(depth + 1) c.sts.(h) (fun () ->
+              ~depth:(depth + 1) c.keys.(h) c.sts.(h) (fun () ->
                 if t = vtag then vname else None));
       expand_upto (Array.length frontier - 1)
     end
@@ -512,10 +531,14 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
         d
     in
     max_depth := d0;
-    level ~first:true (Array.map (fun (_, _, _, st) -> st) r.r_frontier) d0
+    level ~first:true
+      (Array.map (fun (_, _, _, st) -> sys.encode st) r.r_frontier)
+      d0
   | _ ->
-    seed (key_of sys.init);
-    admit ~parent:0 ~ord:(-1) ~depth:0 sys.init (fun () -> violated sys.init);
+    let key = key_of sys.init in
+    seed key;
+    admit ~parent:0 ~ord:(-1) ~depth:0 (fkey key sys.init) sys.init (fun () ->
+        violated sys.init);
     level ~first:true (take ()) 0);
   let states, transitions, max_depth =
     if !outcome = None then (!n_states, !trans, !max_depth) else !stop_counts

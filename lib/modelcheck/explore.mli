@@ -27,16 +27,24 @@ type 's canon = {
           reduces less) — surfaced as {!stats.canon_fallbacks} *)
 }
 (** Symmetry-reduction hook.  When present, exploration stores
-    [canon_key st] in the visited set but keeps the {e concrete} state for
-    successor generation, invariant checking and traces — so quotient
-    exploration changes which states count as duplicates, while
-    counterexamples remain concrete, replayable runs (de-canonicalization
-    is free: canonical keys never replace states). *)
+    [canon_key st] in the visited set but keeps the {e concrete} state —
+    as its [encode]d key in the frontier — for successor generation,
+    invariant checking and traces — so quotient exploration changes
+    which states count as duplicates, while counterexamples remain
+    concrete, replayable runs (de-canonicalization is free: canonical
+    keys never replace states). *)
 
 type ('s, 'l) system = {
   init : 's;
   succ : 's -> ('l * 's) list;
   encode : 's -> string;  (** injective encoding for visited-state hashing *)
+  decode : string -> 's;
+      (** the inverse of [encode]: [decode (encode st)] must be a state
+          equal to [st] — same successors, in the same order, same
+          invariant verdicts, same printing.  The BFS frontier holds
+          each discovered state as its key and decodes it when expanding
+          it (and when a checkpoint or a deadlock report needs it), so
+          no structured state outlives its level *)
   canon : 's canon option;
       (** optional symmetry reduction; [None] = explore the full space *)
 }
@@ -109,8 +117,9 @@ type 's ckpt_view = {
       (** the driver is stopping at a cap or interrupt: last chance to
           persist *)
   v_frontier : unit -> (int * int * int * 's) array;
-      (** materialize the unexpanded frontier (thunked: costs nothing
-          when the policy declines the boundary) *)
+      (** materialize the unexpanded frontier, decoding its keys
+          (thunked: costs nothing when the policy declines the
+          boundary) *)
   v_iter_keys : (string -> unit) -> unit;
       (** visit every visited-set key {e at this boundary} *)
 }
@@ -119,6 +128,7 @@ type 's ckpt_resume = {
   r_states : int;
   r_transitions : int;
   r_frontier : (int * int * int * 's) array;
+      (** re-encoded to frontier keys on resume *)
   r_keys : (string -> unit) -> unit;
 }
 
@@ -171,8 +181,15 @@ val run :
     approximate, with per-shard collision patterns).  [mem_bytes] and
     [raw_bytes] sum the shards.
 
-    Requirement beyond one shard: [succ], [encode], [canon_key] and the
-    invariants must be safe to call concurrently from several domains
+    The frontier of a level holds keys, not states: without [canon] the
+    very strings the visited store holds, with it each fresh state's
+    [encode]d key (computed once per fresh state); a key is decoded just
+    before its expansion.  Candidate states live only within the level
+    that generated them.
+
+    Requirement beyond one shard: [succ], [encode], [decode],
+    [canon_key] and the invariants must be safe to call concurrently
+    from several domains
     (true of all systems in this repository: they only read the
     compiled program).
 

@@ -433,3 +433,20 @@ let pp ppf snap =
   List.iter (fun (n, v) -> Fmt.pf ppf "%-32s %d@," n v) snap.counters;
   List.iter (fun (n, v) -> Fmt.pf ppf "%-32s %.6g@," n v) snap.gauges;
   List.iter (fun (n, h) -> Fmt.pf ppf "%-32s %a@," n pp_hist h) snap.hists
+
+(* ---- process gauges ------------------------------------------------------ *)
+
+let peak_rss_mb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> 0.
+  | status ->
+    String.split_on_char '\n' status
+    |> List.find_map (fun line ->
+           match String.split_on_char ':' line with
+           | [ "VmHWM"; v ] -> (
+             match String.split_on_char ' ' (String.trim v) with
+             | kb :: _ ->
+               Option.map (fun k -> k /. 1024.) (float_of_string_opt kb)
+             | [] -> None)
+           | _ -> None)
+    |> Option.value ~default:0.

@@ -77,3 +77,9 @@ val pp : snapshot Fmt.t
 (** Human-readable table, one metric per line. *)
 
 val pp_hist : hist_snapshot Fmt.t
+
+(** {2 Process gauges} *)
+
+val peak_rss_mb : unit -> float
+(** The process's peak resident set so far (VmHWM in
+    [/proc/self/status]), in MB; 0 where that file is unavailable. *)

@@ -688,62 +688,240 @@ let messages_in_flight st =
    several domains at once. *)
 let scratch = Domain.DLS.new_key (fun () -> Buffer.create 128)
 
+(* Closure-free, like [Value.encode]: one [encode] per transition. *)
+let enc_env buf e =
+  for i = 0 to Array.length e - 1 do
+    Value.encode buf (Array.unsafe_get e i)
+  done
+
+let enc_repl buf repl =
+  Value.encode_int buf (String.length repl);
+  Buffer.add_string buf repl
+
+let rec enc_h_buf buf = function
+  | [] -> ()
+  | (i, m) :: rest ->
+    Value.encode_int buf i;
+    Wire.encode buf (Wire.Req m);
+    enc_h_buf buf rest
+
+let rec enc_wires buf = function
+  | [] -> ()
+  | w :: rest ->
+    Wire.encode buf w;
+    enc_wires buf rest
+
+let enc_remote buf r =
+  Value.encode_int buf r.r_ctl;
+  enc_env buf r.r_env;
+  (match r.r_mode with
+  | Rcomm -> Value.encode_int buf 0
+  | Rtrans { guard; scratch } ->
+    Value.encode_int buf 1;
+    Value.encode_int buf guard;
+    enc_env buf scratch
+  | Rwait { guard; scratch; repl } ->
+    Value.encode_int buf 2;
+    Value.encode_int buf guard;
+    enc_repl buf repl;
+    enc_env buf scratch);
+  match r.r_buf with
+  | None -> Value.encode_int buf 0
+  | Some m ->
+    Value.encode_int buf 1;
+    Wire.encode buf (Wire.Req m)
+
+let enc_channels buf chans =
+  for i = 0 to Array.length chans - 1 do
+    let q = Array.unsafe_get chans i in
+    Value.encode_int buf (List.length q);
+    enc_wires buf q
+  done
+
 let encode (st : state) =
   let buf = Domain.DLS.get scratch in
   Buffer.clear buf;
-  let int = Value.encode_int buf in
-  let env e = Array.iter (Value.encode buf) e in
-  let wire_msg (m : Wire.msg) = Wire.encode buf (Wire.Req m) in
-  int st.h.h_ctl;
-  int st.h.h_rot;
-  env st.h.h_env;
-  (match st.h.h_mode with
-  | Hcomm -> int 0
+  let h = st.h in
+  Value.encode_int buf h.h_ctl;
+  Value.encode_int buf h.h_rot;
+  enc_env buf h.h_env;
+  (match h.h_mode with
+  | Hcomm -> Value.encode_int buf 0
   | Htrans { guard; peer; scratch; await } ->
     (match await with
-    | `Ack -> int 1
+    | `Ack -> Value.encode_int buf 1
     | `Repl repl ->
-      int 2;
-      int (String.length repl);
-      Buffer.add_string buf repl);
-    int guard;
-    int peer;
-    env scratch);
-  int (List.length st.h.h_buf);
-  List.iter
-    (fun (i, m) ->
-      int i;
-      wire_msg m)
-    st.h.h_buf;
-  Array.iter
-    (fun r ->
-      int r.r_ctl;
-      env r.r_env;
-      (match r.r_mode with
-      | Rcomm -> int 0
-      | Rtrans { guard; scratch } ->
-        int 1;
-        int guard;
-        env scratch
-      | Rwait { guard; scratch; repl } ->
-        int 2;
-        int guard;
-        int (String.length repl);
-        Buffer.add_string buf repl;
-        env scratch);
-      match r.r_buf with
-      | None -> int 0
-      | Some m ->
-        int 1;
-        wire_msg m)
-    st.r;
-  let channel q =
-    int (List.length q);
-    List.iter (Wire.encode buf) q
-  in
-  Array.iter channel st.to_h;
-  Array.iter channel st.to_r;
+      Value.encode_int buf 2;
+      enc_repl buf repl);
+    Value.encode_int buf guard;
+    Value.encode_int buf peer;
+    enc_env buf scratch);
+  Value.encode_int buf (List.length h.h_buf);
+  enc_h_buf buf h.h_buf;
+  for i = 0 to Array.length st.r - 1 do
+    enc_remote buf (Array.unsafe_get st.r i)
+  done;
+  enc_channels buf st.to_h;
+  enc_channels buf st.to_r;
   Buffer.contents buf
+
+(* The inverse of [encode]: the frontier of the model checker holds keys
+   and decodes each one as it is expanded.  Must mirror the [encode] layout
+   field for field; array lengths come from the program, as in
+   [split_key]. *)
+let dec_env c (proc : Prog.proc) =
+  Value.decode_values c (Array.length proc.p_init_env)
+
+let dec_index c bound what =
+  let p = c.Value.pos in
+  let i = Value.decode_int c in
+  if i < 0 || i >= bound then
+    Value.refuse c p (Printf.sprintf "%s %d out of range" what i);
+  i
+
+let dec_ctl c (proc : Prog.proc) =
+  dec_index c (Array.length proc.p_states) "control state"
+
+let dec_repl c = Value.decode_string c (Value.decode_count c)
+
+let dec_req c =
+  let p = c.Value.pos in
+  match Wire.decode c with
+  | Wire.Req m -> m
+  | Wire.Ack | Wire.Nack -> Value.refuse c p "expected a request"
+
+let rec dec_h_buf c n k =
+  if k = 0 then []
+  else
+    let i = dec_index c n "sender" in
+    let m = dec_req c in
+    (i, m) :: dec_h_buf c n (k - 1)
+
+let rec dec_channel c k =
+  if k = 0 then []
+  else
+    let w = Wire.decode c in
+    w :: dec_channel c (k - 1)
+
+let dec_home c (prog : Prog.t) =
+  let h_ctl = dec_ctl c prog.home in
+  let h_rot = Value.decode_int c in
+  let h_env = dec_env c prog.home in
+  let p = c.Value.pos in
+  let h_mode =
+    match Value.decode_int c with
+    | 0 -> Hcomm
+    | (1 | 2) as tag ->
+      let await = if tag = 1 then `Ack else `Repl (dec_repl c) in
+      let guard = Value.decode_int c in
+      let peer = dec_index c prog.n "peer" in
+      let scratch = dec_env c prog.home in
+      Htrans { guard; peer; scratch; await }
+    | t -> Value.refuse c p (Printf.sprintf "bad home mode %d" t)
+  in
+  let h_buf = dec_h_buf c prog.n (Value.decode_count c) in
+  { h_ctl; h_env; h_mode; h_rot; h_buf }
+
+let dec_remote c (prog : Prog.t) =
+  let r_ctl = dec_ctl c prog.remote in
+  let r_env = dec_env c prog.remote in
+  let p = c.Value.pos in
+  let r_mode =
+    match Value.decode_int c with
+    | 0 -> Rcomm
+    | 1 ->
+      let guard = Value.decode_int c in
+      Rtrans { guard; scratch = dec_env c prog.remote }
+    | 2 ->
+      let guard = Value.decode_int c in
+      let repl = dec_repl c in
+      Rwait { guard; scratch = dec_env c prog.remote; repl }
+    | t -> Value.refuse c p (Printf.sprintf "bad remote mode %d" t)
+  in
+  let p = c.Value.pos in
+  let r_buf =
+    match Value.decode_int c with
+    | 0 -> None
+    | 1 -> Some (dec_req c)
+    | t -> Value.refuse c p (Printf.sprintf "bad remote buffer tag %d" t)
+  in
+  { r_ctl; r_env; r_mode; r_buf }
+
+let dec_channels c n =
+  let a = Array.make n [] in
+  for i = 0 to n - 1 do
+    a.(i) <- dec_channel c (Value.decode_count c)
+  done;
+  a
+
+(* The fields of [encode]'s layout, from the cursor on; [decode] also
+   requires the key to end there, the fault-injected decoder reads on. *)
+let decode_from (prog : Prog.t) c =
+  let h = dec_home c prog in
+  let r =
+    if prog.n = 0 then [||]
+    else begin
+      let r = Array.make prog.n (dec_remote c prog) in
+      for i = 1 to prog.n - 1 do
+        r.(i) <- dec_remote c prog
+      done;
+      r
+    end
+  in
+  let to_h = dec_channels c prog.n in
+  let to_r = dec_channels c prog.n in
+  { h; r; to_h; to_r }
+
+let decode (prog : Prog.t) key =
+  let c = Value.cursor ~who:"Async.decode" key in
+  let st = decode_from prog c in
+  Value.decode_end c;
+  st
+
+let enc_env_perm buf p e =
+  for i = 0 to Array.length e - 1 do
+    Value.encode_perm buf p (Array.unsafe_get e i)
+  done
+
+let rec enc_h_buf_perm buf p = function
+  | [] -> ()
+  | (i, m) :: rest ->
+    Value.encode_int buf p.(i);
+    Wire.encode_perm buf p (Wire.Req m);
+    enc_h_buf_perm buf p rest
+
+let rec enc_wires_perm buf p = function
+  | [] -> ()
+  | w :: rest ->
+    Wire.encode_perm buf p w;
+    enc_wires_perm buf p rest
+
+let enc_remote_perm buf p r =
+  Value.encode_int buf r.r_ctl;
+  enc_env_perm buf p r.r_env;
+  (match r.r_mode with
+  | Rcomm -> Value.encode_int buf 0
+  | Rtrans { guard; scratch = sc } ->
+    Value.encode_int buf 1;
+    Value.encode_int buf guard;
+    enc_env_perm buf p sc
+  | Rwait { guard; scratch = sc; repl } ->
+    Value.encode_int buf 2;
+    Value.encode_int buf guard;
+    enc_repl buf repl;
+    enc_env_perm buf p sc);
+  match r.r_buf with
+  | None -> Value.encode_int buf 0
+  | Some m ->
+    Value.encode_int buf 1;
+    Wire.encode_perm buf p (Wire.Req m)
+
+let enc_channels_perm buf p inv chans =
+  for j = 0 to Array.length chans - 1 do
+    let q = chans.(inv.(j)) in
+    Value.encode_int buf (List.length q);
+    enc_wires_perm buf p q
+  done
 
 (* Byte-identical to [encode (Symmetry.permute_async p st)]: remote slot
    [j] of the permuted state is [st]'s slot [inv.(j)] (likewise for both
@@ -753,63 +931,28 @@ let encode (st : state) =
 let encode_perm ~p ~inv (st : state) =
   let buf = Domain.DLS.get scratch in
   Buffer.clear buf;
-  let int = Value.encode_int buf in
-  let env e = Array.iter (Value.encode_perm buf p) e in
-  let wire_msg (m : Wire.msg) = Wire.encode_perm buf p (Wire.Req m) in
-  let n = Array.length st.r in
-  int st.h.h_ctl;
-  int st.h.h_rot;
-  env st.h.h_env;
-  (match st.h.h_mode with
-  | Hcomm -> int 0
+  let h = st.h in
+  Value.encode_int buf h.h_ctl;
+  Value.encode_int buf h.h_rot;
+  enc_env_perm buf p h.h_env;
+  (match h.h_mode with
+  | Hcomm -> Value.encode_int buf 0
   | Htrans { guard; peer; scratch = sc; await } ->
     (match await with
-    | `Ack -> int 1
+    | `Ack -> Value.encode_int buf 1
     | `Repl repl ->
-      int 2;
-      int (String.length repl);
-      Buffer.add_string buf repl);
-    int guard;
-    int p.(peer);
-    env sc);
-  int (List.length st.h.h_buf);
-  List.iter
-    (fun (i, m) ->
-      int p.(i);
-      wire_msg m)
-    st.h.h_buf;
-  for j = 0 to n - 1 do
-    let r = st.r.(inv.(j)) in
-    int r.r_ctl;
-    env r.r_env;
-    (match r.r_mode with
-    | Rcomm -> int 0
-    | Rtrans { guard; scratch = sc } ->
-      int 1;
-      int guard;
-      env sc
-    | Rwait { guard; scratch = sc; repl } ->
-      int 2;
-      int guard;
-      int (String.length repl);
-      Buffer.add_string buf repl;
-      env sc);
-    match r.r_buf with
-    | None -> int 0
-    | Some m ->
-      int 1;
-      wire_msg m
+      Value.encode_int buf 2;
+      enc_repl buf repl);
+    Value.encode_int buf guard;
+    Value.encode_int buf p.(peer);
+    enc_env_perm buf p sc);
+  Value.encode_int buf (List.length h.h_buf);
+  enc_h_buf_perm buf p h.h_buf;
+  for j = 0 to Array.length st.r - 1 do
+    enc_remote_perm buf p st.r.(inv.(j))
   done;
-  let channel q =
-    int (List.length q);
-    List.iter (Wire.encode_perm buf p) q
-  in
-  for j = 0 to n - 1 do
-    channel st.to_h.(inv.(j))
-  done;
-  for j = 0 to n - 1 do
-    channel st.to_r.(inv.(j))
-  done;
+  enc_channels_perm buf p inv st.to_h;
+  enc_channels_perm buf p inv st.to_r;
   Buffer.contents buf
 
 (* Cut an [encode]d key into per-component substrings for the collapse

@@ -133,6 +133,20 @@ val successors : ?meter:meter -> Prog.t -> config -> state -> (label * state) li
 
 val encode : state -> string
 
+val decode : Prog.t -> string -> state
+(** The inverse of {!encode} for the program's states:
+    [decode prog (encode st) = st], and a key that decodes at all
+    decodes to the state that {!encode}s back to it.  The model checker
+    keeps its BFS frontier as keys and decodes each one when expanding
+    it.
+    @raise Invalid_argument naming [Async.decode] and the byte offset on
+    a truncated, garbage or trailing-byte key. *)
+
+val decode_from : Prog.t -> Value.cursor -> state
+(** {!decode}'s reader from the cursor on, leaving the cursor just past
+    the state's bytes (for encodings that embed an {!encode}d state, as
+    {!Ccr_faults.Injected.encode} does). *)
+
 val encode_perm : p:int array -> inv:int array -> state -> string
 (** [encode_perm ~p ~inv st] is byte-identical to [encode] of [st] with
     remotes permuted by [p] ([inv] is [p]'s inverse): slot arrays and both

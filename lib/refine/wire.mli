@@ -20,6 +20,10 @@ val encode_perm : Buffer.t -> int array -> t -> unit
 (** [encode_perm buf p m] writes exactly the bytes [encode] would write
     for [m] with every remote id [r] in its payload renamed to [p.(r)]. *)
 
+val decode : Value.cursor -> t
+(** Read an {!encode}d message at the cursor (see {!Value.decode}).
+    @raise Invalid_argument on a truncated or malformed message. *)
+
 val skip : string -> int -> int
 (** Position just past the {!encode}d message at [pos] in [s]; used when
     re-parsing encoded state keys for collapse compression.

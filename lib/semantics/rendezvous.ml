@@ -159,6 +159,29 @@ let encode (st : state) =
   Array.iter pstate st.r;
   Buffer.contents buf
 
+(* The inverse of [encode], field for field; env lengths come from the
+   program, as in [split_key]. *)
+let dec_pstate c (proc : Prog.proc) =
+  let p = c.Value.pos in
+  let ctl = Value.decode_int c in
+  if ctl < 0 || ctl >= Array.length proc.p_states then
+    Value.refuse c p (Printf.sprintf "control state %d out of range" ctl);
+  { ctl; env = Value.decode_values c (Array.length proc.p_init_env) }
+
+let decode_from (prog : Prog.t) c =
+  let h = dec_pstate c prog.home in
+  let r = Array.make prog.n h in
+  for i = 0 to prog.n - 1 do
+    r.(i) <- dec_pstate c prog.remote
+  done;
+  { h; r }
+
+let decode (prog : Prog.t) key =
+  let c = Value.cursor ~who:"Rendezvous.decode" key in
+  let st = decode_from prog c in
+  Value.decode_end c;
+  st
+
 (* Byte-identical to [encode (st with remotes permuted by p)]: slot [j] of
    the permuted state is slot [inv.(j)] of [st], and every rid-valued datum
    is renamed through [p].  Used by fast canonicalization to score a

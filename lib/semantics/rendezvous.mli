@@ -31,6 +31,17 @@ val successors : Prog.t -> state -> (label * state) list
 val encode : state -> string
 (** Injective byte encoding, for visited-state hashing. *)
 
+val decode : Prog.t -> string -> state
+(** The inverse of {!encode} for the program's states:
+    [decode prog (encode st) = st], and a key that decodes at all
+    decodes to the state that {!encode}s back to it.
+    @raise Invalid_argument naming [Rendezvous.decode] and the byte
+    offset on a truncated, garbage or trailing-byte key. *)
+
+val decode_from : Prog.t -> Value.cursor -> state
+(** {!decode}'s reader from the cursor on, leaving the cursor just past
+    the state's bytes. *)
+
 val encode_perm : p:int array -> inv:int array -> state -> string
 (** [encode_perm ~p ~inv st] is byte-identical to [encode] applied to [st]
     with the remotes permuted by [p] ([inv] is [p]'s inverse: slot [j] of

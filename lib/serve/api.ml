@@ -340,6 +340,7 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
                   init = Injected.rv_initial spec prog;
                   succ = Injected.rv_successors prog;
                   encode = Injected.rv_encode;
+                  decode = Injected.rv_decode prog;
                   canon = None;
                 }
           in
@@ -363,6 +364,7 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
               init = Injected.initial spec prog acfg;
               succ = Injected.successors mode spec prog acfg;
               encode = Injected.encode;
+              decode = Injected.decode prog;
               canon = None;
             }
         in
@@ -481,6 +483,7 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
                 init = Ccr_semantics.Rendezvous.initial prog;
                 succ = Ccr_semantics.Rendezvous.successors prog;
                 encode = Ccr_semantics.Rendezvous.encode;
+                decode = Ccr_semantics.Rendezvous.decode prog;
                 canon = rv_canon ();
               }
         in
@@ -511,6 +514,7 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
                 init = Async.initial prog acfg;
                 succ;
                 encode = Async.encode;
+                decode = Async.decode prog;
                 canon = async_canon ();
               }
         in

@@ -120,6 +120,81 @@ let cli_manifest (e : Registry.t) cfg extra =
   ]
   @ extra
 
+(* The payload of section [name] of a checkpoint file: a header line,
+   then per section a ["name length crc"] line, the payload and a
+   newline. *)
+let section file name =
+  let rec go pos =
+    let eol = String.index_from file pos '\n' in
+    match String.split_on_char ' ' (String.sub file pos (eol - pos)) with
+    | [ n; len; _ ] ->
+      let len = int_of_string len in
+      if n = name then String.sub file (eol + 1) len else go (eol + len + 2)
+    | _ -> Alcotest.failf "no %s section" name
+  in
+  go (String.index file '\n' + 1)
+
+(* invalidate async n=3 under symmetry, the CLI default: uninterrupted,
+   9263 states and 27191 transitions *)
+let inv3 = { Api.default with Api.spec = Api.Named "invalidate"; n = 3 }
+
+let check_inv3 explorer =
+  let e = Result.get_ok (Api.resolve inv3.Api.spec) in
+  match Api.check_entry ~explorer e inv3 with
+  | Ok (v, _) -> v
+  | Error msg -> Alcotest.failf "check refused: %s" msg
+
+(* The level-[depth] boundary of [sys], written the way engines that kept
+   structured frontiers wrote it: the frontier holds the concrete states
+   [succ] produced, marshalled as they are, never a decoded key. *)
+let save_structured ~dir ~depth (sys : (_, _) Explore.system) =
+  let key =
+    match sys.Explore.canon with
+    | None -> sys.Explore.encode
+    | Some c -> c.Explore.canon_key
+  in
+  let seen = Hashtbl.create 4096 and keys = ref [] in
+  let fresh st =
+    let k = key st in
+    (not (Hashtbl.mem seen k))
+    && begin
+         Hashtbl.add seen k ();
+         keys := k :: !keys;
+         true
+       end
+  in
+  ignore (fresh sys.Explore.init);
+  let transitions = ref 0 in
+  let rec level d frontier =
+    if d = depth then frontier
+    else
+      level (d + 1)
+        (List.concat_map
+           (fun st ->
+             let succs = sys.Explore.succ st in
+             transitions := !transitions + List.length succs;
+             List.filter_map
+               (fun (_, st') -> if fresh st' then Some st' else None)
+               succs)
+           frontier)
+  in
+  let frontier = Array.of_list (level 0 [ sys.Explore.init ]) in
+  let states = Hashtbl.length seen in
+  let base = states - Array.length frontier in
+  ignore
+    (Ckpt.save ~dir ~manifest ~prov:None
+       Explore.
+         {
+           v_states = states;
+           v_transitions = !transitions;
+           v_depth = depth;
+           v_final = false;
+           v_frontier =
+             (fun () ->
+               Array.mapi (fun i st -> (base + i, depth, 0, st)) frontier);
+           v_iter_keys = (fun f -> List.iter f (List.rev !keys));
+         })
+
 let tests =
   [
     case "a mid-level checkpoint of an older version is refused at load"
@@ -386,6 +461,60 @@ let tests =
             checki (Fmt.str "j=%d: states" jobs) 9263 v.Api.v_states;
             checki (Fmt.str "j=%d: transitions" jobs) 27191 v.Api.v_transitions)
           [ 1; 2 ]);
+    case "a checkpoint with a structured frontier resumes at j=1 and j=2"
+      (fun () ->
+        in_dir @@ fun dir ->
+        ignore
+          (check_inv3
+             {
+               Api.explore =
+                 (fun ~check_deadlock ~split:_ ~invariants sys ->
+                   save_structured ~dir ~depth:8 sys;
+                   Explore.run ~max_states:1 ~check_deadlock ~invariants sys);
+             });
+        checki "boundary depth" 8 (load_ok dir).Ckpt.l_depth;
+        List.iter
+          (fun jobs ->
+            let v =
+              check_inv3
+                {
+                  Api.explore =
+                    (fun ~check_deadlock ~split:_ ~invariants sys ->
+                      Explore.run ~jobs ~check_deadlock ~invariants
+                        ~ckpt:(resume_of (load_ok dir))
+                        sys);
+                }
+            in
+            checks (Fmt.str "j=%d: outcome" jobs) "complete" v.Api.v_outcome;
+            checki (Fmt.str "j=%d: states" jobs) 9263 v.Api.v_states;
+            checki (Fmt.str "j=%d: transitions" jobs) 27191 v.Api.v_transitions)
+          [ 1; 2 ]);
+    case "checkpoint frontiers are byte-identical at j=1 and j=2" (fun () ->
+        (* the visited section lists each shard's keys in turn, so only
+           its key set is shard-independent *)
+        let written jobs =
+          in_dir @@ fun dir ->
+          ignore
+            (check_inv3
+               {
+                 Api.explore =
+                   (fun ~check_deadlock ~split:_ ~invariants sys ->
+                     Explore.run ~jobs ~max_states:4000 ~check_deadlock
+                       ~invariants ~ckpt:(ckpt_to dir) sys);
+               });
+          let file =
+            In_channel.with_open_bin (Ckpt.file dir) In_channel.input_all
+          in
+          let keys = ref [] in
+          (load_ok dir).Ckpt.l_keys (fun k -> keys := k :: !keys);
+          ( section file "manifest",
+            section file "frontier",
+            List.sort compare !keys )
+        in
+        let m1, f1, k1 = written 1 and m2, f2, k2 = written 2 in
+        checks "manifest" m1 m2;
+        checkb "frontier bytes" true (String.equal f1 f2);
+        checkb "visited keys" true (k1 = k2));
   ]
 
 let suite = ("ckpt", tests)

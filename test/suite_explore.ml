@@ -13,6 +13,7 @@ let counter_system ~limit =
           if s >= limit then []
           else [ ("inc", s + 1); ("double", min limit (2 * s + 1)) ]);
       encode = string_of_int;
+      decode = int_of_string;
       canon = None;
     }
 
@@ -24,6 +25,7 @@ let bits_system k =
       succ =
         (fun s -> List.init k (fun i -> (Fmt.str "flip%d" i, s lxor (1 lsl i))));
       encode = string_of_int;
+      decode = int_of_string;
       canon = None;
     }
 
@@ -46,6 +48,7 @@ let tests =
               init = 0;
               succ = (fun s -> if s >= 17 then [] else [ ("n", s + 1) ]);
               encode = string_of_int;
+              decode = int_of_string;
               canon = None;
             }
         in
@@ -278,6 +281,7 @@ let tests =
                   ignore (Unix.select [] [] [] 0.02);
                   [ ("n", s + 1) ]);
               encode = string_of_int;
+              decode = int_of_string;
               canon = None;
             }
         in
@@ -298,6 +302,7 @@ let tests =
                   ignore (Sys.opaque_identity (List.init 2000 Fun.id));
                   [ ("n", (s + 1) mod 1000000); ("m", (s + 7) mod 1000000) ]);
               encode = string_of_int;
+              decode = int_of_string;
               canon = None;
             }
         in

@@ -18,6 +18,7 @@ let injected_system mode sp prog cfg =
       init = Injected.initial sp prog cfg;
       succ = Injected.successors mode sp prog cfg;
       encode = Injected.encode;
+      decode = Injected.decode prog;
       canon = None;
     }
 
@@ -160,6 +161,7 @@ let tests =
                 init;
                 succ = Injected.rv_successors prog;
                 encode = Injected.rv_encode;
+                decode = Injected.rv_decode prog;
                 canon = None;
               }
         in

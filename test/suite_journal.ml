@@ -21,6 +21,7 @@ let counter_system ~limit =
           if s >= limit then []
           else [ ("inc", s + 1); ("double", min limit (2 * s + 1)) ]);
       encode = string_of_int;
+      decode = int_of_string;
       canon = None;
     }
 
@@ -155,6 +156,7 @@ let registry_violation_cases jobs_list =
             init = Async.initial prog cfg;
             succ = Async.successors prog cfg;
             encode = Async.encode;
+            decode = Async.decode prog;
             canon = None;
           }
       in
@@ -251,6 +253,7 @@ let engine_tests =
                   else if s = 3 then []
                   else [ ("c", s + 10) ]);
               encode = string_of_int;
+              decode = int_of_string;
               canon = None;
             }
         in

@@ -53,6 +53,7 @@ let metered_async_system reg prog =
       init = Async.initial prog cfg;
       succ = Async.successors ~meter prog cfg;
       encode = Async.encode;
+      decode = Async.decode prog;
       canon = None;
     }
 
@@ -149,6 +150,11 @@ let tests =
         checki "one counter, two increments" 2
           (counter_total (M.snapshot reg) "x");
         checki "one entry" 1 (List.length (M.snapshot reg).M.counters));
+    case "peak_rss_mb reads the process's VmHWM" (fun () ->
+        let mb = M.peak_rss_mb () in
+        if Sys.file_exists "/proc/self/status" then
+          checkb "positive where /proc exists" true (mb > 0.)
+        else checkb "0 without /proc" true (mb = 0.));
     case "reset zeroes every shard" (fun () ->
         let reg = M.create () in
         let c = M.counter reg "c" and h = M.histogram reg "h" in

@@ -91,6 +91,7 @@ let pin_rows () =
         init = Injected.initial sp prog cfg;
         succ = Injected.successors Injected.Vanilla sp prog cfg;
         encode = Injected.encode;
+        decode = Injected.decode prog;
         canon = None;
       }
   in
@@ -274,6 +275,7 @@ let tests =
                   ignore (Sys.opaque_identity (List.init 2000 Fun.id));
                   [ ("n", (s + 1) mod 1000000); ("m", (s + 7) mod 1000000) ]);
               encode = string_of_int;
+              decode = int_of_string;
               canon = None;
             }
         in

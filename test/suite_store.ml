@@ -106,6 +106,104 @@ let check_stores_equal name prog sys =
         [ 2; 4 ])
     (stores_for prog)
 
+(* ---- key codecs ---------------------------------------------------------- *)
+
+(* Up to [cap] reachable states of [sys], in BFS order. *)
+let reachable_states ?(cap = 20_000) sys =
+  let seen = Hashtbl.create 1024 and out = ref [] and count = ref 0 in
+  let q = Queue.create () in
+  let visit st =
+    let k = sys.Explore.encode st in
+    if !count < cap && not (Hashtbl.mem seen k) then begin
+      Hashtbl.add seen k ();
+      incr count;
+      out := st :: !out;
+      Queue.add st q
+    end
+  in
+  visit sys.Explore.init;
+  while not (Queue.is_empty q) do
+    List.iter (fun (_, st) -> visit st) (sys.Explore.succ (Queue.pop q))
+  done;
+  List.rev !out
+
+(* [decode] on a key nobody encoded either refuses it with an
+   [Invalid_argument] naming [who] and a byte offset, or returns the state
+   that encodes back to exactly that key — never another exception. *)
+let refuses_or_inverts what who sys key =
+  match sys.Explore.decode key with
+  | st ->
+    if sys.Explore.encode st <> key then
+      Alcotest.failf "%s: %S decodes to a state encoding otherwise" what key;
+    false
+  | exception Invalid_argument msg ->
+    if
+      not
+        (contains_sub ~sub:(who ^ ": ") msg
+        && contains_sub ~sub:" at byte " msg)
+    then Alcotest.failf "%s: refusal %S does not name %s and a byte offset"
+        what msg who;
+    true
+
+(* The codec contract on every reachable state of [sys] (up to the cap):
+   [encode (decode (encode s)) = encode s] and [decode (encode s) = s];
+   and on a sample of keys, every strict prefix is refused (when
+   [prefixes_refused]: the layout has no open-ended tail) and every
+   single-byte corruption is refused or decodes to its own key. *)
+let check_codec ?(prefixes_refused = true) what who sys =
+  let states = reachable_states sys in
+  checkb (what ^ ": states collected") true (states <> []);
+  List.iteri
+    (fun i st ->
+      let key = sys.Explore.encode st in
+      let st' = sys.Explore.decode key in
+      if sys.Explore.encode st' <> key then
+        Alcotest.failf "%s: encode (decode k) <> k for %S" what key;
+      if st' <> st then
+        Alcotest.failf "%s: decode (encode s) <> s for %S" what key;
+      if i mod 97 = 0 then begin
+        for len = 0 to String.length key - 1 do
+          let refused =
+            refuses_or_inverts (what ^ " prefix") who sys (String.sub key 0 len)
+          in
+          if prefixes_refused && not refused then
+            Alcotest.failf "%s: a %d-byte prefix of a %d-byte key decoded"
+              what len (String.length key)
+        done;
+        String.iteri
+          (fun j c ->
+            List.iter
+              (fun mask ->
+                let b = Bytes.of_string key in
+                Bytes.set b j (Char.chr (Char.code c lxor mask));
+                ignore
+                  (refuses_or_inverts (what ^ " corruption") who sys
+                     (Bytes.to_string b)))
+              [ 0x01; 0x80; 0xff ])
+          key;
+        ignore
+          (refuses_or_inverts (what ^ " trailing byte") who sys (key ^ "\000"))
+      end)
+    states
+
+let registry_progs n =
+  List.map
+    (fun (e : Registry.t) -> (e, e.Registry.instantiate ~reqrep:true ~n))
+    Registry.all
+
+let drop1_dup1 = { Fault.none with Fault.drop = 1; dup = 1 }
+
+let injected_system mode prog =
+  let cfg = Async.{ k = 2 } in
+  Explore.
+    {
+      init = Injected.initial drop1_dup1 prog cfg;
+      succ = Injected.successors mode drop1_dup1 prog cfg;
+      encode = Injected.encode;
+      decode = Injected.decode prog;
+      canon = None;
+    }
+
 (* ---- the tests ---------------------------------------------------------- *)
 
 let tests =
@@ -176,6 +274,7 @@ let tests =
               init = Injected.initial budget prog cfg;
               succ = Injected.successors Injected.Hardened budget prog cfg;
               encode = Injected.encode;
+              decode = Injected.decode prog;
               canon = None;
             }
         in
@@ -184,6 +283,90 @@ let tests =
           (Injected.split_key prog)
           ~arity:(1 + (3 * 2) + 1)
           keys);
+    case "codec: async and rendezvous keys round-trip, every protocol, n=2,3"
+      (fun () ->
+        List.iter
+          (fun n ->
+            List.iter
+              (fun ((e : Registry.t), prog) ->
+                let what = Fmt.str "%s n=%d" e.Registry.name n in
+                check_codec (what ^ " async") "Async.decode"
+                  (async_system prog);
+                if e.Registry.system <> None then
+                  check_codec (what ^ " rv") "Rendezvous.decode"
+                    (rv_system prog))
+              (registry_progs n))
+          [ 2; 3 ]);
+    case "codec: fault-injected keys round-trip (drop=1,dup=1; pause=1)"
+      (fun () ->
+        List.iter
+          (fun ((e : Registry.t), prog) ->
+            let what = e.Registry.name ^ " n=2" in
+            (* a wedged state's key ends in its open-ended message, so a
+               prefix of it may be another wedged state's key *)
+            check_codec ~prefixes_refused:false (what ^ " vanilla")
+              "Injected.decode"
+              (injected_system Injected.Vanilla prog);
+            check_codec ~prefixes_refused:false (what ^ " hardened")
+              "Injected.decode"
+              (injected_system Injected.Hardened prog);
+            if e.Registry.system <> None then begin
+              let pause1 = { Fault.none with Fault.pause = 1 } in
+              check_codec (what ^ " rv pause=1") "Injected.rv_decode"
+                Explore.
+                  {
+                    init = Injected.rv_initial pause1 prog;
+                    succ = Injected.rv_successors prog;
+                    encode = Injected.rv_encode;
+                    decode = Injected.rv_decode prog;
+                    canon = None;
+                  }
+            end)
+          (registry_progs 2));
+    case "codec: canonical keys decode to their orbit representative"
+      (fun () ->
+        let prog = compile ~n:3 (Ccr_protocols.Migratory.system ()) in
+        let sys = async_system prog in
+        List.iter
+          (fun st ->
+            let ck = Sym.canonical_async prog st in
+            if Async.encode (Async.decode prog ck) <> ck then
+              Alcotest.failf "canonical key %S does not round-trip" ck)
+          (reachable_states ~cap:2_000 sys));
+    qcase ~count:500
+      ~print:QCheck2.Print.string
+      "codec: garbage keys are refused or decode to themselves"
+      QCheck2.Gen.(string_size ~gen:char (int_range 0 64))
+      (fun key ->
+        let prog = compile ~n:2 (Ccr_protocols.Migratory.system ()) in
+        ignore
+          (refuses_or_inverts "garbage" "Async.decode" (async_system prog) key);
+        ignore
+          (refuses_or_inverts "garbage" "Rendezvous.decode" (rv_system prog)
+             key);
+        ignore
+          (refuses_or_inverts "garbage" "Injected.decode"
+             (injected_system Injected.Hardened prog)
+             key);
+        true);
+    case "codec: refusals name the decoder and the byte offset" (fun () ->
+        let prog = compile ~n:2 (Ccr_protocols.Migratory.system ()) in
+        let key = Async.encode (Async.initial prog Async.{ k = 2 }) in
+        let refusal k =
+          match Async.decode prog k with
+          | _ -> Alcotest.failf "%S decoded" k
+          | exception Invalid_argument msg -> msg
+        in
+        checks "empty key" "Async.decode: truncated key at byte 0" (refusal "");
+        checks "trailing byte"
+          (Fmt.str "Async.decode: trailing bytes at byte %d"
+             (String.length key))
+          (refusal (key ^ "x"));
+        checks "non-canonical integer"
+          "Async.decode: non-canonical integer at byte 0"
+          (refusal
+             ("\xf8\000\000\000\000"
+             ^ String.sub key 1 (String.length key - 1))));
     case "every registry protocol: stores agree at async n=2" (fun () ->
         List.iter
           (fun (e : Registry.t) ->

@@ -6,29 +6,34 @@ open Test_util
 let k2 = Async.{ k = 2 }
 let mig n = compile ~n (Ccr_protocols.Migratory.system ())
 
-let explore_with encode succ init =
+(* [encode] may be a canonical encoding: [decode] then reads the orbit
+   representative back, whose successors match the concrete state's up to
+   the symmetry. *)
+let explore_with encode decode succ init =
   Ccr_modelcheck.Explore.run
-    Ccr_modelcheck.Explore.{ init; succ; encode; canon = None }
+    Ccr_modelcheck.Explore.{ init; succ; encode; decode; canon = None }
   |> fun (r : (_, _) Ccr_modelcheck.Explore.stats) -> (r.states, r.outcome)
 
 let rv_quotient prog =
   explore_with
     (Symmetry.canonical_rv prog)
-    (Rendezvous.successors prog)
+    (Rendezvous.decode prog) (Rendezvous.successors prog)
     (Rendezvous.initial prog)
 
 let rv_exact prog =
-  explore_with Rendezvous.encode (Rendezvous.successors prog)
+  explore_with Rendezvous.encode (Rendezvous.decode prog)
+    (Rendezvous.successors prog)
     (Rendezvous.initial prog)
 
 let async_quotient ?(k = 2) prog =
   explore_with
     (Symmetry.canonical_async prog)
+    (Async.decode prog)
     (Async.successors prog Async.{ k })
     (Async.initial prog Async.{ k })
 
 let async_exact ?(k = 2) prog =
-  explore_with Async.encode
+  explore_with Async.encode (Async.decode prog)
     (Async.successors prog Async.{ k })
     (Async.initial prog Async.{ k })
 
@@ -331,6 +336,7 @@ let tests =
                 init = Async.initial prog k2;
                 succ = Async.successors prog k2;
                 encode = Symmetry.canonical_async prog;
+                decode = Async.decode prog;
                 canon = None;
               }
         in
@@ -380,6 +386,7 @@ let tests =
         let capped =
           explore_with
             (Symmetry.canonical_async_fast ~max_perms:1 prog)
+            (Async.decode prog)
             (Async.successors prog k2)
             (Async.initial prog k2)
           |> fst

@@ -77,6 +77,7 @@ let rv_system prog =
       init = Ccr_semantics.Rendezvous.initial prog;
       succ = Ccr_semantics.Rendezvous.successors prog;
       encode = Ccr_semantics.Rendezvous.encode;
+      decode = Ccr_semantics.Rendezvous.decode prog;
       canon = None;
     }
 
@@ -87,6 +88,7 @@ let async_system ?(k = 2) prog =
       init = Ccr_refine.Async.initial prog cfg;
       succ = Ccr_refine.Async.successors prog cfg;
       encode = Ccr_refine.Async.encode;
+      decode = Ccr_refine.Async.decode prog;
       canon = None;
     }
 
@@ -131,6 +133,7 @@ let counter_system ~limit =
           if s >= limit then []
           else [ ("inc", s + 1); ("double", min limit (2 * s + 1)) ]);
       encode = string_of_int;
+      decode = int_of_string;
       canon = None;
     }
 
@@ -142,6 +145,7 @@ let bits_system k =
       succ =
         (fun s -> List.init k (fun i -> (Fmt.str "flip%d" i, s lxor (1 lsl i))));
       encode = string_of_int;
+      decode = int_of_string;
       canon = None;
     }
 
