@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-fast bench-json par-smoke obs-smoke sym-smoke fault-smoke fuzz-smoke ooc-smoke journal-smoke engine-smoke resume-smoke serve-smoke examples artifacts clean
+.PHONY: all build test bench bench-fast bench-json par-smoke obs-smoke sym-smoke fault-smoke fuzz-smoke ooc-smoke journal-smoke engine-smoke resume-smoke serve-smoke bench-smoke examples artifacts clean
 
 all: build
 
@@ -156,6 +156,19 @@ serve-smoke:
 	./_build/default/bin/ccr.exe client submit invalidate -n 2 --wait \
 	  --port $$(cat /tmp/ccr-serve-smoke/port) | grep -q '"cached":true'; \
 	status=$$?; kill -TERM $$pid; wait $$pid; exit $$status
+
+# Benchmark smoke: every perfbench workload once, for about a second
+# each.  run.py exits 0 even when a workload's pinned counts are wrong, so
+# its result lines are checked here: there must be four, and each must
+# read "correct": true with "failed": 0.
+bench-smoke:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 1 --trace 0 \
+	  > /tmp/ccr-bench-smoke.out
+	python3 -c 'import json, sys; \
+	rs = [json.loads(l) for l in open(sys.argv[1]) if l.startswith("{")]; \
+	bad = [r for r in rs if r.get("correct") is not True or r.get("failed") != 0]; \
+	print("bench-smoke: %d result lines, %d not correct" % (len(rs), len(bad))); \
+	sys.exit(1 if len(rs) != 4 or bad else 0)' /tmp/ccr-bench-smoke.out
 
 examples:
 	dune exec examples/quickstart.exe

@@ -71,9 +71,10 @@ let () =
 
   (* 4. Model-check the rendezvous protocol: tiny state space. *)
   let prog = Link.compile ~n:3 counter_service in
+  let holding = Ccr_protocols.Props.remote_states prog [ "Use"; "Give" ] in
   let mutual_exclusion st =
     (* at most one remote holds the counter *)
-    Ccr_protocols.Props.rv_remotes_in prog [ "Use"; "Give" ] st <= 1
+    Ccr_protocols.Props.rv_remotes_in holding st <= 1
   in
   let rv =
     Ccr_modelcheck.Explore.run
@@ -94,6 +95,7 @@ let () =
 
   (* 5. The refined asynchronous protocol comes for free... *)
   let cfg = Ccr_refine.Async.{ k = 2 } in
+  let using = Ccr_protocols.Props.remote_states prog [ "Use" ] in
   let asy =
     Ccr_modelcheck.Explore.run ~check_deadlock:true
       ~invariants:
@@ -104,8 +106,7 @@ let () =
              is the usual observation shift when moving from atomic
              rendezvous to split transactions (cf. paper §4). *)
           ( "mutual_exclusion",
-            fun st ->
-              Ccr_protocols.Props.as_remotes_in prog [ "Use" ] st <= 1 );
+            fun st -> Ccr_protocols.Props.as_remotes_in using st <= 1 );
         ]
       Ccr_modelcheck.Explore.
         {

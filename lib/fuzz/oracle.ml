@@ -123,6 +123,36 @@ let codec_checked bad (sys : (_, _) Explore.system) =
         outs);
   }
 
+(* Parent-spliced keys on every generated successor: [Async.encode]
+   right after the explorer decoded the parent, and again after decoding
+   an unrelated key (a miss), must both equal [encode_perm] under the
+   identity, which never splices. *)
+let splice_checked bad (prog : Prog.t) (sys : (Async.state, _) Explore.system)
+    =
+  let id = Array.init prog.n Fun.id in
+  let full st = Async.encode_perm ~p:id ~inv:id st in
+  let other = full sys.Explore.init in
+  {
+    sys with
+    Explore.succ =
+      (fun st ->
+        let outs = sys.Explore.succ st in
+        if !bad = None then begin
+          let spliced = List.map (fun (_, st') -> Async.encode st') outs in
+          ignore (Async.decode prog other);
+          List.iter2
+            (fun (_, st') key ->
+              let want = full st' in
+              if !bad = None && (key <> want || Async.encode st' <> want) then
+                bad :=
+                  Some
+                    (Fmt.str "a parent-spliced key differs from the full \
+                              encoding %S" want))
+            outs spliced
+        end;
+        outs);
+  }
+
 let codec_verdict bad outcome =
   match !bad with Some m -> Fail m | None -> outcome
 
@@ -146,7 +176,10 @@ let make_ctx ?rules ~max_states spec =
       | Ok p ->
         capture (fun () ->
             let cfg = Async.{ k = spec.Gen.k } in
-            let base = codec_checked async_codec (async_sys p cfg) in
+            let base =
+              codec_checked async_codec
+                (splice_checked async_codec p (async_sys p cfg))
+            in
             let succ =
               match rules with
               | None -> base.Explore.succ

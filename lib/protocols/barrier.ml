@@ -48,46 +48,48 @@ let system = Dsl.system "barrier" ~home ~remote
 
 let rv_invariants prog =
   let open Props in
+  let releasing = home_states prog [ "R" ]
+  and waiting = remote_states prog [ "W" ]
+  and s = home_var prog "s" in
   [
     (* the release phase starts with everyone arrived and never runs dry *)
     ( "release_not_dry",
       fun st ->
-        (not (rv_home_in prog [ "R" ] st))
-        || not (Value.set_is_empty (rv_home_var prog "s" st)) );
+        (not (rv_home_in releasing st))
+        || not (Value.set_is_empty (rv_home_var s st)) );
     (* a remote recorded as arrived is still waiting *)
     ( "recorded_means_waiting",
       fun st ->
-        let s = rv_home_var prog "s" st in
+        let s = rv_home_var s st in
         forall_remotes prog.Prog.n (fun i ->
-            (not (Value.set_mem i s)) || rv_remote_ctl prog st i = "W") );
+            (not (Value.set_mem i s)) || rv_remote_in waiting st i) );
   ]
 
 let async_invariants prog =
   let open Props in
+  let releasing = home_states prog [ "R" ]
+  and waiting = remote_states prog [ "W" ]
+  and s = home_var prog "s" in
+  let is_go (m : Wire.msg) = m.m_name = "go" in
   [
     ( "release_not_dry",
       fun st ->
-        (not (as_home_in prog [ "R" ] st))
-        || not (Value.set_is_empty (as_home_var prog "s" st)) );
+        (not (as_home_in releasing st))
+        || not (Value.set_is_empty (as_home_var s st)) );
     (* a remote observed waiting is either recorded as arrived or its
        release is already on the wire (the record is cleared only when
        the go's ack comes back) *)
     ( "waiting_means_recorded_or_released",
       fun st ->
-        let s = as_home_var prog "s" st in
+        let s = as_home_var s st in
         let go_in_flight i =
           List.exists
-            (function
-              | Wire.Req m -> m.Wire.m_name = "go"
-              | Wire.Ack | Wire.Nack -> false)
+            (function Wire.Req m -> is_go m | Wire.Ack | Wire.Nack -> false)
             st.Async.to_r.(i)
-          ||
-          match st.Async.r.(i).r_buf with
-          | Some m -> m.Wire.m_name = "go"
-          | None -> false
+          || match st.Async.r.(i).r_buf with Some m -> is_go m | None -> false
         in
         forall_remotes prog.Prog.n (fun i ->
-            as_remote_ctl prog st i <> "W"
+            (not (as_remote_in waiting st i))
             || Value.set_mem i s
             || go_in_flight i) );
   ]

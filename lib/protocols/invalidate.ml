@@ -137,44 +137,50 @@ let writers = [ "M" ]
 
 let rv_invariants prog =
   let open Props in
+  let writers = remote_states prog writers
+  and readers = remote_states prog readers
+  and held = remote_states prog (readers @ writers)
+  and free = home_states prog [ "F"; "FgS"; "FgM" ]
+  and sharer = remote_states prog [ "S" ]
+  and sh = home_var prog "sh" in
   [
-    ("single_writer", fun st -> rv_remotes_in prog writers st <= 1);
+    ("single_writer", fun st -> rv_remotes_in writers st <= 1);
     ( "writer_excludes_readers",
-      fun st ->
-        rv_remotes_in prog writers st = 0
-        || rv_remotes_in prog readers st = 0 );
+      fun st -> rv_remotes_in writers st = 0 || rv_remotes_in readers st = 0 );
     ( "free_means_unheld",
-      fun st ->
-        (not (rv_home_in prog [ "F"; "FgS"; "FgM" ] st))
-        || rv_remotes_in prog (readers @ writers) st = 0 );
+      fun st -> (not (rv_home_in free st)) || rv_remotes_in held st = 0 );
     ( "sharers_recorded",
       fun st ->
-        let sh = rv_home_var prog "sh" st in
+        let sh = rv_home_var sh st in
         forall_remotes prog.n (fun i ->
-            rv_remote_ctl prog st i <> "S" || Value.set_mem i sh) );
+            (not (rv_remote_in sharer st i)) || Value.set_mem i sh) );
   ]
 
 let async_invariants prog =
   let open Props in
+  let writers = remote_states prog writers
+  and readers = remote_states prog readers
+  and held = remote_states prog (readers @ writers)
+  and free = home_states prog [ "F"; "FgS"; "FgM" ]
+  and sharer = remote_states prog [ "S" ]
+  and sh = home_var prog "sh" in
   [
-    ("single_writer", fun st -> as_remotes_in prog writers st <= 1);
+    ("single_writer", fun st -> as_remotes_in writers st <= 1);
     ( "writer_excludes_readers",
-      fun st ->
-        as_remotes_in prog writers st = 0
-        || as_remotes_in prog readers st = 0 );
+      fun st -> as_remotes_in writers st = 0 || as_remotes_in readers st = 0 );
     (* both weakened to idle-home situations: under the generic scheme a
        grantee enters its new state while the home still waits for the
        ack of the grant *)
     ( "free_means_unheld",
       fun st ->
-        (not (as_home_in prog [ "F"; "FgS"; "FgM" ] st))
+        (not (as_home_in free st))
         || (not (as_home_idle st))
-        || as_remotes_in prog (readers @ writers) st = 0 );
+        || as_remotes_in held st = 0 );
     ( "sharers_recorded",
       fun st ->
-        let sh = as_home_var prog "sh" st in
+        let sh = as_home_var sh st in
         forall_remotes prog.n (fun i ->
-            as_remote_ctl prog st i <> "S"
+            (not (as_remote_in sharer st i))
             || Value.set_mem i sh
-            || as_home_transient_peer st = Some i) );
+            || as_home_awaits st i) );
   ]

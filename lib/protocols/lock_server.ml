@@ -23,22 +23,25 @@ let system = Dsl.system "lock-server" ~home ~remote
 
 let rv_invariants prog =
   let open Props in
+  let critical = remote_states prog [ "C" ]
+  and holding = remote_states prog [ "C"; "R" ]
+  and unlocked = home_states prog [ "U"; "G" ] in
   [
-    ("mutual_exclusion", fun st -> rv_remotes_in prog [ "C" ] st <= 1);
+    ("mutual_exclusion", fun st -> rv_remotes_in critical st <= 1);
     ( "unlocked_means_uncritical",
-      fun st ->
-        (not (rv_home_in prog [ "U"; "G" ] st))
-        || rv_remotes_in prog [ "C"; "R" ] st = 0 );
+      fun st -> (not (rv_home_in unlocked st)) || rv_remotes_in holding st = 0
+    );
   ]
 
 let async_invariants prog =
   let open Props in
+  let critical = remote_states prog [ "C" ]
+  and unlocked = home_states prog [ "U"; "G" ] in
   [
-    ("mutual_exclusion", fun st -> as_remotes_in prog [ "C" ] st <= 1);
+    ("mutual_exclusion", fun st -> as_remotes_in critical st <= 1);
     (* [R] is excluded here: a remote sits in [R] until the ack of its
        [rel] arrives, by which time the home may already be unlocked *)
     ( "unlocked_means_uncritical",
       fun st ->
-        (not (as_home_in prog [ "U"; "G" ] st))
-        || as_remotes_in prog [ "C" ] st = 0 );
+        (not (as_home_in unlocked st)) || as_remotes_in critical st = 0 );
   ]

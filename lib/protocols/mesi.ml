@@ -169,52 +169,59 @@ let readers = [ "S" ]
 
 let rv_invariants prog =
   let open Props in
+  let exclusive = remote_states prog exclusive
+  and readers = remote_states prog readers
+  and held = remote_states prog (exclusive @ readers)
+  and modified = remote_states prog [ "M" ]
+  and sharer = remote_states prog [ "S" ]
+  and free = home_states prog [ "F"; "FgE"; "FgM" ]
+  and exclusive_dir = home_states prog [ "X"; "XD"; "XDW"; "XI"; "XIW" ]
+  and sh = home_var prog "sh" in
   [
-    ( "single_exclusive",
-      fun st -> rv_remotes_in prog exclusive st <= 1 );
+    ("single_exclusive", fun st -> rv_remotes_in exclusive st <= 1);
     ( "exclusive_excludes_readers",
       fun st ->
-        rv_remotes_in prog exclusive st = 0
-        || rv_remotes_in prog readers st = 0 );
+        rv_remotes_in exclusive st = 0 || rv_remotes_in readers st = 0 );
     ( "free_means_unheld",
-      fun st ->
-        (not (rv_home_in prog [ "F"; "FgE"; "FgM" ] st))
-        || rv_remotes_in prog (exclusive @ readers) st = 0 );
+      fun st -> (not (rv_home_in free st)) || rv_remotes_in held st = 0 );
     ( "modified_implies_exclusive_dir",
-      fun st ->
-        rv_remotes_in prog [ "M" ] st = 0
-        || rv_home_in prog [ "X"; "XD"; "XDW"; "XI"; "XIW" ] st );
+      fun st -> rv_remotes_in modified st = 0 || rv_home_in exclusive_dir st );
     ( "sharers_recorded",
       fun st ->
-        let sh = rv_home_var prog "sh" st in
+        let sh = rv_home_var sh st in
         forall_remotes prog.Prog.n (fun i ->
-            rv_remote_ctl prog st i <> "S" || Value.set_mem i sh) );
+            (not (rv_remote_in sharer st i)) || Value.set_mem i sh) );
   ]
 
 let async_invariants prog =
   let open Props in
+  let exclusive = remote_states prog exclusive
+  and readers = remote_states prog readers
+  and held = remote_states prog (exclusive @ readers)
+  and modified = remote_states prog [ "M" ]
+  and sharer = remote_states prog [ "S" ]
+  and free = home_states prog [ "F"; "FgE"; "FgM" ]
+  and exclusive_dir = home_states prog [ "X"; "XD"; "XDW"; "XI"; "XIW" ]
+  and downgrading = home_states prog [ "XDW"; "GrS2" ]
+  and sh = home_var prog "sh" in
   [
-    ( "single_exclusive",
-      fun st -> as_remotes_in prog exclusive st <= 1 );
+    ("single_exclusive", fun st -> as_remotes_in exclusive st <= 1);
     ( "exclusive_excludes_readers",
       fun st ->
-        as_remotes_in prog exclusive st = 0
-        || as_remotes_in prog readers st = 0 );
+        as_remotes_in exclusive st = 0 || as_remotes_in readers st = 0 );
     ( "free_means_unheld",
       fun st ->
-        (not (as_home_in prog [ "F"; "FgE"; "FgM" ] st))
+        (not (as_home_in free st))
         || (not (as_home_idle st))
-        || as_remotes_in prog (exclusive @ readers) st = 0 );
+        || as_remotes_in held st = 0 );
     ( "modified_implies_exclusive_dir",
-      fun st ->
-        as_remotes_in prog [ "M" ] st = 0
-        || as_home_in prog [ "X"; "XD"; "XDW"; "XI"; "XIW" ] st );
+      fun st -> as_remotes_in modified st = 0 || as_home_in exclusive_dir st );
     ( "sharers_recorded",
       fun st ->
-        let sh = as_home_var prog "sh" st in
+        let sh = as_home_var sh st in
         forall_remotes prog.Prog.n (fun i ->
-            as_remote_ctl prog st i <> "S"
+            (not (as_remote_in sharer st i))
             || Value.set_mem i sh
-            || as_home_transient_peer st = Some i
-            || as_home_in prog [ "XDW"; "GrS2" ] st ) );
+            || as_home_awaits st i
+            || as_home_in downgrading st) );
   ]

@@ -71,38 +71,42 @@ let holding = [ "V" ]
 
 let rv_invariants prog =
   let open Props in
+  let holding = remote_states prog holding
+  and free = home_states prog [ "F"; "Fg" ]
+  and owned = home_states prog [ "E"; "I1"; "I2" ]
+  and o = home_var prog "o" in
   [
-    ("single_holder", fun st -> rv_remotes_in prog holding st <= 1);
+    ("single_holder", fun st -> rv_remotes_in holding st <= 1);
     ( "free_means_unheld",
-      fun st ->
-        (not (rv_home_in prog [ "F"; "Fg" ] st))
-        || rv_remotes_in prog holding st = 0 );
+      fun st -> (not (rv_home_in free st)) || rv_remotes_in holding st = 0 );
     ( "holder_is_owner",
       fun st ->
         forall_remotes prog.n (fun i ->
-            rv_remote_ctl prog st i <> "V"
-            || rv_home_in prog [ "E"; "I1"; "I2" ] st
-               && rv_home_var prog "o" st = Value.Vrid i) );
+            (not (rv_remote_in holding st i))
+            || rv_home_in owned st && rv_home_var o st = Value.Vrid i) );
   ]
 
 let async_invariants prog =
   let open Props in
+  let holding = remote_states prog holding
+  and free = home_states prog [ "F"; "Fg" ]
+  and owned = home_states prog [ "E"; "I1"; "I2" ]
+  and granting = home_states prog [ "Fg"; "I3" ]
+  and o = home_var prog "o" in
   [
-    ("single_holder", fun st -> as_remotes_in prog holding st <= 1);
+    ("single_holder", fun st -> as_remotes_in holding st <= 1);
     (* under the generic (ack-based) scheme the grantee enters [V] while
        the home still waits in [Fg]/[I3] for the ack of [gr], so "free"
        only makes sense when the home is idle *)
     ( "free_means_unheld",
       fun st ->
-        (not (as_home_in prog [ "F"; "Fg" ] st))
+        (not (as_home_in free st))
         || (not (as_home_idle st))
-        || as_remotes_in prog holding st = 0 );
+        || as_remotes_in holding st = 0 );
     ( "holder_is_owner",
       fun st ->
         forall_remotes prog.n (fun i ->
-            as_remote_ctl prog st i <> "V"
-            || as_home_in prog [ "E"; "I1"; "I2" ] st
-               && as_home_var prog "o" st = Value.Vrid i
-            || as_home_in prog [ "Fg"; "I3" ] st
-               && as_home_transient_peer st = Some i) );
+            (not (as_remote_in holding st i))
+            || as_home_in owned st && as_home_var o st = Value.Vrid i
+            || as_home_in granting st && as_home_awaits st i) );
   ]

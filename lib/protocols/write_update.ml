@@ -153,48 +153,62 @@ let system = Dsl.system "write-update" ~home ~remote
 (* Quiescence: nothing in flight or buffered anywhere, every node in a
    plain communication mode. *)
 let quiescent (st : Async.state) =
-  Array.for_all (( = ) []) st.Async.to_h
-  && Array.for_all (( = ) []) st.Async.to_r
+  Array.for_all (function [] -> true | _ :: _ -> false) st.Async.to_h
+  && Array.for_all (function [] -> true | _ :: _ -> false) st.Async.to_r
   && st.Async.h.h_buf = []
-  && st.Async.h.h_mode = Async.Hcomm
+  && Props.as_home_idle st
   && Array.for_all
-       (fun (r : Async.remote) -> r.r_mode = Async.Rcomm && r.r_buf = None)
+       (fun (r : Async.remote) ->
+         match (r.r_mode, r.r_buf) with
+         | Async.Rcomm, None -> true
+         | _ -> false)
        st.Async.r
+
+(* The remote states a recorded sharer may be in. *)
+let sharer_states = [ "S"; "UAck"; "WSend"; "WWait"; "WUAck"; "SRel" ]
 
 let rv_invariants prog =
   let open Props in
+  let sharing = remote_states prog sharer_states
+  and settled = home_states prog [ "Sh"; "ShG"; "F"; "FgS" ]
+  and sharer = remote_states prog [ "S" ]
+  and sh = home_var prog "sh"
+  and pend = home_var prog "pend"
+  and vl = home_var prog "vl"
+  and rvl = remote_var prog "vl" in
   [
     ( "sharers_recorded",
       fun st ->
-        let sh = rv_home_var prog "sh" st in
+        let sh = rv_home_var sh st in
         forall_remotes prog.Prog.n (fun i ->
-            (not (Value.set_mem i sh))
-            || List.mem (rv_remote_ctl prog st i)
-                 [ "S"; "UAck"; "WSend"; "WWait"; "WUAck"; "SRel" ]) );
+            (not (Value.set_mem i sh)) || rv_remote_in sharing st i) );
     (* once a round finishes and no writes are pending, passive sharers
        agree with the home *)
     ( "settled_sharers_agree",
       fun st ->
-        (not (rv_home_in prog [ "Sh"; "ShG"; "F"; "FgS" ] st))
-        || (not (Value.set_is_empty (rv_home_var prog "pend" st)))
+        (not (rv_home_in settled st))
+        || (not (Value.set_is_empty (rv_home_var pend st)))
         || forall_remotes prog.Prog.n (fun i ->
-               rv_remote_ctl prog st i <> "S"
-               || Value.equal
-                    st.Ccr_semantics.Rendezvous.r.(i).env.(
-                      Prog.var_index prog.remote "vl")
-                    (rv_home_var prog "vl" st)) );
+               (not (rv_remote_in sharer st i))
+               || Value.equal (rv_remote_var rvl st i) (rv_home_var vl st)) );
   ]
 
 let async_invariants prog =
   let open Props in
+  let sharing = remote_states prog sharer_states
+  and idle_dir = home_states prog [ "Sh"; "F" ]
+  and sharer = remote_states prog [ "S" ]
+  and sh = home_var prog "sh"
+  and pend = home_var prog "pend"
+  and vl = home_var prog "vl"
+  and rvl = remote_var prog "vl" in
   [
     ( "sharers_recorded",
       fun st ->
-        let sh = as_home_var prog "sh" st in
+        let sh = as_home_var sh st in
         forall_remotes prog.Prog.n (fun i ->
             (not (Value.set_mem i sh))
-            || List.mem (as_remote_ctl prog st i)
-                 [ "S"; "UAck"; "WSend"; "WWait"; "WUAck"; "SRel" ]
+            || as_remote_in sharing st i
             (* a freshly recorded sharer whose grant is still in flight *)
             || (match st.Async.r.(i).r_mode with
                | Async.Rwait _ -> true
@@ -204,11 +218,9 @@ let async_invariants prog =
     ( "quiescent_copies_agree",
       fun st ->
         (not (quiescent st))
-        || (not (as_home_in prog [ "Sh"; "F" ] st))
-        || (not (Value.set_is_empty (as_home_var prog "pend" st)))
+        || (not (as_home_in idle_dir st))
+        || (not (Value.set_is_empty (as_home_var pend st)))
         || forall_remotes prog.Prog.n (fun i ->
-               as_remote_ctl prog st i <> "S"
-               || Value.equal
-                    st.Async.r.(i).r_env.(Prog.var_index prog.remote "vl")
-                    (as_home_var prog "vl" st)) );
+               (not (as_remote_in sharer st i))
+               || Value.equal (as_remote_var rvl st i) (as_home_var vl st)) );
   ]

@@ -683,10 +683,20 @@ let messages_in_flight st =
   Array.fold_left (fun n q -> n + List.length q) 0 st.to_h
   + Array.fold_left (fun n q -> n + List.length q) 0 st.to_r
 
-(* Per-domain scratch buffer: [encode] runs once per discovered state on
-   the model checker's hot path, and the parallel engine calls it from
-   several domains at once. *)
-let scratch = Domain.DLS.new_key (fun () -> Buffer.create 128)
+(* Per-domain encoder state.  [buf] is the scratch buffer: [encode] runs
+   once per transition on the model checker's hot path, and the shards
+   call it from several domains at once.  [base] is the splice base left
+   by the last [decode] on this domain: the state, the key it was read
+   from and the [cuts] between its components — [cuts.(0)] where the
+   state's bytes begin, [cuts.(k + 1)] where component [k] ends, the
+   components ordered home, remotes, [to_h] channels, [to_r] channels.
+   A base is immutable and replaced whole, so [encode] always reads a
+   consistent one. *)
+type base = { st : state; key : string; cuts : int array }
+type scratch = { buf : Buffer.t; mutable base : base option }
+
+let scratch =
+  Domain.DLS.new_key (fun () -> { buf = Buffer.create 128; base = None })
 
 (* Closure-free, like [Value.encode]: one [encode] per transition. *)
 let enc_env buf e =
@@ -711,6 +721,24 @@ let rec enc_wires buf = function
     Wire.encode buf w;
     enc_wires buf rest
 
+let enc_home buf h =
+  Value.encode_int buf h.h_ctl;
+  Value.encode_int buf h.h_rot;
+  enc_env buf h.h_env;
+  (match h.h_mode with
+  | Hcomm -> Value.encode_int buf 0
+  | Htrans { guard; peer; scratch; await } ->
+    (match await with
+    | `Ack -> Value.encode_int buf 1
+    | `Repl repl ->
+      Value.encode_int buf 2;
+      enc_repl buf repl);
+    Value.encode_int buf guard;
+    Value.encode_int buf peer;
+    enc_env buf scratch);
+  Value.encode_int buf (List.length h.h_buf);
+  enc_h_buf buf h.h_buf
+
 let enc_remote buf r =
   Value.encode_int buf r.r_ctl;
   enc_env buf r.r_env;
@@ -731,38 +759,73 @@ let enc_remote buf r =
     Value.encode_int buf 1;
     Wire.encode buf (Wire.Req m)
 
-let enc_channels buf chans =
-  for i = 0 to Array.length chans - 1 do
-    let q = Array.unsafe_get chans i in
-    Value.encode_int buf (List.length q);
-    enc_wires buf q
-  done
+let enc_channel buf q =
+  Value.encode_int buf (List.length q);
+  enc_wires buf q
 
-let encode (st : state) =
-  let buf = Domain.DLS.get scratch in
-  Buffer.clear buf;
-  let h = st.h in
-  Value.encode_int buf h.h_ctl;
-  Value.encode_int buf h.h_rot;
-  enc_env buf h.h_env;
-  (match h.h_mode with
-  | Hcomm -> Value.encode_int buf 0
-  | Htrans { guard; peer; scratch; await } ->
-    (match await with
-    | `Ack -> Value.encode_int buf 1
-    | `Repl repl ->
-      Value.encode_int buf 2;
-      enc_repl buf repl);
-    Value.encode_int buf guard;
-    Value.encode_int buf peer;
-    enc_env buf scratch);
-  Value.encode_int buf (List.length h.h_buf);
-  enc_h_buf buf h.h_buf;
-  for i = 0 to Array.length st.r - 1 do
-    enc_remote buf (Array.unsafe_get st.r i)
+(* Components [xs] (numbered from [c0]) against the base's [pxs]: one
+   physically the base's is left to a pending copy of the base key from
+   byte [from] on ([-1]: none pending); any other flushes that copy and
+   is encoded afresh.  Returns the copy still pending. *)
+let splice buf b from enc xs pxs c0 =
+  let from = ref from in
+  for i = 0 to Array.length xs - 1 do
+    let x = Array.unsafe_get xs i in
+    if x == Array.unsafe_get pxs i then begin
+      if !from < 0 then from := Array.unsafe_get b.cuts (c0 + i)
+    end
+    else begin
+      if !from >= 0 then begin
+        let at = Array.unsafe_get b.cuts (c0 + i) in
+        Buffer.add_substring buf b.key !from (at - !from);
+        from := -1
+      end;
+      enc buf x
+    end
   done;
-  enc_channels buf st.to_h;
-  enc_channels buf st.to_r;
+  !from
+
+(* Every component of [st] that is physically the base's — [successors]
+   shares the records and channel lists a transition leaves alone — is
+   copied from the base key, the rest encoded: byte for byte what the
+   full encoding writes, since a component's bytes depend on its value
+   alone and states are never mutated.  The array lengths are checked so
+   that a base from another program cannot be indexed out of bounds (a
+   decoded base's three arrays all have its program's [n]). *)
+let encode (st : state) =
+  let e = Domain.DLS.get scratch in
+  let buf = e.buf in
+  Buffer.clear buf;
+  let n = Array.length st.r in
+  (match e.base with
+  | Some b
+    when Array.length b.st.r = n
+         && Array.length st.to_h = n
+         && Array.length st.to_r = n ->
+    let p = b.st in
+    let from =
+      if st.h == p.h then b.cuts.(0)
+      else begin
+        enc_home buf st.h;
+        -1
+      end
+    in
+    let from = splice buf b from enc_remote st.r p.r 1 in
+    let from = splice buf b from enc_channel st.to_h p.to_h (1 + n) in
+    let from = splice buf b from enc_channel st.to_r p.to_r (1 + (2 * n)) in
+    if from >= 0 then
+      Buffer.add_substring buf b.key from (b.cuts.(1 + (3 * n)) - from)
+  | _ ->
+    enc_home buf st.h;
+    for i = 0 to n - 1 do
+      enc_remote buf (Array.unsafe_get st.r i)
+    done;
+    for i = 0 to Array.length st.to_h - 1 do
+      enc_channel buf (Array.unsafe_get st.to_h i)
+    done;
+    for i = 0 to Array.length st.to_r - 1 do
+      enc_channel buf (Array.unsafe_get st.to_r i)
+    done);
   Buffer.contents buf
 
 (* The inverse of [encode]: the frontier of the model checker holds keys
@@ -847,30 +910,39 @@ let dec_remote c (prog : Prog.t) =
   in
   { r_ctl; r_env; r_mode; r_buf }
 
-let dec_channels c n =
+let dec_channels c n cuts c0 =
   let a = Array.make n [] in
   for i = 0 to n - 1 do
-    a.(i) <- dec_channel c (Value.decode_count c)
+    a.(i) <- dec_channel c (Value.decode_count c);
+    cuts.(c0 + i + 1) <- c.Value.pos
   done;
   a
 
 (* The fields of [encode]'s layout, from the cursor on; [decode] also
-   requires the key to end there, the fault-injected decoder reads on. *)
+   requires the key to end there, the fault-injected decoder reads on.
+   The state becomes this domain's splice base. *)
 let decode_from (prog : Prog.t) c =
+  let n = prog.n in
+  let cuts = Array.make (2 + (3 * n)) c.Value.pos in
   let h = dec_home c prog in
+  cuts.(1) <- c.Value.pos;
   let r =
-    if prog.n = 0 then [||]
+    if n = 0 then [||]
     else begin
-      let r = Array.make prog.n (dec_remote c prog) in
-      for i = 1 to prog.n - 1 do
-        r.(i) <- dec_remote c prog
+      let r = Array.make n (dec_remote c prog) in
+      cuts.(2) <- c.Value.pos;
+      for i = 1 to n - 1 do
+        r.(i) <- dec_remote c prog;
+        cuts.(i + 2) <- c.Value.pos
       done;
       r
     end
   in
-  let to_h = dec_channels c prog.n in
-  let to_r = dec_channels c prog.n in
-  { h; r; to_h; to_r }
+  let to_h = dec_channels c n cuts (1 + n) in
+  let to_r = dec_channels c n cuts (1 + (2 * n)) in
+  let st = { h; r; to_h; to_r } in
+  (Domain.DLS.get scratch).base <- Some { st; key = c.Value.key; cuts };
+  st
 
 let decode (prog : Prog.t) key =
   let c = Value.cursor ~who:"Async.decode" key in
@@ -929,7 +1001,7 @@ let enc_channels_perm buf p inv chans =
    sender id and rid-valued payloads are renamed through [p].  Must mirror
    the [encode] layout above field for field. *)
 let encode_perm ~p ~inv (st : state) =
-  let buf = Domain.DLS.get scratch in
+  let buf = (Domain.DLS.get scratch).buf in
   Buffer.clear buf;
   let h = st.h in
   Value.encode_int buf h.h_ctl;

@@ -131,21 +131,60 @@ val successors : ?meter:meter -> Prog.t -> config -> state -> (label * state) li
 (** [meter] (default: none, a single option check) feeds the
     observability layer; it does not affect the generated transitions. *)
 
+(** {2 Keys}
+
+    A state's key is its home, then each remote, then each home-bound
+    channel, then each remote-bound channel, each component encoded on
+    its own: a component's bytes depend on its value alone, not on its
+    slot or on its neighbours.
+
+    {b Parent-spliced encoding.}  Every {!decode} (and {!decode_from})
+    leaves a {e splice base} in the calling domain: the decoded state,
+    the key it was read from, and the offsets where each of its [1 + 3n]
+    components ends.  {!encode} then copies from the base key every
+    component of its argument that is {e physically} the base's ([==])
+    and encodes only the others.  The model checker decodes a parent
+    just before it expands it, and {!successors} shares every home
+    record, remote record and channel list a transition leaves
+    untouched, so a successor's key is mostly copied: a transition
+    changes one node and one or two channels.
+
+    Physical identity is enough because states are immutable values:
+    nothing in this library, or in a caller, may mutate a state's arrays
+    or environments in place (the semantics copies on write).  A
+    component that is physically the base's therefore still has the value
+    it had when the base key was read, and so the same bytes.  A miss —
+    a state unrelated to the last decode, or a base from a program with
+    another [n] — costs the full encoding and nothing else; the key is
+    byte-identical either way.
+
+    {b Concurrency.}  The scratch buffer and the base are per domain
+    ([Domain.DLS]), so shards on different domains never share them.
+    The base is immutable and replaced whole, so a systhread that
+    decodes between another's {!decode} and {!encode} changes only which
+    components are copied, never the key.  The scratch buffer is not protected: systhreads that
+    share one domain must still serialize their calls to {!encode} and
+    {!encode_perm}, as the daemon's engine lock does. *)
+
 val encode : state -> string
+(** The key of a state, spliced from the calling domain's base where it
+    can be (see above); byte-identical to [encode_perm] under the
+    identity permutation, which never splices. *)
 
 val decode : Prog.t -> string -> state
 (** The inverse of {!encode} for the program's states:
     [decode prog (encode st) = st], and a key that decodes at all
     decodes to the state that {!encode}s back to it.  The model checker
     keeps its BFS frontier as keys and decodes each one when expanding
-    it.
+    it.  The result becomes the calling domain's splice base.
     @raise Invalid_argument naming [Async.decode] and the byte offset on
     a truncated, garbage or trailing-byte key. *)
 
 val decode_from : Prog.t -> Value.cursor -> state
 (** {!decode}'s reader from the cursor on, leaving the cursor just past
     the state's bytes (for encodings that embed an {!encode}d state, as
-    {!Ccr_faults.Injected.encode} does). *)
+    {!Ccr_faults.Injected.encode} does).  The result becomes the splice
+    base, with offsets into the cursor's whole key. *)
 
 val encode_perm : p:int array -> inv:int array -> state -> string
 (** [encode_perm ~p ~inv st] is byte-identical to [encode] of [st] with

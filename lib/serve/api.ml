@@ -245,11 +245,16 @@ let spec_hash (e : Registry.t) cfg =
             faults_name cfg; string_of_bool cfg.harden;
           ]))
 
-let cache_key (e : Registry.t) cfg =
+let checker_version = 1
+
+let cache_key ?(version = checker_version) (e : Registry.t) cfg =
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"
-          [ spec_hash e cfg; string_of_int cfg.max_states; store_name cfg ]))
+          [
+            spec_hash e cfg; string_of_int cfg.max_states; store_name cfg;
+            string_of_int version;
+          ]))
 
 let cacheable v =
   match v.v_explored with

@@ -115,9 +115,19 @@ val resolve : spec_src -> (Ccr_protocols.Registry.t, string) result
     they may change across a checkpoint resume. *)
 val spec_hash : Ccr_protocols.Registry.t -> config -> string
 
+(** The checker's version as the result cache sees it.  Bump it whenever
+    a change can alter a verdict for the same spec and config: checker
+    semantics, the registry's invariants, or the key layout (which fixes
+    exploration order and so [limit-states] stops).  It is part of
+    {!cache_key} only, not of {!spec_hash}: a persisted cache stops
+    serving verdicts computed by another checker, while checkpoints,
+    whose resume is byte-identical by construction, still resume. *)
+val checker_version : int
+
 (** Content-addressed result-cache key: {!spec_hash} plus the
-    verdict-affecting execution knobs (max_states, store). *)
-val cache_key : Ccr_protocols.Registry.t -> config -> string
+    verdict-affecting execution knobs (max_states, store) and [version]
+    (default {!checker_version}). *)
+val cache_key : ?version:int -> Ccr_protocols.Registry.t -> config -> string
 
 (** Only machine-independent outcomes may be cached: complete, violation,
     deadlock, limit-states (BFS order is deterministic at jobs=1).

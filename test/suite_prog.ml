@@ -150,10 +150,10 @@ let tests =
         let st = arrive 0 st in
         let st = arrive 1 st in
         checkb "still collecting" true
-          (Ccr_protocols.Props.rv_home_in prog [ "C" ] st);
+          (Ccr_protocols.Props.(rv_home_in (home_states prog [ "C" ])) st);
         let st = arrive 2 st in
         checkb "release phase" true
-          (Ccr_protocols.Props.rv_home_in prog [ "R" ] st));
+          (Ccr_protocols.Props.(rv_home_in (home_states prog [ "R" ])) st));
     case "wire encoding is injective over message samples" (fun () ->
         let samples =
           [

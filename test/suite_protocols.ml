@@ -157,6 +157,9 @@ let tests =
         let q = Queue.create () in
         let found = ref false in
         let pend = Prog.var_index prog.home "pend" in
+        let updating =
+          Props.home_states prog [ "Upd"; "UW"; "UD"; "WAck"; "UpdOrAck" ]
+        in
         let push st =
           let key = Ccr_refine.Async.encode st in
           if not (Hashtbl.mem seen key) then begin
@@ -165,11 +168,7 @@ let tests =
             | Value.Vset m when m <> 0 ->
               if
                 Value.set_cardinal (Value.Vset m)
-                + (if
-                     Props.as_home_in prog
-                       [ "Upd"; "UW"; "UD"; "WAck"; "UpdOrAck" ] st
-                   then 1
-                   else 0)
+                + (if Props.as_home_in updating st then 1 else 0)
                 >= 2
               then found := true
             | _ -> ());
@@ -220,6 +219,66 @@ let tests =
               | Error _ -> Alcotest.failf "%s fails validation" e.name))
           Registry.all;
         checkb "unknown not found" true (Option.is_none (Registry.find "nope")));
+    case "invariant builders refuse unknown names" (fun () ->
+        let prog = compile ~n:2 Invalidate.system in
+        let refusal what f =
+          match f () with
+          | _ -> Alcotest.failf "%s: accepted" what
+          | exception Invalid_argument msg -> msg
+        in
+        (* a misspelled control state would make an invariant vacuous *)
+        checks "state typo"
+          "Props: remote process \"remote\" has no control state \"Ss\""
+          (refusal "state typo" (fun () -> Props.remote_states prog [ "S"; "Ss" ]));
+        checks "home state typo"
+          "Props: home process \"home\" has no control state \"f\""
+          (refusal "home state typo" (fun () -> Props.home_states prog [ "f" ]));
+        (* a misspelled variable must not surface as a bare Not_found *)
+        checks "variable typo"
+          "Props: home process \"home\" has no variable \"shh\""
+          (refusal "variable typo" (fun () -> Props.home_var prog "shh"));
+        checks "remote variable typo"
+          "Props: remote process \"remote\" has no variable \"sh\""
+          (refusal "remote variable typo" (fun () -> Props.remote_var prog "sh"));
+        (* the builders resolve every name before returning: invalidate's
+           invariants over the lock server's program name states it lacks *)
+        let lock = compile ~n:2 Lock_server.system in
+        List.iter
+          (fun (what, build) ->
+            let msg = refusal what build in
+            checkb (what ^ " names the side and the state") true
+              (contains_sub ~sub:"remote process" msg
+              && contains_sub ~sub:"\"M\"" msg))
+          [
+            ("rv builder", fun () -> ignore (Invalidate.rv_invariants lock));
+            ("async builder", fun () -> ignore (Invalidate.async_invariants lock));
+          ];
+        (* a check with a typo'd invariant is refused with the name, before
+           any exploration *)
+        let entry =
+          match Registry.find "invalidate" with
+          | Some e -> e
+          | None -> Alcotest.fail "invalidate not registered"
+        in
+        let typo =
+          {
+            entry with
+            Registry.async_invariants =
+              (fun prog ->
+                let sh = Props.home_var prog "shh" in
+                [ ("typo", fun st -> Props.as_home_var sh st <> Value.Vunit) ]);
+          }
+        in
+        match
+          Ccr_serve.Api.check_entry typo
+            { Ccr_serve.Api.default with n = 2; level = `Async }
+        with
+        | Ok _ -> Alcotest.fail "a typo'd invariant was checked"
+        | Error msg ->
+          checkb ("refusal names the variable: " ^ msg) true
+            (contains_sub ~sub:"Props: home process" msg
+            && contains_sub ~sub:"no variable" msg
+            && contains_sub ~sub:"shh" msg));
     case "a broken invariant is caught with a trace" (fun () ->
         (* sanity-check the harness itself: an impossible invariant must
            fail fast and carry a counterexample *)
@@ -241,11 +300,12 @@ let tests =
         let found = ref false in
         let seen = Hashtbl.create 64 in
         let q = Queue.create () in
+        let sharer = Props.remote_states prog [ "S" ] in
         let push st =
           let key = Ccr_semantics.Rendezvous.encode st in
           if not (Hashtbl.mem seen key) then begin
             Hashtbl.add seen key ();
-            if Props.rv_remotes_in prog [ "S" ] st = 2 then found := true;
+            if Props.rv_remotes_in sharer st = 2 then found := true;
             Queue.push st q
           end
         in
@@ -265,12 +325,13 @@ let tests =
         let seen = Hashtbl.create 64 in
         let q = Queue.create () in
         let d = Prog.var_index prog.remote "d" in
+        let holding = Props.remote_states prog [ "V" ] in
         let push st =
           let key = Ccr_refine.Async.encode st in
           if not (Hashtbl.mem seen key) then begin
             Hashtbl.add seen key ();
             if
-              Props.as_remote_ctl prog st 0 = "V"
+              Props.as_remote_in holding st 0
               && Value.equal st.Ccr_refine.Async.r.(0).r_env.(d) (Value.Vrid 1)
             then found := true;
             Queue.push st q

@@ -367,6 +367,49 @@ let tests =
                 checki "high-fd round trip" 200 status;
                 checkb "service banner" true
                   (contains_sub ~sub:"ccr-serve" body))));
+    case "cache key: an entry from another checker version is recomputed"
+      (fun () ->
+        let entry =
+          match Registry.find "invalidate" with
+          | Some e -> e
+          | None -> Alcotest.fail "no invalidate entry"
+        in
+        let current = Api.cache_key entry invalidate_cfg in
+        let stale =
+          Api.cache_key ~version:(Api.checker_version - 1) entry invalidate_cfg
+        in
+        checkb "the version is part of the key" true (current <> stale);
+        with_temp_dir "ccr-test-serve-cache" @@ fun fresh_dir ->
+        let cold =
+          with_forked_daemon ~cache_dir:fresh_dir @@ fun ~port ->
+          ignore (submit ~port invalidate_cfg);
+          verdict_of (wait_done ~port "j1")
+        in
+        let e =
+          match Ccr_serve.Cache.find (Ccr_serve.Cache.create ~dir:fresh_dir ()) current
+          with
+          | Some e -> e
+          | None -> Alcotest.fail "the cold verdict was not cached"
+        in
+        (* the same entry, as an older checker would have stored it and
+           with a verdict the current one never gives *)
+        with_temp_dir "ccr-test-serve-cache" @@ fun stale_dir ->
+        Ccr_serve.Cache.store
+          (Ccr_serve.Cache.create ~dir:stale_dir ())
+          {
+            e with
+            Ccr_serve.Cache.e_key = stale;
+            e_verdict = { e.Ccr_serve.Cache.e_verdict with Api.v_states = 1 };
+          };
+        with_forked_daemon ~cache_dir:stale_dir @@ fun ~port ->
+        let status, job = submit ~port invalidate_cfg in
+        checki "a stale entry is a miss: the job queues" 202 status;
+        checkb "not marked cached" false (jbool job "cached");
+        checks "the verdict is recomputed" (J.to_string cold)
+          (J.to_string (verdict_of (wait_done ~port "j1")));
+        checkb "no hit, one miss" true
+          (metric ~port "serve_cache_hits_total" = 0.0
+          && metric ~port "serve_cache_misses_total" = 1.0));
     case "cache key: entries without IR differ by name" (fun () ->
         (* [migratory-hand] has no IR, so its marshalled [system] is
            [None] — the same bytes as any other IR-less entry *)
