@@ -48,9 +48,9 @@ let system = Dsl.system "barrier" ~home ~remote
 
 let rv_invariants prog =
   let open Props in
-  let releasing = home_states prog [ "R" ]
-  and waiting = remote_states prog [ "W" ]
-  and s = home_var prog "s" in
+  let releasing = home_states prog [ "R" ] in
+  let waiting = remote_states prog [ "W" ] in
+  let s = home_var prog "s" in
   [
     (* the release phase starts with everyone arrived and never runs dry *)
     ( "release_not_dry",
@@ -67,9 +67,9 @@ let rv_invariants prog =
 
 let async_invariants prog =
   let open Props in
-  let releasing = home_states prog [ "R" ]
-  and waiting = remote_states prog [ "W" ]
-  and s = home_var prog "s" in
+  let releasing = home_states prog [ "R" ] in
+  let waiting = remote_states prog [ "W" ] in
+  let s = home_var prog "s" in
   let is_go (m : Wire.msg) = m.m_name = "go" in
   [
     ( "release_not_dry",

@@ -132,17 +132,17 @@ let remote =
 
 let system = Dsl.system "invalidate" ~home ~remote
 
-let readers = [ "S" ]
-let writers = [ "M" ]
+let reader_states = [ "S" ]
+let writer_states = [ "M" ]
 
 let rv_invariants prog =
   let open Props in
-  let writers = remote_states prog writers
-  and readers = remote_states prog readers
-  and held = remote_states prog (readers @ writers)
-  and free = home_states prog [ "F"; "FgS"; "FgM" ]
-  and sharer = remote_states prog [ "S" ]
-  and sh = home_var prog "sh" in
+  let writers = remote_states prog writer_states in
+  let readers = remote_states prog reader_states in
+  let held = remote_states prog (reader_states @ writer_states) in
+  let free = home_states prog [ "F"; "FgS"; "FgM" ] in
+  let sharer = remote_states prog [ "S" ] in
+  let sh = home_var prog "sh" in
   [
     ("single_writer", fun st -> rv_remotes_in writers st <= 1);
     ( "writer_excludes_readers",
@@ -158,12 +158,12 @@ let rv_invariants prog =
 
 let async_invariants prog =
   let open Props in
-  let writers = remote_states prog writers
-  and readers = remote_states prog readers
-  and held = remote_states prog (readers @ writers)
-  and free = home_states prog [ "F"; "FgS"; "FgM" ]
-  and sharer = remote_states prog [ "S" ]
-  and sh = home_var prog "sh" in
+  let writers = remote_states prog writer_states in
+  let readers = remote_states prog reader_states in
+  let held = remote_states prog (reader_states @ writer_states) in
+  let free = home_states prog [ "F"; "FgS"; "FgM" ] in
+  let sharer = remote_states prog [ "S" ] in
+  let sh = home_var prog "sh" in
   [
     ("single_writer", fun st -> as_remotes_in writers st <= 1);
     ( "writer_excludes_readers",

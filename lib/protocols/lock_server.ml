@@ -23,9 +23,9 @@ let system = Dsl.system "lock-server" ~home ~remote
 
 let rv_invariants prog =
   let open Props in
-  let critical = remote_states prog [ "C" ]
-  and holding = remote_states prog [ "C"; "R" ]
-  and unlocked = home_states prog [ "U"; "G" ] in
+  let critical = remote_states prog [ "C" ] in
+  let holding = remote_states prog [ "C"; "R" ] in
+  let unlocked = home_states prog [ "U"; "G" ] in
   [
     ("mutual_exclusion", fun st -> rv_remotes_in critical st <= 1);
     ( "unlocked_means_uncritical",
@@ -35,8 +35,8 @@ let rv_invariants prog =
 
 let async_invariants prog =
   let open Props in
-  let critical = remote_states prog [ "C" ]
-  and unlocked = home_states prog [ "U"; "G" ] in
+  let critical = remote_states prog [ "C" ] in
+  let unlocked = home_states prog [ "U"; "G" ] in
   [
     ("mutual_exclusion", fun st -> as_remotes_in critical st <= 1);
     (* [R] is excluded here: a remote sits in [R] until the ack of its

@@ -164,19 +164,19 @@ let remote =
 
 let system = Dsl.system "mesi" ~home ~remote
 
-let exclusive = [ "E"; "M" ]
-let readers = [ "S" ]
+let exclusive_states = [ "E"; "M" ]
+let reader_states = [ "S" ]
 
 let rv_invariants prog =
   let open Props in
-  let exclusive = remote_states prog exclusive
-  and readers = remote_states prog readers
-  and held = remote_states prog (exclusive @ readers)
-  and modified = remote_states prog [ "M" ]
-  and sharer = remote_states prog [ "S" ]
-  and free = home_states prog [ "F"; "FgE"; "FgM" ]
-  and exclusive_dir = home_states prog [ "X"; "XD"; "XDW"; "XI"; "XIW" ]
-  and sh = home_var prog "sh" in
+  let exclusive = remote_states prog exclusive_states in
+  let readers = remote_states prog reader_states in
+  let held = remote_states prog (exclusive_states @ reader_states) in
+  let modified = remote_states prog [ "M" ] in
+  let sharer = remote_states prog [ "S" ] in
+  let free = home_states prog [ "F"; "FgE"; "FgM" ] in
+  let exclusive_dir = home_states prog [ "X"; "XD"; "XDW"; "XI"; "XIW" ] in
+  let sh = home_var prog "sh" in
   [
     ("single_exclusive", fun st -> rv_remotes_in exclusive st <= 1);
     ( "exclusive_excludes_readers",
@@ -195,15 +195,15 @@ let rv_invariants prog =
 
 let async_invariants prog =
   let open Props in
-  let exclusive = remote_states prog exclusive
-  and readers = remote_states prog readers
-  and held = remote_states prog (exclusive @ readers)
-  and modified = remote_states prog [ "M" ]
-  and sharer = remote_states prog [ "S" ]
-  and free = home_states prog [ "F"; "FgE"; "FgM" ]
-  and exclusive_dir = home_states prog [ "X"; "XD"; "XDW"; "XI"; "XIW" ]
-  and downgrading = home_states prog [ "XDW"; "GrS2" ]
-  and sh = home_var prog "sh" in
+  let exclusive = remote_states prog exclusive_states in
+  let readers = remote_states prog reader_states in
+  let held = remote_states prog (exclusive_states @ reader_states) in
+  let modified = remote_states prog [ "M" ] in
+  let sharer = remote_states prog [ "S" ] in
+  let free = home_states prog [ "F"; "FgE"; "FgM" ] in
+  let exclusive_dir = home_states prog [ "X"; "XD"; "XDW"; "XI"; "XIW" ] in
+  let downgrading = home_states prog [ "XDW"; "GrS2" ] in
+  let sh = home_var prog "sh" in
   [
     ("single_exclusive", fun st -> as_remotes_in exclusive st <= 1);
     ( "exclusive_excludes_readers",

@@ -71,10 +71,10 @@ let holding = [ "V" ]
 
 let rv_invariants prog =
   let open Props in
-  let holding = remote_states prog holding
-  and free = home_states prog [ "F"; "Fg" ]
-  and owned = home_states prog [ "E"; "I1"; "I2" ]
-  and o = home_var prog "o" in
+  let holding = remote_states prog holding in
+  let free = home_states prog [ "F"; "Fg" ] in
+  let owned = home_states prog [ "E"; "I1"; "I2" ] in
+  let o = home_var prog "o" in
   [
     ("single_holder", fun st -> rv_remotes_in holding st <= 1);
     ( "free_means_unheld",
@@ -88,11 +88,11 @@ let rv_invariants prog =
 
 let async_invariants prog =
   let open Props in
-  let holding = remote_states prog holding
-  and free = home_states prog [ "F"; "Fg" ]
-  and owned = home_states prog [ "E"; "I1"; "I2" ]
-  and granting = home_states prog [ "Fg"; "I3" ]
-  and o = home_var prog "o" in
+  let holding = remote_states prog holding in
+  let free = home_states prog [ "F"; "Fg" ] in
+  let owned = home_states prog [ "E"; "I1"; "I2" ] in
+  let granting = home_states prog [ "Fg"; "I3" ] in
+  let o = home_var prog "o" in
   [
     ("single_holder", fun st -> as_remotes_in holding st <= 1);
     (* under the generic (ack-based) scheme the grantee enters [V] while

@@ -169,13 +169,13 @@ let sharer_states = [ "S"; "UAck"; "WSend"; "WWait"; "WUAck"; "SRel" ]
 
 let rv_invariants prog =
   let open Props in
-  let sharing = remote_states prog sharer_states
-  and settled = home_states prog [ "Sh"; "ShG"; "F"; "FgS" ]
-  and sharer = remote_states prog [ "S" ]
-  and sh = home_var prog "sh"
-  and pend = home_var prog "pend"
-  and vl = home_var prog "vl"
-  and rvl = remote_var prog "vl" in
+  let sharing = remote_states prog sharer_states in
+  let settled = home_states prog [ "Sh"; "ShG"; "F"; "FgS" ] in
+  let sharer = remote_states prog [ "S" ] in
+  let sh = home_var prog "sh" in
+  let pend = home_var prog "pend" in
+  let vl = home_var prog "vl" in
+  let rvl = remote_var prog "vl" in
   [
     ( "sharers_recorded",
       fun st ->
@@ -195,13 +195,13 @@ let rv_invariants prog =
 
 let async_invariants prog =
   let open Props in
-  let sharing = remote_states prog sharer_states
-  and idle_dir = home_states prog [ "Sh"; "F" ]
-  and sharer = remote_states prog [ "S" ]
-  and sh = home_var prog "sh"
-  and pend = home_var prog "pend"
-  and vl = home_var prog "vl"
-  and rvl = remote_var prog "vl" in
+  let sharing = remote_states prog sharer_states in
+  let idle_dir = home_states prog [ "Sh"; "F" ] in
+  let sharer = remote_states prog [ "S" ] in
+  let sh = home_var prog "sh" in
+  let pend = home_var prog "pend" in
+  let vl = home_var prog "vl" in
+  let rvl = remote_var prog "vl" in
   [
     ( "sharers_recorded",
       fun st ->

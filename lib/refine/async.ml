@@ -605,6 +605,11 @@ let remote_recv (prog : Prog.t) (r : remote) i (w : Wire.t) :
 
 (* ---- global semantics ----------------------------------------------------- *)
 
+(* Copy on write: a successor shares every record and channel list it
+   leaves alone and copies any array it changes.  Never write into [st]'s
+   arrays or environments here — [encode] copies the bytes of components
+   physically shared with the decoded parent, so an in-place write would
+   give a successor the parent's stale bytes. *)
 let set_arr a i x =
   let a' = Array.copy a in
   a'.(i) <- x;

@@ -66,6 +66,13 @@ type state = {
   to_h : Wire.t list array;  (** channel remote [i] → home, head oldest *)
   to_r : Wire.t list array;  (** channel home → remote [i] *)
 }
+(** A state is an immutable value, although OCaml lets its arrays and
+    environments be written: never change one in place — not [st.r.(i)],
+    a channel slot, nor an [h_env]/[r_env]/[scratch] entry — but build a
+    new state that copies the array it changes, as {!successors} does.
+    {!encode} reuses the bytes of every component that is physically a
+    decoded parent's, so a state changed in place after {!decode} would
+    get that parent's stale bytes, a wrong visited key. *)
 
 (** Rule identifiers, named after the rows of Tables 1 and 2; used for
     trace explanation and for the rule-coverage experiment. *)
@@ -162,9 +169,10 @@ val successors : ?meter:meter -> Prog.t -> config -> state -> (label * state) li
     ([Domain.DLS]), so shards on different domains never share them.
     The base is immutable and replaced whole, so a systhread that
     decodes between another's {!decode} and {!encode} changes only which
-    components are copied, never the key.  The scratch buffer is not protected: systhreads that
-    share one domain must still serialize their calls to {!encode} and
-    {!encode_perm}, as the daemon's engine lock does. *)
+    components are copied, never the key.  The scratch buffer is not
+    protected: systhreads that share one domain must still serialize
+    their calls to {!encode} and {!encode_perm}, as the daemon's engine
+    lock does. *)
 
 val encode : state -> string
 (** The key of a state, spliced from the calling domain's base where it

@@ -247,13 +247,13 @@ let spec_hash (e : Registry.t) cfg =
 
 let checker_version = 1
 
-let cache_key ?(version = checker_version) (e : Registry.t) cfg =
+let cache_key (e : Registry.t) cfg =
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"
           [
             spec_hash e cfg; string_of_int cfg.max_states; store_name cfg;
-            string_of_int version;
+            string_of_int checker_version;
           ]))
 
 let cacheable v =

@@ -125,9 +125,9 @@ val spec_hash : Ccr_protocols.Registry.t -> config -> string
 val checker_version : int
 
 (** Content-addressed result-cache key: {!spec_hash} plus the
-    verdict-affecting execution knobs (max_states, store) and [version]
-    (default {!checker_version}). *)
-val cache_key : ?version:int -> Ccr_protocols.Registry.t -> config -> string
+    verdict-affecting execution knobs (max_states, store) and
+    {!checker_version}. *)
+val cache_key : Ccr_protocols.Registry.t -> config -> string
 
 (** Only machine-independent outcomes may be cached: complete, violation,
     deadlock, limit-states (BFS order is deterministic at jobs=1).

@@ -219,66 +219,6 @@ let tests =
               | Error _ -> Alcotest.failf "%s fails validation" e.name))
           Registry.all;
         checkb "unknown not found" true (Option.is_none (Registry.find "nope")));
-    case "invariant builders refuse unknown names" (fun () ->
-        let prog = compile ~n:2 Invalidate.system in
-        let refusal what f =
-          match f () with
-          | _ -> Alcotest.failf "%s: accepted" what
-          | exception Invalid_argument msg -> msg
-        in
-        (* a misspelled control state would make an invariant vacuous *)
-        checks "state typo"
-          "Props: remote process \"remote\" has no control state \"Ss\""
-          (refusal "state typo" (fun () -> Props.remote_states prog [ "S"; "Ss" ]));
-        checks "home state typo"
-          "Props: home process \"home\" has no control state \"f\""
-          (refusal "home state typo" (fun () -> Props.home_states prog [ "f" ]));
-        (* a misspelled variable must not surface as a bare Not_found *)
-        checks "variable typo"
-          "Props: home process \"home\" has no variable \"shh\""
-          (refusal "variable typo" (fun () -> Props.home_var prog "shh"));
-        checks "remote variable typo"
-          "Props: remote process \"remote\" has no variable \"sh\""
-          (refusal "remote variable typo" (fun () -> Props.remote_var prog "sh"));
-        (* the builders resolve every name before returning: invalidate's
-           invariants over the lock server's program name states it lacks *)
-        let lock = compile ~n:2 Lock_server.system in
-        List.iter
-          (fun (what, build) ->
-            let msg = refusal what build in
-            checkb (what ^ " names the side and the state") true
-              (contains_sub ~sub:"remote process" msg
-              && contains_sub ~sub:"\"M\"" msg))
-          [
-            ("rv builder", fun () -> ignore (Invalidate.rv_invariants lock));
-            ("async builder", fun () -> ignore (Invalidate.async_invariants lock));
-          ];
-        (* a check with a typo'd invariant is refused with the name, before
-           any exploration *)
-        let entry =
-          match Registry.find "invalidate" with
-          | Some e -> e
-          | None -> Alcotest.fail "invalidate not registered"
-        in
-        let typo =
-          {
-            entry with
-            Registry.async_invariants =
-              (fun prog ->
-                let sh = Props.home_var prog "shh" in
-                [ ("typo", fun st -> Props.as_home_var sh st <> Value.Vunit) ]);
-          }
-        in
-        match
-          Ccr_serve.Api.check_entry typo
-            { Ccr_serve.Api.default with n = 2; level = `Async }
-        with
-        | Ok _ -> Alcotest.fail "a typo'd invariant was checked"
-        | Error msg ->
-          checkb ("refusal names the variable: " ^ msg) true
-            (contains_sub ~sub:"Props: home process" msg
-            && contains_sub ~sub:"no variable" msg
-            && contains_sub ~sub:"shh" msg));
     case "a broken invariant is caught with a trace" (fun () ->
         (* sanity-check the harness itself: an impossible invariant must
            fail fast and carry a counterexample *)
@@ -345,6 +285,67 @@ let tests =
             (Ccr_refine.Async.successors prog cfg st)
         done;
         checkb "r0 sees r1's write" true !found);
+    case "invariant builders refuse unknown names" (fun () ->
+        let prog = compile ~n:2 Invalidate.system in
+        let refusal what f =
+          match f () with
+          | _ -> Alcotest.failf "%s: accepted" what
+          | exception Invalid_argument msg -> msg
+        in
+        (* a misspelled control state would make an invariant vacuous *)
+        checks "state typo"
+          "Props: remote process \"remote\" has no control state \"Ss\""
+          (refusal "state typo" (fun () -> Props.remote_states prog [ "S"; "Ss" ]));
+        checks "home state typo"
+          "Props: home process \"home\" has no control state \"f\""
+          (refusal "home state typo" (fun () -> Props.home_states prog [ "f" ]));
+        (* a misspelled variable must not surface as a bare Not_found *)
+        checks "variable typo"
+          "Props: home process \"home\" has no variable \"shh\""
+          (refusal "variable typo" (fun () -> Props.home_var prog "shh"));
+        checks "remote variable typo"
+          "Props: remote process \"remote\" has no variable \"sh\""
+          (refusal "remote variable typo" (fun () -> Props.remote_var prog "sh"));
+        (* the builders resolve every name, in order, before returning:
+           invalidate's invariants over the lock server's program first
+           name the writer state "M", which the lock's remote lacks *)
+        let lock = compile ~n:2 Lock_server.system in
+        List.iter
+          (fun (what, build) ->
+            let msg = refusal what build in
+            checkb (what ^ " names the side and the state") true
+              (contains_sub ~sub:"remote process" msg
+              && contains_sub ~sub:"\"M\"" msg))
+          [
+            ("rv builder", fun () -> ignore (Invalidate.rv_invariants lock));
+            ("async builder", fun () -> ignore (Invalidate.async_invariants lock));
+          ];
+        (* a check with a typo'd invariant is refused with the name, before
+           any exploration *)
+        let entry =
+          match Registry.find "invalidate" with
+          | Some e -> e
+          | None -> Alcotest.fail "invalidate not registered"
+        in
+        let typo =
+          {
+            entry with
+            Registry.async_invariants =
+              (fun prog ->
+                let sh = Props.home_var prog "shh" in
+                [ ("typo", fun st -> Props.as_home_var sh st <> Value.Vunit) ]);
+          }
+        in
+        match
+          Ccr_serve.Api.check_entry typo
+            { Ccr_serve.Api.default with n = 2; level = `Async }
+        with
+        | Ok _ -> Alcotest.fail "a typo'd invariant was checked"
+        | Error msg ->
+          checkb ("refusal names the variable: " ^ msg) true
+            (contains_sub ~sub:"Props: home process" msg
+            && contains_sub ~sub:"no variable" msg
+            && contains_sub ~sub:"shh" msg));
   ]
 
 let suite = ("protocols", tests)

@@ -367,6 +367,20 @@ let tests =
                 checki "high-fd round trip" 200 status;
                 checkb "service banner" true
                   (contains_sub ~sub:"ccr-serve" body))));
+    case "cache key: entries without IR differ by name" (fun () ->
+        (* [migratory-hand] has no IR, so its marshalled [system] is
+           [None] — the same bytes as any other IR-less entry *)
+        let hand =
+          match Registry.find "migratory-hand" with
+          | Some e -> e
+          | None -> Alcotest.fail "no migratory-hand entry"
+        in
+        let other = { hand with Registry.name = "other" } in
+        let cfg = { Api.default with Api.spec = Api.Named "migratory-hand" } in
+        checkb "spec hashes differ" true
+          (Api.spec_hash hand cfg <> Api.spec_hash other cfg);
+        checkb "cache keys differ" true
+          (Api.cache_key hand cfg <> Api.cache_key other cfg));
     case "cache key: an entry from another checker version is recomputed"
       (fun () ->
         let entry =
@@ -375,8 +389,16 @@ let tests =
           | None -> Alcotest.fail "no invalidate entry"
         in
         let current = Api.cache_key entry invalidate_cfg in
+        (* the key as the checker before [checker_version] formed it *)
         let stale =
-          Api.cache_key ~version:(Api.checker_version - 1) entry invalidate_cfg
+          Digest.to_hex
+            (Digest.string
+               (String.concat "\x00"
+                  [
+                    Api.spec_hash entry invalidate_cfg;
+                    string_of_int invalidate_cfg.Api.max_states;
+                    Api.store_name invalidate_cfg;
+                  ]))
         in
         checkb "the version is part of the key" true (current <> stale);
         with_temp_dir "ccr-test-serve-cache" @@ fun fresh_dir ->
@@ -410,20 +432,6 @@ let tests =
         checkb "no hit, one miss" true
           (metric ~port "serve_cache_hits_total" = 0.0
           && metric ~port "serve_cache_misses_total" = 1.0));
-    case "cache key: entries without IR differ by name" (fun () ->
-        (* [migratory-hand] has no IR, so its marshalled [system] is
-           [None] — the same bytes as any other IR-less entry *)
-        let hand =
-          match Registry.find "migratory-hand" with
-          | Some e -> e
-          | None -> Alcotest.fail "no migratory-hand entry"
-        in
-        let other = { hand with Registry.name = "other" } in
-        let cfg = { Api.default with Api.spec = Api.Named "migratory-hand" } in
-        checkb "spec hashes differ" true
-          (Api.spec_hash hand cfg <> Api.spec_hash other cfg);
-        checkb "cache keys differ" true
-          (Api.cache_key hand cfg <> Api.cache_key other cfg));
   ]
 
 let suite = ("serve", tests)

@@ -297,49 +297,6 @@ let tests =
                     (rv_system prog))
               (registry_progs n))
           [ 2; 3 ]);
-    case "splice: parent-spliced keys are byte-identical, every protocol, n=2,3"
-      (fun () ->
-        (* [Async.encode] copies the components a successor shares with
-           the parent [decode] just read; the key must equal the full
-           encoding ([encode_perm] under the identity never splices),
-           also when an unrelated decode in between forces misses *)
-        let shared = ref 0 in
-        List.iter
-          (fun n ->
-            let id = Array.init n Fun.id in
-            let full st = Async.encode_perm ~p:id ~inv:id st in
-            List.iter
-              (fun ((e : Registry.t), prog) ->
-                let sys = async_system prog in
-                let keys =
-                  Array.of_list (List.map full (reachable_states sys))
-                in
-                let m = Array.length keys in
-                Array.iteri
-                  (fun i key ->
-                    let parent = Async.decode prog key in
-                    let succs = sys.Explore.succ parent in
-                    let spliced =
-                      List.map (fun (_, st) -> Async.encode st) succs
-                    in
-                    ignore (Async.decode prog keys.((i + (m / 2) + 1) mod m));
-                    List.iter2
-                      (fun (_, (st : Async.state)) key ->
-                        let want = full st in
-                        if key <> want then
-                          Alcotest.failf "%s n=%d: spliced key %S, full %S"
-                            e.Registry.name n key want;
-                        if Async.encode st <> want then
-                          Alcotest.failf "%s n=%d: key after a miss differs"
-                            e.Registry.name n;
-                        if st.h == parent.h || st.r.(0) == parent.r.(0) then
-                          incr shared)
-                      succs spliced)
-                  keys)
-              (registry_progs n))
-          [ 2; 3 ];
-        checkb "successors share components with their parent" true
-          (!shared > 0));
     case "codec: fault-injected keys round-trip (drop=1,dup=1; pause=1)"
       (fun () ->
         List.iter
@@ -561,6 +518,49 @@ let tests =
         checkb "cliff was real: plain stopped short" true
           (mem.Explore.states < col.Explore.states);
         checkb "under the cap" true (col.Explore.mem_bytes <= cap));
+    case "splice: parent-spliced keys are byte-identical, every protocol, n=2,3"
+      (fun () ->
+        (* [Async.encode] copies the components a successor shares with
+           the parent [decode] just read; the key must equal the full
+           encoding ([encode_perm] under the identity never splices),
+           also when an unrelated decode in between forces misses *)
+        let shared = ref 0 in
+        List.iter
+          (fun n ->
+            let id = Array.init n Fun.id in
+            let full st = Async.encode_perm ~p:id ~inv:id st in
+            List.iter
+              (fun ((e : Registry.t), prog) ->
+                let sys = async_system prog in
+                let keys =
+                  Array.of_list (List.map full (reachable_states sys))
+                in
+                let m = Array.length keys in
+                Array.iteri
+                  (fun i key ->
+                    let parent = Async.decode prog key in
+                    let succs = sys.Explore.succ parent in
+                    let spliced =
+                      List.map (fun (_, st) -> Async.encode st) succs
+                    in
+                    ignore (Async.decode prog keys.((i + (m / 2) + 1) mod m));
+                    List.iter2
+                      (fun (_, (st : Async.state)) key ->
+                        let want = full st in
+                        if key <> want then
+                          Alcotest.failf "%s n=%d: spliced key %S, full %S"
+                            e.Registry.name n key want;
+                        if Async.encode st <> want then
+                          Alcotest.failf "%s n=%d: key after a miss differs"
+                            e.Registry.name n;
+                        if st.h == parent.h || st.r.(0) == parent.r.(0) then
+                          incr shared)
+                      succs spliced)
+                  keys)
+              (registry_progs n))
+          [ 2; 3 ];
+        checkb "successors share components with their parent" true
+          (!shared > 0));
   ]
 
 let suite = ("store", tests)
