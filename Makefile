@@ -37,12 +37,17 @@ obs-smoke:
 
 # Symmetry reduction: unit suite (canonicalizer properties, quotient
 # count equality vs the brute oracle at jobs 1/2/4), the --symmetry cram
-# checks, and a live quotient run past the old n! cliff.
+# checks, a live quotient run past the old n! cliff, and the Table 3
+# invalidate n=4 quotient pinned to its exact counts with no fallback.
 sym-smoke:
 	dune build @all
 	dune exec test/test_main.exe -- test symmetry
 	dune build @test/cram/runtest
 	dune exec bin/ccr.exe -- check migratory -n 7 --level async --symmetry auto
+	dune exec bin/ccr.exe -- check invalidate -n 4 --level async \
+	  --metrics-json /tmp/ccr-sym-smoke.json \
+	  | grep -q '): 77965 states, 304853 transitions,'
+	grep -q '"canon.fallbacks": 0,' /tmp/ccr-sym-smoke.json
 
 # Fault model: unit suite, the --faults cram checks, then the headline
 # demonstration live — the vanilla refinement must FAIL (exit 2, with a

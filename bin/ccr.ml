@@ -896,9 +896,11 @@ let check_cmd =
         Some (fun () -> !interrupted)
     in
     (* The exact command that continues this run, for the report and the
-       journal's end event: current argv minus the checkpoint flags, plus
-       --resume DIR. *)
-    let resume_command ?(drop_cap = false) dir =
+       journal's end event: [program], then the current arguments minus
+       the checkpoint flags, plus --resume DIR.  The report names the
+       invoked path; the journal names the program [ccr], so the same run
+       journals the same bytes by whatever path it was invoked. *)
+    let resume_command ?(drop_cap = false) ~program dir =
       let quote a =
         if String.exists (fun c -> c = ' ' || c = '"' || c = '\'') a then
           Filename.quote a
@@ -922,7 +924,8 @@ let check_cmd =
         | a :: rest -> quote a :: strip rest
       in
       String.concat " "
-        (strip (Array.to_list Sys.argv) @ [ "--resume"; quote dir ])
+        ((quote program :: strip (List.tl (Array.to_list Sys.argv)))
+        @ [ "--resume"; quote dir ])
     in
     Obs.jev jnl "config"
       (Api.journal_config ~protocol:e.Registry.name cfg
@@ -1107,12 +1110,18 @@ let check_cmd =
           (* every cap/interrupt stop wrote a final checkpoint (or kept
              the previous one when the boundary was partial): tell the
              user — and the journal — exactly how to continue *)
-          let cmd =
-            resume_command ~drop_cap:(v.Api.v_explored = "limit-states") dir
+          let cmd program =
+            resume_command
+              ~drop_cap:(v.Api.v_explored = "limit-states")
+              ~program dir
           in
           Obs.jend_extend jnl
-            [ ("reason", J.Str "interrupted"); ("resume", J.Str cmd) ];
-          Fmt.epr "checkpoint saved in %s; resume with:@.  %s@." dir cmd
+            [
+              ("reason", J.Str "interrupted");
+              ("resume", J.Str (cmd "ccr"));
+            ];
+          Fmt.epr "checkpoint saved in %s; resume with:@.  %s@." dir
+            (cmd Sys.argv.(0))
         | None -> ())
       | _ -> ());
       Option.iter

@@ -60,7 +60,11 @@ let set_members s =
   loop 0 []
 
 let set_of_list rs = Vset (List.fold_left (fun m r -> m lor (1 lsl r)) 0 rs)
-let set_cardinal s = List.length (set_members s)
+(* Counts the mask's bits, clearing the lowest set bit each round:
+   the symmetry signatures call it for every set-valued variable. *)
+let set_cardinal s =
+  let rec count m c = if m <= 0 then c else count (m land (m - 1)) (c + 1) in
+  count (as_mask s) 0
 
 let pp ppf = function
   | Vunit -> Fmt.string ppf "()"

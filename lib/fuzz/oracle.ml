@@ -153,6 +153,34 @@ let splice_checked bad (prog : Prog.t) (sys : (Async.state, _) Explore.system)
         outs);
   }
 
+(* Symmetry parent reuse on every generated successor: its canonical key
+   right after the explorer decoded the parent, which reuses the parent's
+   slot signatures, must equal its key after decoding an unrelated key,
+   which reuses none. *)
+let canon_checked bad (prog : Prog.t) (sys : (Async.state, _) Explore.system)
+    =
+  let canon = Sym.canonical_async_fast prog in
+  let other = Async.encode sys.Explore.init in
+  {
+    sys with
+    Explore.succ =
+      (fun st ->
+        let outs = sys.Explore.succ st in
+        if !bad = None then begin
+          let reused = List.map (fun (_, st') -> canon st') outs in
+          ignore (Async.decode prog other);
+          List.iter2
+            (fun (_, st') key ->
+              if !bad = None && canon st' <> key then
+                bad :=
+                  Some
+                    (Fmt.str "a canonical key reusing the parent's \
+                              signatures differs from a cold one: %S" key))
+            outs reused
+        end;
+        outs);
+  }
+
 let codec_verdict bad outcome =
   match !bad with Some m -> Fail m | None -> outcome
 
@@ -291,10 +319,11 @@ let o_symmetry ctx =
   | Error e, _ | _, Error e -> Fail (exn_msg e)
   | Ok prog, Ok full ->
     let cfg = Async.{ k = ctx.spec.Gen.k } in
-    let quotient canon_key stats =
+    let reuse = ref None in
+    let quotient sys canon_key stats =
       Explore.run ~max_states:ctx.max_states
         {
-          (async_sys prog cfg) with
+          sys with
           Explore.canon =
             Some
               Explore.
@@ -306,11 +335,22 @@ let o_symmetry ctx =
         }
     in
     let st_fast = Sym.make_stats () and st_brute = Sym.make_stats () in
-    let fast = quotient (Sym.canonical_async_fast ~stats:st_fast prog) st_fast in
-    let brute = quotient (Sym.canonical_async ~stats:st_brute prog) st_brute in
+    let fast =
+      quotient
+        (canon_checked reuse prog (async_sys prog cfg))
+        (Sym.canonical_async_fast ~stats:st_fast prog)
+        st_fast
+    in
+    let brute =
+      quotient (async_sys prog cfg)
+        (Sym.canonical_async ~stats:st_brute prog)
+        st_brute
+    in
     let complete (r : (_, _) Explore.stats) =
       r.Explore.outcome = Explore.Complete
     in
+    codec_verdict reuse
+    @@
     if
       fast.Explore.canon_fallbacks > 0 || brute.Explore.canon_fallbacks > 0
     then Pass (* counted fallback: the two partitions are incomparable *)

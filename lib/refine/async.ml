@@ -949,6 +949,11 @@ let decode_from (prog : Prog.t) c =
   (Domain.DLS.get scratch).base <- Some { st; key = c.Value.key; cuts };
   st
 
+let splice_base () =
+  match (Domain.DLS.get scratch).base with
+  | Some b -> Some b.st
+  | None -> None
+
 let decode (prog : Prog.t) key =
   let c = Value.cursor ~who:"Async.decode" key in
   let st = decode_from prog c in

@@ -194,6 +194,12 @@ val decode_from : Prog.t -> Value.cursor -> state
     {!Ccr_faults.Injected.encode} does).  The result becomes the splice
     base, with offsets into the cursor's whole key. *)
 
+val splice_base : unit -> state option
+(** The state the calling domain's last {!decode} (or {!decode_from})
+    returned, [None] before the first.  Read-only: {!Symmetry} keys its
+    cache of the parent's slot signatures on it, by the same [==] rule
+    as {!encode}. *)
+
 val encode_perm : p:int array -> inv:int array -> state -> string
 (** [encode_perm ~p ~inv st] is byte-identical to [encode] of [st] with
     remotes permuted by [p] ([inv] is [p]'s inverse): slot arrays and both

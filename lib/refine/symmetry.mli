@@ -17,11 +17,11 @@
     Two canonicalizers are provided.  The {e brute} one permutes and
     re-encodes the state [n!] times (the test oracle; unusable past
     [max_fact]).  The {e fast} one sorts remote slots by a
-    permutation-equivariant per-slot signature (control state, env,
-    buffer, transient mode, both channel contents, and the home's
-    references to the slot) and enumerates permutations only within tied
-    signature groups, so the common case is one sort plus one
-    [encode_perm].  Both fall back to a deterministic injective — hence
+    permutation-equivariant per-slot signature — the slot's own bytes
+    (control state, env, buffer, transient mode, both channel contents),
+    then one bit per home feature that refers to the slot — and
+    enumerates permutations only within tied signature groups, so the
+    common case is one sort plus one [encode_perm].  Both fall back to a deterministic injective — hence
     still sound, merely less reducing — key when their work bound is
     exceeded, and the fallback is {e counted}, never silent.
 
@@ -91,6 +91,11 @@ val canonical_rv_fast :
 
 val canonical_async_fast :
   ?stats:stats -> ?max_perms:int -> Prog.t -> Async.state -> string
+(** As {!canonical_rv_fast}.  The slot signatures of the state
+    {!Async.decode} last returned in the calling domain
+    ({!Async.splice_base}) are cached, and a slot whose remote and both
+    channels are physically that parent's reuses them; the key is
+    byte-identical to a computation without the cache. *)
 
 val last_orbit : unit -> int
 (** Orbit size ([n! / |stabilizer|]) of the state passed to the most

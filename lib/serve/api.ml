@@ -265,6 +265,10 @@ let cacheable v =
 
 (* ---- the check ----------------------------------------------------------- *)
 
+let refusal = function
+  | Invalid_argument m | Failure m -> m
+  | exn -> Printexc.to_string exn
+
 let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
     (e : Registry.t) cfg =
   match fault_spec cfg with
@@ -529,7 +533,7 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
              ~lbl:(Fmt.str "%a" Async.pp_label)
              ~pp_state:(Async.pp_state prog)
              ~msc:(Ccr_viz.Msc.render prog) r)
-    with exn -> Error (Printexc.to_string exn))
+    with exn -> Error (refusal exn))
 
 let check ?explorer cfg =
   match resolve cfg.spec with

@@ -134,6 +134,11 @@ val cache_key : Ccr_protocols.Registry.t -> config -> string
     Time/memory caps and interrupts depend on the machine. *)
 val cacheable : verdict -> bool
 
+(** The text of an exception that stopped a check: the message of an
+    [Invalid_argument] or a [Failure] as it stands, any other exception
+    as {!Printexc.to_string} prints it. *)
+val refusal : exn -> string
+
 (** Run one check.  [meter], [observe_label], [sym_stats] and [on_orbit]
     are CLI observability hooks; the daemon omits them. *)
 val check_entry :

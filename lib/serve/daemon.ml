@@ -171,7 +171,7 @@ let worker t =
     | None -> ()
     | Some j ->
       (try run_job t j
-       with exn -> set_status j (Failed (Printexc.to_string exn)));
+       with exn -> set_status j (Failed (Api.refusal exn)));
       loop ()
   in
   loop ()

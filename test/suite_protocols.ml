@@ -346,6 +346,33 @@ let tests =
             (contains_sub ~sub:"Props: home process" msg
             && contains_sub ~sub:"no variable" msg
             && contains_sub ~sub:"shh" msg));
+    case "a refused check reads as plain text, not exception syntax"
+      (fun () ->
+        let entry = Registry.find "invalidate" |> Option.get in
+        let typo =
+          {
+            entry with
+            Registry.async_invariants =
+              (fun prog ->
+                let sh = Props.home_var prog "shh" in
+                [ ("typo", fun st -> Props.as_home_var sh st <> Value.Vunit) ]);
+          }
+        in
+        (match
+           Ccr_serve.Api.check_entry typo
+             { Ccr_serve.Api.default with n = 2; level = `Async }
+         with
+        | Ok _ -> Alcotest.fail "a typo'd invariant was checked"
+        | Error msg ->
+          checks "refusal"
+            "Props: home process \"home\" has no variable \"shh\"" msg;
+          checkb "no exception constructor" false
+            (String.starts_with ~prefix:"Invalid_argument(" msg);
+          checkb "no escaped quotes" false (contains_sub ~sub:"\\\"" msg));
+        checks "failure" "no such thing"
+          (Ccr_serve.Api.refusal (Failure "no such thing"));
+        checks "other exceptions" "Not_found"
+          (Ccr_serve.Api.refusal Not_found));
   ]
 
 let suite = ("protocols", tests)

@@ -93,6 +93,14 @@ let tests =
       (fun l ->
         let s = Value.set_of_list l in
         Value.equal s (Value.set_of_list (Value.set_members s)));
+    case "set_cardinal counts the members of every mask below 2^10"
+      (fun () ->
+        for m = 0 to (1 lsl 10) - 1 do
+          let s = Value.Vset m in
+          checki (string_of_int m)
+            (List.length (Value.set_members s))
+            (Value.set_cardinal s)
+        done);
   ]
 
 let suite = ("value", tests)
