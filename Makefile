@@ -120,7 +120,10 @@ journal-smoke:
 # parse), the resume fuzz oracle, then live — runs SIGKILLed
 # mid-exploration by CCR_CRASH_AT, resumed from their checkpoints and
 # required to land on the uninterrupted pin (invalidate async n=3:
-# 9263 states / 27191 transitions) at one and at two domains.
+# 9263 states / 27191 transitions) at one and at two domains, with the
+# in-memory and the disk store; and once more without symmetry (18207 /
+# 53352), where the visited keys are component ids written to the
+# checkpoint as full keys and read back on resume.
 resume-smoke:
 	dune build @all
 	dune exec test/test_main.exe -- test ckpt
@@ -137,6 +140,18 @@ resume-smoke:
 	dune exec bin/ccr.exe -- check invalidate -n 3 --level async -j 2 \
 	  --resume /tmp/ccr-resume-smoke/par \
 	  | grep -q '9263 states, 27191 transitions'
+	! CCR_CRASH_AT=level=14 dune exec bin/ccr.exe -- check invalidate -n 3 \
+	  --level async -j 2 --store disk \
+	  --checkpoint /tmp/ccr-resume-smoke/disk 2>/dev/null
+	dune exec bin/ccr.exe -- check invalidate -n 3 --level async -j 2 \
+	  --store disk --resume /tmp/ccr-resume-smoke/disk \
+	  | grep -q '9263 states, 27191 transitions'
+	! CCR_CRASH_AT=level=14 dune exec bin/ccr.exe -- check invalidate -n 3 \
+	  --level async --symmetry off --store disk \
+	  --checkpoint /tmp/ccr-resume-smoke/ids 2>/dev/null
+	dune exec bin/ccr.exe -- check invalidate -n 3 --level async \
+	  --symmetry off --store disk --resume /tmp/ccr-resume-smoke/ids \
+	  | grep -q '18207 states, 53352 transitions'
 
 # Checking service: the black-box conformance suite (forked daemons over
 # loopback), the serve fuzz oracle (daemon verdicts must byte-match the

@@ -122,6 +122,7 @@ let run_rv prog =
         encode = Ccr_semantics.Rendezvous.encode;
         decode = Ccr_semantics.Rendezvous.decode prog;
         canon = None;
+        key_io = None;
       }
 
 let run_async ?(k = 2) prog =
@@ -134,6 +135,7 @@ let run_async ?(k = 2) prog =
         encode = Async.encode;
         decode = Async.decode prog;
         canon = None;
+        key_io = None;
       }
 
 (* Like {!run_async} but with a metrics registry metered through the
@@ -171,6 +173,7 @@ let run_async_metered ?(k = 2) prog =
           encode = Async.encode;
           decode = Async.decode prog;
           canon = None;
+          key_io = None;
         }
   in
   M.set
@@ -253,6 +256,7 @@ let storage () =
         encode = Async.encode;
         decode = Async.decode prog;
         canon = None;
+        key_io = None;
       }
   in
   Fmt.pr "%-26s %9s %10s %8s %9s %9s %7s %s@." "workload" "states" "trans"
@@ -331,6 +335,7 @@ let parallel () =
           encode = Async.encode;
           decode = Async.decode prog;
           canon = None;
+          key_io = None;
         }
     in
     let mem = mem_cap_mb * 1024 * 1024 in
@@ -568,6 +573,7 @@ let faults_bench () =
           encode = I.encode;
           decode = I.decode prog;
           canon = None;
+          key_io = None;
         }
     in
     let invariants = I.no_wedge :: List.map I.lift_invariant invariants in
@@ -706,6 +712,7 @@ let progress () =
             encode = Async.encode;
             decode = Async.decode prog;
             canon = None;
+            key_io = None;
           }
     in
     let progress_label (l : Async.label) =
@@ -765,6 +772,7 @@ let symmetry () =
             encode = Ccr_semantics.Rendezvous.encode;
             decode = Ccr_semantics.Rendezvous.decode prog;
             canon = canon_of stats key;
+            key_io = None;
           }
     in
     (r, stats)
@@ -786,6 +794,7 @@ let symmetry () =
             encode = Async.encode;
             decode = Async.decode prog;
             canon = canon_of stats key;
+            key_io = None;
           }
     in
     (r, stats)
@@ -905,6 +914,7 @@ let breadth () =
               encode = Async.encode;
               decode = Async.decode prog;
               canon = None;
+              key_io = None;
             }
       in
       let eq1 =
@@ -946,6 +956,7 @@ let journal_overhead () =
         encode = Async.encode;
         decode = Async.decode prog;
         canon = None;
+        key_io = None;
       }
   in
   let best f =
@@ -1008,6 +1019,7 @@ let checkpoint_overhead () =
         encode = Async.encode;
         decode = Async.decode prog;
         canon = None;
+        key_io = None;
       }
   in
   (* the CLI-shaped system: [ccr check] canonicalizes by default, so the

@@ -512,6 +512,7 @@ let explain_cmd =
               encode = Async.encode;
               decode = Async.decode prog;
               canon = None;
+              key_io = None;
             }
         in
         let lbl = Fmt.str "%a" Async.pp_label in
@@ -577,6 +578,7 @@ let explain_cmd =
               encode = Injected.encode;
               decode = Injected.decode prog;
               canon = None;
+              key_io = None;
             }
         in
         let lbl = Fmt.str "%a" Injected.pp_label in
@@ -1750,6 +1752,7 @@ let progress_cmd =
             encode = Async.encode;
             decode = Async.decode prog;
             canon = None;
+            key_io = None;
           }
     in
     let progress_label (l : Async.label) =

@@ -48,6 +48,7 @@ let () =
               encode = Ccr_semantics.Rendezvous.encode;
               decode = Ccr_semantics.Rendezvous.decode prog;
               canon = None;
+              key_io = None;
             }
       in
       let cfg = Async.{ k = 2 } in
@@ -61,6 +62,7 @@ let () =
               encode = Async.encode;
               decode = Async.decode prog;
               canon = None;
+              key_io = None;
             }
       in
       let ok o = match o with Explore.Complete -> "ok" | _ -> "FAILED" in
@@ -89,6 +91,7 @@ let () =
               encode = Ccr_semantics.Rendezvous.encode;
               decode = Ccr_semantics.Rendezvous.decode prog;
               canon = None;
+              key_io = None;
             }
       in
       Fmt.pr "  rendezvous n=%-3d %6d states@." n rv.states)

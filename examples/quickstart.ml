@@ -86,6 +86,7 @@ let () =
           encode = Ccr_semantics.Rendezvous.encode;
           decode = Ccr_semantics.Rendezvous.decode prog;
           canon = None;
+          key_io = None;
         }
   in
   Fmt.pr "rendezvous level: %d states — %s@." rv.states
@@ -115,6 +116,7 @@ let () =
           encode = Ccr_refine.Async.encode;
           decode = Ccr_refine.Async.decode prog;
           canon = None;
+          key_io = None;
         }
   in
   Fmt.pr "asynchronous level: %d states — %s@." asy.states

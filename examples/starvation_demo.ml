@@ -72,6 +72,7 @@ let () =
           encode = Async.encode;
           decode = Async.decode prog2;
           canon = None;
+          key_io = None;
         }
   in
   Fmt.pr "   n=3: %d states, %s@." r.states

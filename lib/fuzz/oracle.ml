@@ -5,6 +5,7 @@ module Ckpt = Ccr_modelcheck.Ckpt
 module Async = Ccr_refine.Async
 module Absmap = Ccr_refine.Absmap
 module Sym = Ccr_refine.Symmetry
+module Table = Ccr_refine.Table
 module Rendezvous = Ccr_semantics.Rendezvous
 module Fault = Ccr_faults.Fault
 module Injected = Ccr_faults.Injected
@@ -181,6 +182,43 @@ let canon_checked bad (prog : Prog.t) (sys : (Async.state, _) Explore.system)
         outs);
   }
 
+(* The component table on every expanded state: [Table.succ] on the
+   table's decoding of the parent gives [Async.successors]' labels and
+   states, in order, and each successor's table key exports to its
+   [Async.encode] bytes. *)
+let table_checked bad (prog : Prog.t) cfg
+    (sys : (Async.state, _) Explore.system) =
+  let t = Table.create prog cfg in
+  {
+    sys with
+    Explore.succ =
+      (fun st ->
+        let outs = sys.Explore.succ st in
+        (if !bad = None then
+           let key = Async.encode st in
+           let differs () =
+             bad :=
+               Some
+                 (Fmt.str "the component table's successors differ from \
+                           the interpreter's at %S" key)
+           in
+           match Table.succ t (Table.decode t (Table.import t key)) with
+           | mine ->
+             if
+               List.compare_lengths mine outs <> 0
+               || not
+                    (List.for_all2
+                       (fun (l, s) (l', s') ->
+                         let bytes = Async.encode s in
+                         l = l'
+                         && Async.encode s' = bytes
+                         && Table.export t (Table.encode t s') = bytes)
+                       outs mine)
+             then differs ()
+           | exception _ -> differs ());
+        outs);
+  }
+
 let codec_verdict bad outcome =
   match !bad with Some m -> Fail m | None -> outcome
 
@@ -192,6 +230,7 @@ let async_sys prog cfg =
       encode = Async.encode;
       decode = Async.decode prog;
       canon = None;
+      key_io = None;
     }
 
 let make_ctx ?rules ~max_states spec =
@@ -205,8 +244,9 @@ let make_ctx ?rules ~max_states spec =
         capture (fun () ->
             let cfg = Async.{ k = spec.Gen.k } in
             let base =
-              codec_checked async_codec
-                (splice_checked async_codec p (async_sys p cfg))
+              table_checked async_codec p cfg
+                (codec_checked async_codec
+                   (splice_checked async_codec p (async_sys p cfg)))
             in
             let succ =
               match rules with
@@ -285,6 +325,7 @@ let o_rv ctx =
                encode = Rendezvous.encode;
                decode = Rendezvous.decode prog;
                canon = None;
+               key_io = None;
              })
     in
     codec_verdict bad
@@ -414,6 +455,7 @@ let o_faults ctx =
                encode = Injected.encode;
                decode = Injected.decode prog;
                canon = None;
+               key_io = None;
              })
     in
     codec_verdict bad

@@ -4,12 +4,15 @@ type 's canon = {
   canon_fallbacks : unit -> int;
 }
 
+type key_io = { export : string -> string; import : string -> string }
+
 type ('s, 'l) system = {
   init : 's;
   succ : 's -> ('l * 's) list;
   encode : 's -> string;
   decode : string -> 's;
   canon : 's canon option;
+  key_io : key_io option;
 }
 
 (* Visited-set key function and fresh-state callback: under symmetry
@@ -22,6 +25,14 @@ let key_fns sys =
     ( c.canon_key,
       (match c.canon_fresh with None -> fun _ -> () | Some f -> f),
       c.canon_fallbacks )
+
+(* How visited keys leave a run (checkpoint) and come back (resume):
+   canonical keys are portable already, [encode]d ones through the
+   system's [key_io]. *)
+let visited_io sys =
+  match (sys.canon, sys.key_io) with
+  | None, Some io -> (io.export, io.import)
+  | _ -> (Fun.id, Fun.id)
 
 (* The frontier entry of a fresh state [st] stored under [key]: the key
    itself without symmetry reduction (the very string the store holds),
@@ -281,6 +292,7 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
   let t0 = Unix.gettimeofday () in
   let key_of, on_fresh, canon_fallbacks = key_fns sys in
   let fkey = frontier_key sys in
+  let export, import = visited_io sys in
   let jobs = max 1 jobs in
   (* counterexamples are rebuilt from provenance: without the caller's
      table, an internal one (8 bytes per state) *)
@@ -445,7 +457,10 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
                   (fun i key -> (base + i, depth, 0, sys.decode key))
                   frontier);
             v_iter_keys =
-              (fun f -> Array.iter (fun s -> s.Vstore.iter_keys f) stores);
+              (fun f ->
+                Array.iter
+                  (fun s -> s.Vstore.iter_keys (fun k -> f (export k)))
+                  stores);
           })
       ckpt
   in
@@ -521,7 +536,7 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
   let seed key = ignore (stores.(owner key).Vstore.add key) in
   (match ckpt with
   | Some { ck_resume = Some r; _ } ->
-    r.r_keys seed;
+    r.r_keys (fun k -> seed (import k));
     n_states := r.r_states;
     trans := r.r_transitions;
     let d0 =

@@ -34,6 +34,15 @@ type 's canon = {
     concrete, replayable runs (de-canonicalization is free: canonical
     keys never replace states). *)
 
+type key_io = {
+  export : string -> string;
+  import : string -> string;
+}
+(** Keys that exist only inside one run (e.g. {!Ccr_refine.Table}'s
+    component ids) and their form outside it: [export] maps a key to
+    bytes that mean the same state in any run, [import] maps such bytes
+    back, so [import (export k)] is a key equal to [k]. *)
+
 type ('s, 'l) system = {
   init : 's;
   succ : 's -> ('l * 's) list;
@@ -47,6 +56,10 @@ type ('s, 'l) system = {
           no structured state outlives its level *)
   canon : 's canon option;
       (** optional symmetry reduction; [None] = explore the full space *)
+  key_io : key_io option;
+      (** how the visited keys of a run without [canon] are written to a
+          checkpoint and read back on resume; [None] = the [encode]d
+          keys are portable as they are (canonical keys always are) *)
 }
 
 type limit =
@@ -121,7 +134,8 @@ type 's ckpt_view = {
           (thunked: costs nothing when the policy declines the
           boundary) *)
   v_iter_keys : (string -> unit) -> unit;
-      (** visit every visited-set key {e at this boundary} *)
+      (** visit every visited-set key {e at this boundary}, through the
+          system's [key_io.export] when it has one and no [canon] *)
 }
 
 type 's ckpt_resume = {
@@ -130,6 +144,8 @@ type 's ckpt_resume = {
   r_frontier : (int * int * int * 's) array;
       (** re-encoded to frontier keys on resume *)
   r_keys : (string -> unit) -> unit;
+      (** the visited keys as [v_iter_keys] gave them; the driver
+          re-imports them through [key_io.import] *)
 }
 
 type 's ckpt = {

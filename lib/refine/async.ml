@@ -804,7 +804,7 @@ let encode (st : state) =
   let n = Array.length st.r in
   (match e.base with
   | Some b
-    when Array.length b.st.r = n
+    when Array.length b.cuts = 2 + (3 * n)
          && Array.length st.to_h = n
          && Array.length st.to_r = n ->
     let p = b.st in
@@ -954,11 +954,43 @@ let splice_base () =
   | Some b -> Some b.st
   | None -> None
 
+(* A base without a key: no [cuts] to copy between, so [encode] encodes
+   in full, while [splice_base] still returns [st]. *)
+let set_splice_base st =
+  (Domain.DLS.get scratch).base <- Some { st; key = ""; cuts = [||] }
+
 let decode (prog : Prog.t) key =
   let c = Value.cursor ~who:"Async.decode" key in
   let st = decode_from prog c in
   Value.decode_end c;
   st
+
+(* One component alone, in the bytes [encode] writes for it. *)
+let component_key enc x =
+  let buf = Buffer.create 32 in
+  enc buf x;
+  Buffer.contents buf
+
+let home_key h = component_key enc_home h
+let remote_key r = component_key enc_remote r
+let channel_key q = component_key enc_channel q
+
+let decode_component who dec key =
+  let c = Value.cursor ~who key in
+  let x = dec c in
+  Value.decode_end c;
+  x
+
+let decode_home (prog : Prog.t) key =
+  decode_component "Async.decode_home" (fun c -> dec_home c prog) key
+
+let decode_remote (prog : Prog.t) key =
+  decode_component "Async.decode_remote" (fun c -> dec_remote c prog) key
+
+let decode_channel key =
+  decode_component "Async.decode_channel"
+    (fun c -> dec_channel c (Value.decode_count c))
+    key
 
 let enc_env_perm buf p e =
   for i = 0 to Array.length e - 1 do

@@ -200,6 +200,12 @@ val splice_base : unit -> state option
     cache of the parent's slot signatures on it, by the same [==] rule
     as {!encode}. *)
 
+val set_splice_base : state -> unit
+(** Make [st] the calling domain's splice base without a key, for a
+    decoder of another key format ({!Table.decode}): {!splice_base}
+    returns [st], so {!Symmetry} reuses its slot signatures, while
+    {!encode} has no bytes to copy and encodes in full. *)
+
 val encode_perm : p:int array -> inv:int array -> state -> string
 (** [encode_perm ~p ~inv st] is byte-identical to [encode] of [st] with
     remotes permuted by [p] ([inv] is [p]'s inverse): slot arrays and both
@@ -213,6 +219,20 @@ val split_key : Prog.t -> string -> int array
     past the home, past each remote, past each home-bound channel, past
     each remote-bound channel.  The last offset equals
     [String.length key]. *)
+
+(** {2 Components}
+
+    A key is the concatenation of its components' bytes (see above).
+    These give one component's bytes and read them back, refusing
+    anything else as {!decode} does; {!Table} interns components by
+    them. *)
+
+val home_key : home -> string
+val remote_key : remote -> string
+val channel_key : Wire.t list -> string
+val decode_home : Prog.t -> string -> home
+val decode_remote : Prog.t -> string -> remote
+val decode_channel : string -> Wire.t list
 
 (** {2 Node-local semantics}
 

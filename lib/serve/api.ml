@@ -13,6 +13,7 @@ module Graph = Ccr_modelcheck.Graph
 module Vstore = Ccr_modelcheck.Vstore
 module Async = Ccr_refine.Async
 module Sym = Ccr_refine.Symmetry
+module Table = Ccr_refine.Table
 module Fault = Ccr_faults.Fault
 module Injected = Ccr_faults.Injected
 module Registry = Ccr_protocols.Registry
@@ -351,6 +352,7 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
                   encode = Injected.rv_encode;
                   decode = Injected.rv_decode prog;
                   canon = None;
+                  key_io = None;
                 }
           in
           Ok
@@ -375,6 +377,7 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
               encode = Injected.encode;
               decode = Injected.decode prog;
               canon = None;
+              key_io = None;
             }
         in
         let r =
@@ -494,6 +497,7 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
                 encode = Ccr_semantics.Rendezvous.encode;
                 decode = Ccr_semantics.Rendezvous.decode prog;
                 canon = rv_canon ();
+                key_io = None;
               }
         in
         Ok
@@ -504,28 +508,69 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
              r)
       | `Async, None ->
         let acfg = { Async.k = cfg.k } in
-        let succ_base = Async.successors ?meter prog acfg in
-        let succ =
+        let canon = async_canon () in
+        let observed succ =
           match observe_label with
-          | None -> succ_base
+          | None -> succ
           | Some f ->
             fun st ->
-              let outs = succ_base st in
+              let outs = succ st in
               List.iter (fun ((l : Async.label), _) -> f l) outs;
               outs
         in
+        let init = Async.initial prog acfg in
+        let invariants = e.Registry.async_invariants prog in
         let r =
-          explorer.explore ~check_deadlock:true
-            ~split:(Some (Async.split_key prog))
-            ~invariants:(e.Registry.async_invariants prog)
-            Explore.
-              {
-                init = Async.initial prog acfg;
-                succ;
-                encode = Async.encode;
-                decode = Async.decode prog;
-                canon = async_canon ();
-              }
+          (* Component ids depend on the order domains intern them in,
+             so beyond one shard they stay out of the visited set: a
+             sharded check without symmetry runs on [Async] itself. *)
+          if canon = None && cfg.jobs > 1 then
+            explorer.explore ~check_deadlock:true
+              ~split:(Some (Async.split_key prog)) ~invariants
+              Explore.
+                {
+                  init;
+                  succ = observed (Async.successors ?meter prog acfg);
+                  encode = Async.encode;
+                  decode = Async.decode prog;
+                  canon;
+                  key_io = None;
+                }
+          else
+            (* The table is made on first use, so set-up does not pay
+               for it (a race between domains keeps one of the tables
+               made). *)
+            let table = Atomic.make None in
+            let rec tb () =
+              match Atomic.get table with
+              | Some t -> t
+              | None ->
+                ignore
+                  (Atomic.compare_and_set table None
+                     (Some (Table.create prog acfg)));
+                tb ()
+            in
+            (* the visited keys are canonical keys under symmetry *)
+            let split =
+              if canon = None then fun key -> Table.split (tb ()) key
+              else Async.split_key prog
+            in
+            explorer.explore ~check_deadlock:true ~split:(Some split)
+              ~invariants
+              Explore.
+                {
+                  init;
+                  succ = observed (fun st -> Table.succ ?meter (tb ()) st);
+                  encode = (fun st -> Table.encode (tb ()) st);
+                  decode = (fun key -> Table.decode (tb ()) key);
+                  canon;
+                  key_io =
+                    Some
+                      {
+                        export = (fun key -> Table.export (tb ()) key);
+                        import = (fun key -> Table.import (tb ()) key);
+                      };
+                }
         in
         Ok
           (assemble ~protocol ~level

@@ -1,8 +1,9 @@
 (* Content-addressed result cache.  Keys are hex digests, so they are
    safe as file names; entries are self-describing JSON objects written
-   through the journal codec. *)
+   through the journal codec, each framed by the CRC32 of its bytes. *)
 
 module J = Ccr_obs.Journal
+module Ckpt = Ccr_modelcheck.Ckpt
 
 type t = { cdir : string; max_entries : int; lock : Mutex.t }
 
@@ -50,40 +51,60 @@ let read_file p =
   close_in ic;
   s
 
-let find t key =
-  if not (safe_key key) then None
+(* An entry file is its body's CRC32 as eight hex digits, a newline,
+   then the body. *)
+let frame body = Printf.sprintf "%08x\n%s" (Ckpt.crc32 body) body
+
+let unframe raw =
+  let len = String.length raw in
+  if len < 9 || raw.[8] <> '\n' then Error "no CRC line"
   else
-    let p = path t key in
-    match read_file p with
-    | exception Sys_error _ -> None
-    | raw -> (
-      match J.parse raw with
-      | None -> None
-      | Some json -> (
-        let verdict =
-          match J.find json "verdict" with
-          | Some vj -> Api.verdict_of_json vj
-          | None -> Error "no verdict"
-        in
-        match verdict with
-        | Error _ -> None
-        | Ok v ->
-          let journal =
-            match J.get_list (J.find json "journal") with
-            | Some lines ->
-              List.filter_map
-                (function J.Str s -> Some s | _ -> None)
-                lines
-            | None -> []
-          in
-          Some
+    let body = String.sub raw 9 (len - 9) in
+    match int_of_string_opt ("0x" ^ String.sub raw 0 8) with
+    | Some crc when crc = Ckpt.crc32 body -> Ok body
+    | Some _ -> Error "CRC mismatch"
+    | None -> Error "no CRC line"
+
+(* The entry a checked body holds, if it is the one filed under [key]. *)
+let entry_of key body =
+  match J.parse body with
+  | None -> Error "not JSON"
+  | Some json -> (
+    if J.get_str (J.find json "key") <> Some key then
+      Error "filed under another key"
+    else
+      match J.find json "verdict" with
+      | None -> Error "no verdict"
+      | Some vj ->
+        Result.map
+          (fun v ->
+            let journal =
+              match J.get_list (J.find json "journal") with
+              | Some lines ->
+                List.filter_map
+                  (function J.Str s -> Some s | _ -> None)
+                  lines
+              | None -> []
+            in
             {
               e_key = key;
-              e_config =
-                Option.value ~default:J.Null (J.find json "config");
+              e_config = Option.value ~default:J.Null (J.find json "config");
               e_verdict = v;
               e_journal = journal;
-            }))
+            })
+          (Api.verdict_of_json vj))
+
+let find ?(on_damaged = fun _ -> ()) t key =
+  if not (safe_key key) then None
+  else
+    match read_file (path t key) with
+    | exception Sys_error _ -> None
+    | raw -> (
+      match Result.bind (unframe raw) (entry_of key) with
+      | Ok e -> Some e
+      | Error why ->
+        on_damaged why;
+        None)
 
 let evict_locked t =
   let names = entries t in
@@ -121,8 +142,7 @@ let store t e =
         let final = path t e.e_key in
         let tmp = final ^ ".tmp" in
         let oc = open_out_bin tmp in
-        output_string oc (J.to_string json);
-        output_char oc '\n';
+        output_string oc (frame (J.to_string json ^ "\n"));
         close_out oc;
         Sys.rename tmp final;
         evict_locked t)

@@ -243,7 +243,11 @@ let submit t fd body =
           let cached_entry =
             match t.cache with
             | None -> None
-            | Some cache -> Cache.find cache key
+            | Some cache ->
+              Cache.find
+                ~on_damaged:(fun _ ->
+                  M.incr (M.counter t.reg "serve.cache_damaged"))
+                cache key
           in
           match cached_entry with
           | Some e ->
@@ -472,6 +476,7 @@ let start ?(port = 0) ?(workers = 1) ?(queue_cap = 64) ?cache_dir
     [
       "serve.requests"; "serve.jobs_submitted"; "serve.jobs_done";
       "serve.jobs_failed"; "serve.cache_hits"; "serve.cache_misses";
+      "serve.cache_damaged";
       "serve.rejected_queue_full"; "serve.bad_requests";
       "serve.states_explored";
     ];

@@ -15,6 +15,9 @@ module Ckpt = Ccr_modelcheck.Ckpt
 module J = Ccr_obs.Journal
 module Api = Ccr_serve.Api
 module Registry = Ccr_protocols.Registry
+module Async = Ccr_refine.Async
+module Table = Ccr_refine.Table
+module Sym = Ccr_refine.Symmetry
 
 (* counter_system / bits_system come from Test_util. *)
 
@@ -515,6 +518,121 @@ let tests =
         checks "manifest" m1 m2;
         checkb "frontier bytes" true (String.equal f1 f2);
         checkb "visited keys" true (k1 = k2));
+    case "full-key and component-table checkpoints resume each other"
+      (fun () ->
+        (* invalidate async n=3, with symmetry (9263 states, 27191
+           transitions) and without (18207, 53352): a checkpoint written
+           through [Async]'s full keys resumes under a component table at
+           j=1 and j=2, and the reverse; a table writes its visited
+           section as exactly the full keys *)
+        let prog =
+          (Result.get_ok (Api.resolve inv3.Api.spec)).Registry.instantiate
+            ~reqrep:true ~n:3
+        in
+        let cfg = Async.{ k = 2 } in
+        let canon sym =
+          if sym then
+            Some
+              Explore.
+                {
+                  canon_key = Sym.canonical_async_fast prog;
+                  canon_fresh = None;
+                  canon_fallbacks = (fun () -> 0);
+                }
+          else None
+        in
+        let full sym =
+          Explore.
+            {
+              init = Async.initial prog cfg;
+              succ = Async.successors prog cfg;
+              encode = Async.encode;
+              decode = Async.decode prog;
+              canon = canon sym;
+              key_io = None;
+            }
+        in
+        let table sym =
+          let t = Table.create prog cfg in
+          Explore.
+            {
+              init = Async.initial prog cfg;
+              succ = Table.succ t;
+              encode = Table.encode t;
+              decode = Table.decode t;
+              canon = canon sym;
+              key_io =
+                Some { export = Table.export t; import = Table.import t };
+            }
+        in
+        let written sys =
+          in_dir @@ fun dir ->
+          ignore (Explore.run ~max_states:4000 ~ckpt:(ckpt_to dir) sys);
+          let keys = ref [] in
+          (load_ok dir).Ckpt.l_keys (fun k -> keys := k :: !keys);
+          List.sort compare !keys
+        in
+        List.iter
+          (fun (sym, states, transitions) ->
+            checkb
+              (Fmt.str "sym=%b: the visited section holds the full keys" sym)
+              true
+              (written (table sym) = written (full sym));
+            List.iter
+              (fun (what, writer, reader) ->
+                in_dir @@ fun dir ->
+                ignore
+                  (Explore.run ~max_states:4000 ~ckpt:(ckpt_to dir)
+                     (writer sym));
+                List.iter
+                  (fun jobs ->
+                    let r =
+                      Explore.run ~jobs ~ckpt:(resume_of (load_ok dir))
+                        (reader sym)
+                    in
+                    let name = Fmt.str "sym=%b %s j=%d" sym what jobs in
+                    checkb (name ^ ": complete") true
+                      (r.Explore.outcome = Explore.Complete);
+                    checki (name ^ ": states") states r.Explore.states;
+                    checki (name ^ ": transitions") transitions
+                      r.Explore.transitions)
+                  [ 1; 2 ])
+              [ ("full -> table", full, table); ("table -> full", table, full) ])
+          [ (true, 9263, 27191); (false, 18207, 53352) ]);
+    case "two identical j=2 checks write byte-identical checkpoints"
+      (fun () ->
+        let e = Result.get_ok (Api.resolve inv3.Api.spec) in
+        List.iter
+          (fun symmetry ->
+            let cfg = { inv3 with Api.jobs = 2; symmetry } in
+            let file () =
+              in_dir @@ fun dir ->
+              let explorer =
+                {
+                  Api.explore =
+                    (fun ~check_deadlock ~split:_ ~invariants sys ->
+                      Explore.run ~jobs:2 ~max_states:4000 ~check_deadlock
+                        ~invariants
+                        ~ckpt:
+                          Explore.
+                            {
+                              ck_resume = None;
+                              ck_save =
+                                Ckpt.saver ~dir
+                                  ~manifest:(cli_manifest e cfg [])
+                                  ~prov:None ();
+                            }
+                        sys);
+                }
+              in
+              ignore (Api.check_entry ~explorer e cfg);
+              In_channel.with_open_bin (Ckpt.file dir) In_channel.input_all
+            in
+            checkb
+              (Fmt.str "symmetry %s" (Api.symmetry_name cfg))
+              true
+              (String.equal (file ()) (file ())))
+          [ `Auto; `Off ]);
   ]
 
 let suite = ("ckpt", tests)

@@ -15,6 +15,7 @@ let counter_system ~limit =
       encode = string_of_int;
       decode = int_of_string;
       canon = None;
+      key_io = None;
     }
 
 (* k independent bits: 2^k states, no deadlock (self loops). *)
@@ -27,6 +28,7 @@ let bits_system k =
       encode = string_of_int;
       decode = int_of_string;
       canon = None;
+      key_io = None;
     }
 
 let tests =
@@ -50,6 +52,7 @@ let tests =
               encode = string_of_int;
               decode = int_of_string;
               canon = None;
+              key_io = None;
             }
         in
         let r = Explore.run chain in
@@ -283,6 +286,7 @@ let tests =
               encode = string_of_int;
               decode = int_of_string;
               canon = None;
+              key_io = None;
             }
         in
         let r = Explore.run ~max_time_s:0.05 very_slow in
@@ -304,6 +308,7 @@ let tests =
               encode = string_of_int;
               decode = int_of_string;
               canon = None;
+              key_io = None;
             }
         in
         let r = Explore.run ~max_time_s:0.05 slow in

@@ -20,6 +20,7 @@ let injected_system mode sp prog cfg =
       encode = Injected.encode;
       decode = Injected.decode prog;
       canon = None;
+      key_io = None;
     }
 
 let k2 = Async.{ k = 2 }
@@ -163,6 +164,7 @@ let tests =
                 encode = Injected.rv_encode;
                 decode = Injected.rv_decode prog;
                 canon = None;
+                key_io = None;
               }
         in
         assert_complete "rv pause" r);

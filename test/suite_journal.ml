@@ -23,6 +23,7 @@ let counter_system ~limit =
       encode = string_of_int;
       decode = int_of_string;
       canon = None;
+      key_io = None;
     }
 
 (* ---- codec -------------------------------------------------------------- *)
@@ -158,6 +159,7 @@ let registry_violation_cases jobs_list =
             encode = Async.encode;
             decode = Async.decode prog;
             canon = None;
+            key_io = None;
           }
       in
       let g = Graph.build sys in
@@ -255,6 +257,7 @@ let engine_tests =
               encode = string_of_int;
               decode = int_of_string;
               canon = None;
+              key_io = None;
             }
         in
         let invariants = [ ("not4", fun s -> s <> 4) ] in

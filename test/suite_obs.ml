@@ -55,6 +55,7 @@ let metered_async_system reg prog =
       encode = Async.encode;
       decode = Async.decode prog;
       canon = None;
+      key_io = None;
     }
 
 let tests =

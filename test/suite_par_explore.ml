@@ -93,6 +93,7 @@ let pin_rows () =
         encode = Injected.encode;
         decode = Injected.decode prog;
         canon = None;
+        key_io = None;
       }
   in
   registry
@@ -277,6 +278,7 @@ let tests =
               encode = string_of_int;
               decode = int_of_string;
               canon = None;
+              key_io = None;
             }
         in
         let r = Explore.run ~jobs:2 ~max_time_s:0.05 slow in

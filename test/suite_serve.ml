@@ -432,6 +432,96 @@ let tests =
         checkb "no hit, one miss" true
           (metric ~port "serve_cache_hits_total" = 0.0
           && metric ~port "serve_cache_misses_total" = 1.0));
+    case "cache: damaged, misfiled and unframed entries are recomputed"
+      (fun () ->
+        let module Cache = Ccr_serve.Cache in
+        let entry_of name =
+          match Registry.find name with
+          | Some e -> e
+          | None -> Alcotest.failf "no %s entry" name
+        in
+        let key = Api.cache_key (entry_of "invalidate") invalidate_cfg in
+        let lock_cfg = { invalidate_cfg with Api.spec = Api.Named "lock" } in
+        let other = Api.cache_key (entry_of "lock") lock_cfg in
+        let verdict cfg =
+          match Api.check cfg with
+          | Ok (v, _) -> v
+          | Error msg -> Alcotest.failf "check refused: %s" msg
+        in
+        let v = verdict invalidate_cfg in
+        let entry k cfg v =
+          {
+            Cache.e_key = k;
+            e_config = Api.config_to_json cfg;
+            e_verdict = v;
+            e_journal = [];
+          }
+        in
+        let file dir k = Filename.concat dir (k ^ ".json") in
+        let read p = In_channel.with_open_bin p In_channel.input_all in
+        let write p s =
+          Out_channel.with_open_bin p (fun oc -> output_string oc s)
+        in
+        (* the last digit of the entry's state count, changed in place *)
+        let flip_states dir =
+          Cache.store (Cache.create ~dir ()) (entry key invalidate_cfg v);
+          let raw = read (file dir key) in
+          let field = "\"states\":" in
+          let rec at i =
+            if String.sub raw i (String.length field) = field then i
+            else at (i + 1)
+          in
+          let j = ref (at 0 + String.length field) in
+          while raw.[!j + 1] >= '0' && raw.[!j + 1] <= '9' do incr j done;
+          let b = Bytes.of_string raw in
+          Bytes.set b !j
+            (Char.chr (48 + ((Char.code raw.[!j] - 47) mod 10)));
+          write (file dir key) (Bytes.to_string b)
+        in
+        let plants =
+          [
+            ("a flipped digit", flip_states);
+            ( "another key's entry",
+              fun dir ->
+                Cache.store (Cache.create ~dir ())
+                  (entry other lock_cfg (verdict lock_cfg));
+                Sys.rename (file dir other) (file dir key) );
+            ( "an entry without its CRC line",
+              fun dir ->
+                Cache.store (Cache.create ~dir ()) (entry key invalidate_cfg v);
+                let raw = read (file dir key) in
+                let nl = String.index raw '\n' in
+                write (file dir key)
+                  (String.sub raw (nl + 1) (String.length raw - nl - 1)) );
+          ]
+        in
+        List.iter
+          (fun (what, plant) ->
+            with_temp_dir "ccr-test-serve-cache" @@ fun dir ->
+            plant dir;
+            let why = ref "" in
+            checkb (what ^ ": a miss") true
+              (Cache.find ~on_damaged:(fun w -> why := w) (Cache.create ~dir ())
+                 key
+              = None);
+            checkb (what ^ ": reported") true (!why <> ""))
+          plants;
+        with_temp_dir "ccr-test-serve-cache" @@ fun dir ->
+        flip_states dir;
+        with_forked_daemon ~cache_dir:dir @@ fun ~port ->
+        let status, job = submit ~port invalidate_cfg in
+        checki "a damaged entry is a miss: the job queues" 202 status;
+        checkb "not marked cached" false (jbool job "cached");
+        checkb "the verdict is recomputed" true
+          (J.get_int (J.find (verdict_of (wait_done ~port "j1")) "states")
+          = Some v.Api.v_states);
+        checkb "counted as damaged" true
+          (metric ~port "serve_cache_damaged_total" = 1.0
+          && metric ~port "serve_cache_hits_total" = 0.0);
+        let e = Cache.find (Cache.create ~dir ()) key in
+        checkb "the recomputed entry replaced it" true
+          (Option.map (fun e -> e.Cache.e_verdict.Api.v_states) e
+          = Some v.Api.v_states));
   ]
 
 let suite = ("serve", tests)

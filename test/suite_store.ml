@@ -11,6 +11,7 @@ module Explore = Ccr_modelcheck.Explore
 module Vstore = Ccr_modelcheck.Vstore
 module Async = Ccr_refine.Async
 module Sym = Ccr_refine.Symmetry
+module Table = Ccr_refine.Table
 module Rendezvous = Ccr_semantics.Rendezvous
 module Fault = Ccr_faults.Fault
 module Injected = Ccr_faults.Injected
@@ -202,6 +203,7 @@ let injected_system mode prog =
       encode = Injected.encode;
       decode = Injected.decode prog;
       canon = None;
+      key_io = None;
     }
 
 (* ---- the tests ---------------------------------------------------------- *)
@@ -276,6 +278,7 @@ let tests =
               encode = Injected.encode;
               decode = Injected.decode prog;
               canon = None;
+              key_io = None;
             }
         in
         let keys = reachable_keys sys in
@@ -320,6 +323,7 @@ let tests =
                     encode = Injected.rv_encode;
                     decode = Injected.rv_decode prog;
                     canon = None;
+                    key_io = None;
                   }
             end)
           (registry_progs 2));
@@ -561,6 +565,191 @@ let tests =
           [ 2; 3 ];
         checkb "successors share components with their parent" true
           (!shared > 0));
+    case "table: succ, encode and decode agree with Async, every protocol, n=2,3"
+      (fun () ->
+        (* the component table against the interpreter on every reachable
+           state: the same labels and states in the same order, the same
+           meter calls, keys that export to the [Async.encode] bytes and
+           are equal exactly when those are, and decodings that re-encode
+           to the same bytes *)
+        let cfg = Async.{ k = 2 } in
+        List.iter
+          (fun n ->
+            List.iter
+              (fun ((e : Registry.t), prog) ->
+                let states = reachable_states (async_system prog) in
+                let what = Fmt.str "%s n=%d" e.Registry.name n in
+                let t = Table.create prog cfg in
+                let keys = Hashtbl.create 1024 in
+                List.iter
+                  (fun (st : Async.state) ->
+                    let full = Async.encode st in
+                    let key = Table.import t full in
+                    (match Hashtbl.find_opt keys key with
+                    | Some f when f <> full ->
+                      Alcotest.failf "%s: one table key for two states"
+                        what
+                    | _ -> Hashtbl.replace keys key full);
+                    let parent = Table.decode t key in
+                    if Async.encode parent <> full then
+                      Alcotest.failf "%s: decode does not invert encode"
+                        what;
+                    let log = ref [] in
+                    let meter =
+                      {
+                        Async.m_sent = (fun w -> log := `S w :: !log);
+                        m_buf = (fun b -> log := `B b :: !log);
+                      }
+                    in
+                    let want = Async.successors ~meter prog cfg st in
+                    let want_log = !log in
+                    log := [];
+                    let got = Table.succ ~meter t parent in
+                    if !log <> want_log then
+                      Alcotest.failf "%s: meter calls differ" what;
+                    if List.length got <> List.length want then
+                      Alcotest.failf "%s: %d successors, want %d" what
+                        (List.length got) (List.length want);
+                    List.iter2
+                      (fun (l, s) (l', s') ->
+                        if l <> l' then
+                          Alcotest.failf "%s: label %a, want %a" what
+                            Async.pp_label l Async.pp_label l';
+                        let bytes = Async.encode s' in
+                        if Async.encode s <> bytes then
+                          Alcotest.failf "%s: successor %a differs" what
+                            Async.pp_label l;
+                        if Table.export t (Table.encode t s) <> bytes then
+                          Alcotest.failf "%s: key of %a exports otherwise"
+                            what Async.pp_label l)
+                      got want)
+                  states;
+                let fulls = Hashtbl.create 1024 in
+                Hashtbl.iter (fun _ f -> Hashtbl.replace fulls f ()) keys;
+                checki (what ^ ": keys are injective") (Hashtbl.length keys)
+                  (Hashtbl.length fulls))
+              (registry_progs n))
+          [ 2; 3 ]);
+    case "table: counterexample traces equal the interpreter's, n=2,3"
+      (fun () ->
+        (* a violation at the last state the interpreter's BFS reaches:
+           the same stop, counts and replayed trace through a table, at
+           one and two shards *)
+        let cfg = Async.{ k = 2 } in
+        List.iter
+          (fun n ->
+            List.iter
+              (fun ((e : Registry.t), prog) ->
+                let sys = async_system prog in
+                let states = reachable_states ~cap:max_int sys in
+                let target = Async.encode (List.nth states (List.length states - 1)) in
+                let invariants =
+                  [ ("not-last", fun st -> Async.encode st <> target) ]
+                in
+                let sig_of (r : (Async.state, Async.label) Explore.stats) =
+                  ( r.Explore.states,
+                    r.Explore.transitions,
+                    Option.map
+                      (List.map (fun (l, st) ->
+                           ( Option.map (Fmt.str "%a" Async.pp_label) l,
+                             Async.encode st )))
+                      r.Explore.trace )
+                in
+                let want = sig_of (Explore.run ~trace:true ~invariants sys) in
+                List.iter
+                  (fun jobs ->
+                    let t = Table.create prog cfg in
+                    let r =
+                      Explore.run ~jobs ~trace:true ~invariants
+                        {
+                          sys with
+                          Explore.succ = Table.succ t;
+                          encode = Table.encode t;
+                          decode = Table.decode t;
+                        }
+                    in
+                    checkb
+                      (Fmt.str "%s n=%d j=%d: same stop and trace"
+                         e.Registry.name n jobs)
+                      true
+                      (sig_of r = want))
+                  [ 1; 2 ])
+              (registry_progs n))
+          [ 2; 3 ]);
+    case "table: every store and shard count gives the same counts via Api"
+      (fun () ->
+        (* the collapse store cuts canonical keys under symmetry and
+           component ids without it *)
+        let module Api = Ccr_serve.Api in
+        List.iter
+          (fun (symmetry, states, transitions) ->
+            List.iter
+              (fun (store, jobs) ->
+                let cfg =
+                  {
+                    Api.default with
+                    Api.spec = Api.Named "invalidate";
+                    n = 3;
+                    symmetry;
+                    store;
+                    jobs;
+                  }
+                in
+                let what =
+                  Fmt.str "%s %s j=%d" (Api.symmetry_name cfg)
+                    (Api.store_name cfg) jobs
+                in
+                match Api.check cfg with
+                | Ok (v, _) ->
+                  checki (what ^ ": states") states v.Api.v_states;
+                  checki (what ^ ": transitions") transitions
+                    v.Api.v_transitions
+                | Error msg -> Alcotest.failf "%s: %s" what msg)
+              [
+                (`Mem, 1); (`Collapse, 1); (`Disk, 1); (`Mem, 2);
+                (`Collapse, 2); (`Disk, 2);
+              ])
+          [ (`Auto, 9263, 27191); (`Off, 18207, 53352) ]);
+    case "table: decode refuses truncated keys and unknown ids" (fun () ->
+        let cfg = Async.{ k = 2 } in
+        List.iter
+          (fun ((e : Registry.t), prog) ->
+            let t = Table.create prog cfg in
+            let table =
+              Explore.
+                {
+                  init = Async.initial prog cfg;
+                  succ = Table.succ t;
+                  encode = Table.encode t;
+                  decode = Table.decode t;
+                  canon = None;
+                  key_io = None;
+                }
+            in
+            let what = e.Registry.name ^ " n=2" in
+            check_codec (what ^ " table") "Table.decode" table)
+          (registry_progs 2);
+        let prog = compile ~n:2 (Ccr_protocols.Migratory.system ()) in
+        let t = Table.create prog cfg in
+        let key = Table.encode t (Async.initial prog cfg) in
+        let refusal k =
+          match Table.decode t k with
+          | _ -> Alcotest.failf "%S decoded" k
+          | exception Invalid_argument msg -> msg
+        in
+        checks "empty key" "Table.decode: truncated key at byte 0" (refusal "");
+        checks "cut key"
+          (Fmt.str "Table.decode: truncated key at byte %d"
+             (String.length key - 1))
+          (refusal (String.sub key 0 (String.length key - 1)));
+        checks "unknown id" "Table.decode: unknown home id 9 at byte 0"
+          (refusal ("\009" ^ String.sub key 1 (String.length key - 1)));
+        checks "overlong id" "Table.decode: overlong id at byte 0"
+          (refusal ("\128\000" ^ String.sub key 1 (String.length key - 1)));
+        checks "trailing byte"
+          (Fmt.str "Table.decode: trailing bytes at byte %d"
+             (String.length key))
+          (refusal (key ^ "\000")));
   ]
 
 let suite = ("store", tests)

@@ -11,7 +11,8 @@ let mig n = compile ~n (Ccr_protocols.Migratory.system ())
    the symmetry. *)
 let explore_with encode decode succ init =
   Ccr_modelcheck.Explore.run
-    Ccr_modelcheck.Explore.{ init; succ; encode; decode; canon = None }
+    Ccr_modelcheck.Explore.
+      { init; succ; encode; decode; canon = None; key_io = None }
   |> fun (r : (_, _) Ccr_modelcheck.Explore.stats) -> (r.states, r.outcome)
 
 let rv_quotient prog =
@@ -338,6 +339,7 @@ let tests =
                 encode = Symmetry.canonical_async prog;
                 decode = Async.decode prog;
                 canon = None;
+                key_io = None;
               }
         in
         checkb "complete" true (outcome_complete r.outcome));

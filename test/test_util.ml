@@ -79,6 +79,7 @@ let rv_system prog =
       encode = Ccr_semantics.Rendezvous.encode;
       decode = Ccr_semantics.Rendezvous.decode prog;
       canon = None;
+      key_io = None;
     }
 
 let async_system ?(k = 2) prog =
@@ -90,6 +91,7 @@ let async_system ?(k = 2) prog =
       encode = Ccr_refine.Async.encode;
       decode = Ccr_refine.Async.decode prog;
       canon = None;
+      key_io = None;
     }
 
 let explore_rv ?invariants ?max_states prog =
@@ -135,6 +137,7 @@ let counter_system ~limit =
       encode = string_of_int;
       decode = int_of_string;
       canon = None;
+      key_io = None;
     }
 
 (* The k-bit hypercube: 2^k states, k successors each. *)
@@ -147,6 +150,7 @@ let bits_system k =
       encode = string_of_int;
       decode = int_of_string;
       canon = None;
+      key_io = None;
     }
 
 (* ---- processes and scratch space --------------------------------------- *)
