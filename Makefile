@@ -38,7 +38,8 @@ obs-smoke:
 # Symmetry reduction: unit suite (canonicalizer properties, quotient
 # count equality vs the brute oracle at jobs 1/2/4), the --symmetry cram
 # checks, a live quotient run past the old n! cliff, and the Table 3
-# invalidate n=4 quotient pinned to its exact counts with no fallback.
+# invalidate n=4 quotient pinned to its exact counts with no fallback, at
+# -j 1 and at -j 2 (two domains sharing one component table).
 sym-smoke:
 	dune build @all
 	dune exec test/test_main.exe -- test symmetry
@@ -48,6 +49,10 @@ sym-smoke:
 	  --metrics-json /tmp/ccr-sym-smoke.json \
 	  | grep -q '): 77965 states, 304853 transitions,'
 	grep -q '"canon.fallbacks": 0,' /tmp/ccr-sym-smoke.json
+	dune exec bin/ccr.exe -- check invalidate -n 4 --level async -j 2 \
+	  --metrics-json /tmp/ccr-sym-smoke-j2.json \
+	  | grep -q '): 77965 states, 304853 transitions,'
+	grep -q '"canon.fallbacks": 0,' /tmp/ccr-sym-smoke-j2.json
 
 # Fault model: unit suite, the --faults cram checks, then the headline
 # demonstration live — the vanilla refinement must FAIL (exit 2, with a

@@ -16,6 +16,7 @@ open Ccr_core
 open Ccr_protocols
 module Explore = Ccr_modelcheck.Explore
 module Async = Ccr_refine.Async
+module Table = Ccr_refine.Table
 module Sim = Ccr_simulate.Sim
 module Sched = Ccr_simulate.Sched
 
@@ -780,22 +781,32 @@ let symmetry () =
   let as_q ?(brute = false) prog =
     let cfg = Async.{ k = 2 } in
     let stats = Sym.make_stats () in
-    let key =
-      if brute then Sym.canonical_async ~stats prog
-      else Sym.canonical_async_fast ~stats prog
-    in
-    let r =
-      Explore.run ~max_mem_bytes:(mem_cap_mb * 1024 * 1024)
-        ~max_time_s:time_cap
+    let sys =
+      if brute then
         Explore.
           {
             init = Async.initial prog cfg;
             succ = Async.successors prog cfg;
             encode = Async.encode;
             decode = Async.decode prog;
-            canon = canon_of stats key;
+            canon = canon_of stats (Sym.canonical_async ~stats prog);
             key_io = None;
           }
+      else
+        let t = Table.create prog cfg in
+        Explore.
+          {
+            init = Async.initial prog cfg;
+            succ = Table.succ t;
+            encode = Table.encode t;
+            decode = Table.decode t;
+            canon = canon_of stats (Table.canonical ~stats t);
+            key_io = None;
+          }
+    in
+    let r =
+      Explore.run ~max_mem_bytes:(mem_cap_mb * 1024 * 1024)
+        ~max_time_s:time_cap sys
     in
     (r, stats)
   in
@@ -1032,7 +1043,7 @@ let checkpoint_overhead () =
         Some
           Explore.
             {
-              canon_key = Sym.canonical_async_fast ~stats prog;
+              canon_key = Table.canonical ~stats (Table.create prog cfg);
               canon_fresh = None;
               canon_fallbacks = (fun () -> Sym.fallbacks stats);
             };

@@ -1085,6 +1085,10 @@ let check_cmd =
         (Obs.M.gauge reg "process.peak_rss_mb")
         (Obs.M.peak_rss_mb ());
       Obs.M.set (Obs.M.gauge reg "raw_bytes") (float_of_int m.Api.m_raw_bytes);
+      List.iter
+        (fun (name, v) ->
+          Obs.M.set (Obs.M.gauge reg ("table." ^ name)) (float_of_int v))
+        m.Api.m_table;
       if symmetry <> `Off then begin
         Obs.M.add (Obs.M.counter reg "canon.calls") (Sym.calls sym_stats);
         Obs.M.add

@@ -154,30 +154,27 @@ let splice_checked bad (prog : Prog.t) (sys : (Async.state, _) Explore.system)
         outs);
   }
 
-(* Symmetry parent reuse on every generated successor: its canonical key
-   right after the explorer decoded the parent, which reuses the parent's
-   slot signatures, must equal its key after decoding an unrelated key,
-   which reuses none. *)
-let canon_checked bad (prog : Prog.t) (sys : (Async.state, _) Explore.system)
-    =
-  let canon = Sym.canonical_async_fast prog in
-  let other = Async.encode sys.Explore.init in
+(* The table canonicalizer on every generated successor: its key found
+   through the explorer's [succ] batch in [t] must equal the key a second
+   table gives, which interns the successor's components itself. *)
+let canon_checked bad (prog : Prog.t) cfg t
+    (sys : (Async.state, _) Explore.system) =
+  let other = Table.create prog cfg in
   {
     sys with
     Explore.succ =
       (fun st ->
         let outs = sys.Explore.succ st in
         if !bad = None then begin
-          let reused = List.map (fun (_, st') -> canon st') outs in
-          ignore (Async.decode prog other);
+          let batch = List.map (fun (_, st') -> Table.canonical t st') outs in
           List.iter2
             (fun (_, st') key ->
-              if !bad = None && canon st' <> key then
+              if !bad = None && Table.canonical other st' <> key then
                 bad :=
                   Some
-                    (Fmt.str "a canonical key reusing the parent's \
-                              signatures differs from a cold one: %S" key))
-            outs reused
+                    (Fmt.str "a canonical key from the succ batch differs \
+                              from another table's: %S" key))
+            outs batch
         end;
         outs);
   }
@@ -229,6 +226,19 @@ let async_sys prog cfg =
       succ = Async.successors prog cfg;
       encode = Async.encode;
       decode = Async.decode prog;
+      canon = None;
+      key_io = None;
+    }
+
+(* The same system on a component table, as [ccr check] runs it with
+   symmetry reduction. *)
+let table_sys prog cfg t =
+  Explore.
+    {
+      init = Async.initial prog cfg;
+      succ = Table.succ t;
+      encode = Table.encode t;
+      decode = Table.decode t;
       canon = None;
       key_io = None;
     }
@@ -376,10 +386,11 @@ let o_symmetry ctx =
         }
     in
     let st_fast = Sym.make_stats () and st_brute = Sym.make_stats () in
+    let t = Table.create prog cfg in
     let fast =
       quotient
-        (canon_checked reuse prog (async_sys prog cfg))
-        (Sym.canonical_async_fast ~stats:st_fast prog)
+        (canon_checked reuse prog cfg t (table_sys prog cfg t))
+        (Table.canonical ~stats:st_fast t)
         st_fast
     in
     let brute =
@@ -640,18 +651,46 @@ let o_resume ctx =
    [Daemon.start] spawns no domains and no processes — so it is legal
    whatever the [Par] oracle has done to the runtime, and cheap enough
    to keep alive across every spec of a run.  The cache directory is
-   per-process: the warm round below must hit this run's own entry. *)
-let serve_daemon =
-  lazy
-    (let dir =
-       Filename.concat
-         (Filename.get_temp_dir_name ())
-         (Fmt.str "ccr-fuzz-serve-%d" (Unix.getpid ()))
-     in
-     (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-     let t = Sdaemon.start ~port:0 ~cache_dir:dir () in
-     at_exit (fun () -> Sdaemon.stop t);
-     t)
+   per-process: the warm round below must hit this run's own entry.
+   The daemon starts on first use; [stop_serve] (also run at exit) stops
+   it and removes the directory with its cache entries. *)
+let serve_dir () =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Fmt.str "ccr-fuzz-serve-%d" (Unix.getpid ()))
+
+let serve_state = ref None
+let stop_at_exit = ref false
+
+let stop_serve () =
+  match !serve_state with
+  | None -> ()
+  | Some (t, dir) ->
+    serve_state := None;
+    Sdaemon.stop t;
+    (* the cache keeps one flat file per entry (and a [.tmp] while it
+       writes one) *)
+    (match Sys.readdir dir with
+    | names ->
+      Array.iter
+        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+        names
+    | exception Sys_error _ -> ());
+    try Unix.rmdir dir with Unix.Unix_error _ -> ()
+
+let serve_daemon () =
+  match !serve_state with
+  | Some (t, _) -> t
+  | None ->
+    let dir = serve_dir () in
+    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    let t = Sdaemon.start ~port:0 ~cache_dir:dir () in
+    serve_state := Some (t, dir);
+    if not !stop_at_exit then begin
+      stop_at_exit := true;
+      at_exit stop_serve
+    end;
+    t
 
 let serve_http ~port ~meth ~path ?body () =
   match Shttp.request ~port ~meth ~path ?body () with
@@ -716,7 +755,7 @@ let o_serve ctx =
   | Error msg -> Fail ("in-process check refused the spec: " ^ msg)
   | Ok (direct, _) ->
     let expected = J.to_string (Sapi.verdict_to_json direct) in
-    let port = Sdaemon.port (Lazy.force serve_daemon) in
+    let port = Sdaemon.port (serve_daemon ()) in
     let cold, _ = serve_round ~port cfg in
     if cold <> expected then
       Fail

@@ -95,6 +95,16 @@ val run_battery :
 
 val failures : result list -> (name * string) list
 
+val serve_dir : unit -> string
+(** The [Serve] oracle's result-cache directory,
+    [$TMPDIR/ccr-fuzz-serve-<pid>]; it exists while that oracle's daemon
+    runs. *)
+
+val stop_serve : unit -> unit
+(** Stop the [Serve] oracle's daemon, if one runs, and remove its cache
+    directory with every entry in it.  Also run at exit; the next
+    [Serve] oracle starts a fresh daemon. *)
+
 val coverage_of_spec :
   ?rules:int array -> max_states:int -> Gen.spec -> unit
 (** Just the [Async_explore] rule accounting, for coverage baselines. *)

@@ -949,16 +949,6 @@ let decode_from (prog : Prog.t) c =
   (Domain.DLS.get scratch).base <- Some { st; key = c.Value.key; cuts };
   st
 
-let splice_base () =
-  match (Domain.DLS.get scratch).base with
-  | Some b -> Some b.st
-  | None -> None
-
-(* A base without a key: no [cuts] to copy between, so [encode] encodes
-   in full, while [splice_base] still returns [st]. *)
-let set_splice_base st =
-  (Domain.DLS.get scratch).base <- Some { st; key = ""; cuts = [||] }
-
 let decode (prog : Prog.t) key =
   let c = Value.cursor ~who:"Async.decode" key in
   let st = decode_from prog c in
@@ -1010,7 +1000,7 @@ let rec enc_wires_perm buf p = function
     Wire.encode_perm buf p w;
     enc_wires_perm buf p rest
 
-let enc_remote_perm buf p r =
+let add_remote_perm buf p r =
   Value.encode_int buf r.r_ctl;
   enc_env_perm buf p r.r_env;
   (match r.r_mode with
@@ -1030,22 +1020,7 @@ let enc_remote_perm buf p r =
     Value.encode_int buf 1;
     Wire.encode_perm buf p (Wire.Req m)
 
-let enc_channels_perm buf p inv chans =
-  for j = 0 to Array.length chans - 1 do
-    let q = chans.(inv.(j)) in
-    Value.encode_int buf (List.length q);
-    enc_wires_perm buf p q
-  done
-
-(* Byte-identical to [encode (Symmetry.permute_async p st)]: remote slot
-   [j] of the permuted state is [st]'s slot [inv.(j)] (likewise for both
-   channel arrays), buffered messages keep their queue order but their
-   sender id and rid-valued payloads are renamed through [p].  Must mirror
-   the [encode] layout above field for field. *)
-let encode_perm ~p ~inv (st : state) =
-  let buf = (Domain.DLS.get scratch).buf in
-  Buffer.clear buf;
-  let h = st.h in
+let add_home_perm buf p h =
   Value.encode_int buf h.h_ctl;
   Value.encode_int buf h.h_rot;
   enc_env_perm buf p h.h_env;
@@ -1061,12 +1036,30 @@ let encode_perm ~p ~inv (st : state) =
     Value.encode_int buf p.(peer);
     enc_env_perm buf p sc);
   Value.encode_int buf (List.length h.h_buf);
-  enc_h_buf_perm buf p h.h_buf;
+  enc_h_buf_perm buf p h.h_buf
+
+let add_channel_perm buf p q =
+  Value.encode_int buf (List.length q);
+  enc_wires_perm buf p q
+
+(* Byte-identical to [encode (Symmetry.permute_async p st)]: remote slot
+   [j] of the permuted state is [st]'s slot [inv.(j)] (likewise for both
+   channel arrays), buffered messages keep their queue order but their
+   sender id and rid-valued payloads are renamed through [p].  Must mirror
+   the [encode] layout above field for field. *)
+let encode_perm ~p ~inv (st : state) =
+  let buf = (Domain.DLS.get scratch).buf in
+  Buffer.clear buf;
+  add_home_perm buf p st.h;
   for j = 0 to Array.length st.r - 1 do
-    enc_remote_perm buf p st.r.(inv.(j))
+    add_remote_perm buf p st.r.(inv.(j))
   done;
-  enc_channels_perm buf p inv st.to_h;
-  enc_channels_perm buf p inv st.to_r;
+  for j = 0 to Array.length st.to_h - 1 do
+    add_channel_perm buf p st.to_h.(inv.(j))
+  done;
+  for j = 0 to Array.length st.to_r - 1 do
+    add_channel_perm buf p st.to_r.(inv.(j))
+  done;
   Buffer.contents buf
 
 (* Cut an [encode]d key into per-component substrings for the collapse

@@ -194,18 +194,6 @@ val decode_from : Prog.t -> Value.cursor -> state
     {!Ccr_faults.Injected.encode} does).  The result becomes the splice
     base, with offsets into the cursor's whole key. *)
 
-val splice_base : unit -> state option
-(** The state the calling domain's last {!decode} (or {!decode_from})
-    returned, [None] before the first.  Read-only: {!Symmetry} keys its
-    cache of the parent's slot signatures on it, by the same [==] rule
-    as {!encode}. *)
-
-val set_splice_base : state -> unit
-(** Make [st] the calling domain's splice base without a key, for a
-    decoder of another key format ({!Table.decode}): {!splice_base}
-    returns [st], so {!Symmetry} reuses its slot signatures, while
-    {!encode} has no bytes to copy and encodes in full. *)
-
 val encode_perm : p:int array -> inv:int array -> state -> string
 (** [encode_perm ~p ~inv st] is byte-identical to [encode] of [st] with
     remotes permuted by [p] ([inv] is [p]'s inverse): slot arrays and both
@@ -230,6 +218,14 @@ val split_key : Prog.t -> string -> int array
 val home_key : home -> string
 val remote_key : remote -> string
 val channel_key : Wire.t list -> string
+
+val add_home_perm : Buffer.t -> int array -> home -> unit
+val add_remote_perm : Buffer.t -> int array -> remote -> unit
+val add_channel_perm : Buffer.t -> int array -> Wire.t list -> unit
+(** Append one component's bytes in [encode_perm ~p] (the remote-id
+    renaming [p]): a permuted key is the home's, then each remote's and
+    each channel's in the order [inv] reads them. *)
+
 val decode_home : Prog.t -> string -> home
 val decode_remote : Prog.t -> string -> remote
 val decode_channel : string -> Wire.t list

@@ -192,7 +192,8 @@ let canonical_async ?stats ?max_fact (prog : Prog.t) st =
 
    A signature has two parts, compared in this order:
    - the slot's {e local} bytes: its remote and, at the async level, its
-     two channels, ended by ['|'];
+     two channels, each part ended by ['|'] ({!remote_signature},
+     {!channel_signature});
    - its {e home self-bits}: one bit per rid-valued feature of the home
      (a rid or set value, the transient peer, a buffered request's
      sender), set when the feature refers to the slot.  Every slot sees
@@ -201,18 +202,23 @@ let canonical_async ?stats ?max_fact (prog : Prog.t) st =
 
    Checkpoints hold canonical keys, so the order must stay that of the
    one-string signature [local ^ v], where [v] writes the home with each
-   self-bit as a '0'/'1' character: no local part is a proper prefix of
-   another (each field is length-prefixed or ended by a byte that cannot
-   start the next), and two slots' [v] have equal length and differ only
-   in those characters, first feature first.  Sort, tie groups and keys
-   are the same. *)
+   self-bit as a '0'/'1' character: no part is a proper prefix of
+   another of its kind (each field is length-prefixed or ended by a byte
+   that cannot start the next), so comparing the parts in turn compares
+   their concatenation, and two slots' [v] have equal length and differ
+   only in those characters, first feature first.  Sort, tie groups and
+   keys are the same.
 
-(* Per-domain scratch: local signature parts, home self-bits (word [w] of
-   slot [i] at [bits.(w * n + i)], [words] in use, [bit] the current
-   feature's bit in the last one), sort order, candidate permutation and
-   its inverse, the decoded parent whose local parts [parent_locals]
-   caches ([""] = not computed yet), plus the orbit size of the last
-   canonicalized state (0 = unknown, e.g. after a fallback). *)
+   Every part is a function of one component and the slot alone, so the
+   async level's parts are memoized per component by {!Table.canonical};
+   this module keeps the sort and tie enumeration ({!canonicalize}) and
+   the rendezvous level, which computes its parts per call. *)
+
+(* Per-domain scratch: the rendezvous level's local signature parts and
+   home self-bits, the sort order, the candidate permutation and its
+   inverse, plus the orbit size of the last canonicalized state (0 =
+   unknown, e.g. after a fallback).  Self-bits are walked into [bits]
+   ([words] in use, [bit] the current feature's bit in the last one). *)
 type scratch = {
   mutable cap : int;
   mutable locals : string array;
@@ -223,8 +229,6 @@ type scratch = {
   mutable perm : int array;
   mutable inv : int array;
   sbuf : Buffer.t;
-  mutable parent : Async.state option;
-  mutable parent_locals : string array;
   mutable last_orbit : int;
 }
 
@@ -240,8 +244,6 @@ let scratch_key =
         perm = [||];
         inv = [||];
         sbuf = Buffer.create 256;
-        parent = None;
-        parent_locals = [||];
         last_orbit = 0;
       })
 
@@ -251,9 +253,7 @@ let ensure sc n =
     sc.locals <- Array.make n "";
     sc.order <- Array.make n 0;
     sc.perm <- Array.make n 0;
-    sc.inv <- Array.make n 0;
-    sc.parent <- None;
-    sc.parent_locals <- Array.make n ""
+    sc.inv <- Array.make n 0
   end
 
 let last_orbit () = (Domain.DLS.get scratch_key).last_orbit
@@ -296,6 +296,11 @@ let sig_wire buf ~self = function
     Buffer.add_char buf 'q';
     sig_msg buf ~self m
 
+let signature f =
+  let buf = Buffer.create 32 in
+  f buf;
+  Buffer.contents buf
+
 (* {3 Local parts} *)
 
 let rv_local buf (st : Rendezvous.state) i =
@@ -304,86 +309,41 @@ let rv_local buf (st : Rendezvous.state) i =
   sig_env buf ~self:i r.env;
   Buffer.add_char buf '|'
 
-let async_local buf (st : Async.state) i =
-  let r = st.r.(i) in
-  Value.encode_int buf r.Async.r_ctl;
-  sig_env buf ~self:i r.Async.r_env;
-  (match r.Async.r_mode with
-  | Async.Rcomm -> Buffer.add_char buf 'c'
-  | Async.Rtrans { guard; scratch } ->
-    Buffer.add_char buf 't';
-    Value.encode_int buf guard;
-    sig_env buf ~self:i scratch
-  | Async.Rwait { guard; scratch; repl } ->
-    Buffer.add_char buf 'w';
-    Value.encode_int buf guard;
-    Value.encode_int buf (String.length repl);
-    Buffer.add_string buf repl;
-    sig_env buf ~self:i scratch);
-  (match r.Async.r_buf with
-  | None -> Buffer.add_char buf '0'
-  | Some m ->
-    Buffer.add_char buf '1';
-    sig_msg buf ~self:i m);
-  Buffer.add_char buf '|';
-  List.iter (sig_wire buf ~self:i) st.Async.to_h.(i);
-  Buffer.add_char buf '|';
-  List.iter (sig_wire buf ~self:i) st.Async.to_r.(i);
-  (* the end marker keeps a channel from being a prefix of a longer one *)
-  Buffer.add_char buf '|'
+let remote_signature (r : Async.remote) i =
+  signature (fun buf ->
+      Value.encode_int buf r.Async.r_ctl;
+      sig_env buf ~self:i r.Async.r_env;
+      (match r.Async.r_mode with
+      | Async.Rcomm -> Buffer.add_char buf 'c'
+      | Async.Rtrans { guard; scratch } ->
+        Buffer.add_char buf 't';
+        Value.encode_int buf guard;
+        sig_env buf ~self:i scratch
+      | Async.Rwait { guard; scratch; repl } ->
+        Buffer.add_char buf 'w';
+        Value.encode_int buf guard;
+        Value.encode_int buf (String.length repl);
+        Buffer.add_string buf repl;
+        sig_env buf ~self:i scratch);
+      (match r.Async.r_buf with
+      | None -> Buffer.add_char buf '0'
+      | Some m ->
+        Buffer.add_char buf '1';
+        sig_msg buf ~self:i m);
+      Buffer.add_char buf '|')
 
-let local sc sig_local st i =
-  Buffer.clear sc.sbuf;
-  sig_local sc.sbuf st i;
-  Buffer.contents sc.sbuf
-
-let cold_locals sig_local sc n st =
-  for i = 0 to n - 1 do
-    sc.locals.(i) <- local sc sig_local st i
-  done
-
-let rv_locals sc n st = cold_locals rv_local sc n st
-
-(* Parent reuse.  A slot whose remote and both channels are physically
-   those of the parent [Async.decode] last returned has that parent's
-   local part, computed once per parent on first use: states are never
-   changed in place (see {!Async.state}), so [==] components hold the
-   same values, and a local part depends on nothing else.  The cache
-   holds the parent itself, so no other state can take its address while
-   the cache is keyed on it.  A decoded base has [n] slots in each of its
-   arrays; one from a program of another size is not used. *)
-let async_locals sc n (st : Async.state) =
-  match Async.splice_base () with
-  | Some p when Array.length p.r = n ->
-    (match sc.parent with
-    | Some q when q == p -> ()
-    | _ ->
-      sc.parent <- Some p;
-      Array.fill sc.parent_locals 0 n "");
-    for i = 0 to n - 1 do
-      sc.locals.(i) <-
-        (if
-           st.r.(i) == p.r.(i)
-           && st.to_h.(i) == p.to_h.(i)
-           && st.to_r.(i) == p.to_r.(i)
-         then begin
-           let l = sc.parent_locals.(i) in
-           if l <> "" then l
-           else begin
-             let l = local sc async_local st i in
-             sc.parent_locals.(i) <- l;
-             l
-           end
-         end
-         else local sc async_local st i)
-    done
-  | _ -> cold_locals async_local sc n st
+(* the end marker keeps a channel from being a prefix of a longer one *)
+let channel_signature q i =
+  signature (fun buf ->
+      List.iter (sig_wire buf ~self:i) q;
+      Buffer.add_char buf '|')
 
 (* {3 Home self-bits}
 
    Features are numbered in the order the home is walked; feature [k]
    lives in word [k / word_bits], most significant bit first, so numeric
-   order on words is the order of the self-bit characters. *)
+   order on words is the order of the self-bit characters.  Word [w] of
+   slot [i] is at [w * n + i]; the walk writes the scratch. *)
 
 let word_bits = 62 (* a non-negative OCaml int *)
 
@@ -431,29 +391,11 @@ let feat_env sc n e =
     feat_value sc n (Array.unsafe_get e j)
   done
 
-let rec feat_values sc n = function
-  | [] -> ()
-  | v :: rest ->
-    feat_value sc n v;
-    feat_values sc n rest
-
-let rec feat_h_buf sc n = function
-  | [] -> ()
-  | (j, (m : Wire.msg)) :: rest ->
-    next_feature sc n;
-    mark sc n j;
-    feat_values sc n m.m_payload;
-    feat_h_buf sc n rest
-
-let rv_home sc n (st : Rendezvous.state) =
-  start_home sc;
-  feat_env sc n st.h.env
-
 (* Whether home data, the transient peer or a buffered request's sender
    refers to each slot. *)
-let async_home sc n (st : Async.state) =
+let home_self_bits n (h : Async.home) =
+  let sc = Domain.DLS.get scratch_key in
   start_home sc;
-  let h = st.Async.h in
   feat_env sc n h.Async.h_env;
   (match h.Async.h_mode with
   | Async.Hcomm -> ()
@@ -461,39 +403,48 @@ let async_home sc n (st : Async.state) =
     next_feature sc n;
     mark sc n peer;
     feat_env sc n scratch);
-  feat_h_buf sc n h.Async.h_buf
+  List.iter
+    (fun (j, (m : Wire.msg)) ->
+      next_feature sc n;
+      mark sc n j;
+      List.iter (feat_value sc n) m.m_payload)
+    h.Async.h_buf;
+  Array.sub sc.bits 0 (sc.words * n)
 
-(* Signature order of slots [a] and [b]: local bytes, then self-bits. *)
-let compare_slots sc n a b =
-  let c = String.compare sc.locals.(a) sc.locals.(b) in
-  if c <> 0 then c
-  else begin
-    let c = ref 0 and w = ref 0 in
-    while !c = 0 && !w < sc.words do
-      c := Int.compare sc.bits.((!w * n) + a) sc.bits.((!w * n) + b);
-      incr w
-    done;
-    !c
-  end
+(* The order of slots [a] and [b] by the self-bit words [bits.(0 .. len - 1)]. *)
+let rec compare_words n bits len a b off =
+  if off >= len then 0
+  else
+    let c = Int.compare bits.(off + a) bits.(off + b) in
+    if c <> 0 then c else compare_words n bits len a b (off + n)
+
+let compare_self_bits n bits a b = compare_words n bits (Array.length bits) a b 0
 
 let default_max_perms = 5040 (* 7!: brute-force cost we never exceed *)
 
-let canonicalize ~locals ~home ~encode_perm ?stats
-    ?(max_perms = default_max_perms) ~n st =
+(* The key of the slot order in [order]: slot [order.(j)] goes to [j]. *)
+let use_order sc n encode_perm =
+  for j = 0 to n - 1 do
+    sc.inv.(j) <- sc.order.(j);
+    sc.perm.(sc.order.(j)) <- j
+  done;
+  encode_perm ~p:sc.perm ~inv:sc.inv
+
+let canonicalize ?stats ?(max_perms = default_max_perms) ~n ~signatures
+    ~compare ~encode_perm () =
   let sc = Domain.DLS.get scratch_key in
   ensure sc n;
   let t0 = match stats with None -> 0 | Some _ -> now_ns () in
-  locals sc n st;
-  home sc n st;
+  signatures ();
   (* Insertion sort of the slot order by signature: n is small and the
-     array is in scratch, so this beats a closure-driven Array.sort. *)
+     array is in scratch, so this beats Array.sort. *)
   for i = 0 to n - 1 do
     sc.order.(i) <- i
   done;
   for i = 1 to n - 1 do
     let x = sc.order.(i) in
     let j = ref (i - 1) in
-    while !j >= 0 && compare_slots sc n sc.order.(!j) x > 0 do
+    while !j >= 0 && compare sc.order.(!j) x > 0 do
       sc.order.(!j + 1) <- sc.order.(!j);
       decr j
     done;
@@ -507,7 +458,7 @@ let canonicalize ~locals ~home ~encode_perm ?stats
   let i = ref 0 in
   while !i < n do
     let j = ref (!i + 1) in
-    while !j < n && compare_slots sc n sc.order.(!i) sc.order.(!j) = 0 do
+    while !j < n && compare sc.order.(!i) sc.order.(!j) = 0 do
       incr j
     done;
     let len = !j - !i in
@@ -522,21 +473,14 @@ let canonicalize ~locals ~home ~encode_perm ?stats
     end;
     i := !j
   done;
-  let use_order () =
-    for j = 0 to n - 1 do
-      sc.inv.(j) <- sc.order.(j);
-      sc.perm.(sc.order.(j)) <- j
-    done;
-    encode_perm ~p:sc.perm ~inv:sc.inv st
-  in
   let tried = ref 0 in
   let key =
     if not !tied then begin
       (* All signatures distinct: the sorted order IS the canonical order,
          and distinct signatures rule out any non-trivial stabilizer. *)
-      incr tried;
+      tried := 1;
       sc.last_orbit <- factorial n;
-      use_order ()
+      use_order sc n encode_perm
     end
     else if !candidates > max_perms then begin
       (* Too many tied arrangements: keep the signature-sorted order as a
@@ -544,7 +488,7 @@ let canonicalize ~locals ~home ~encode_perm ?stats
          degradation instead of hiding it. *)
       Option.iter (fun s -> bump s.st_fallbacks 1) stats;
       sc.last_orbit <- 0;
-      use_order ()
+      use_order sc n encode_perm
     end
     else begin
       let garr = Array.of_list !groups in
@@ -552,7 +496,7 @@ let canonicalize ~locals ~home ~encode_perm ?stats
       let stab = ref 0 in
       let try_candidate () =
         incr tried;
-        let e = use_order () in
+        let e = use_order sc n encode_perm in
         if !stab = 0 then begin
           best := e;
           stab := 1
@@ -592,19 +536,29 @@ let canonicalize ~locals ~home ~encode_perm ?stats
       !best
     end
   in
-  Option.iter
-    (fun s ->
-      bump s.st_calls 1;
-      if !tied then bump s.st_tied_calls 1;
-      bump s.st_perms_tried !tried;
-      bump s.st_canon_ns (now_ns () - t0))
-    stats;
+  (match stats with
+  | None -> ()
+  | Some s ->
+    bump s.st_calls 1;
+    if !tied then bump s.st_tied_calls 1;
+    bump s.st_perms_tried !tried;
+    bump s.st_canon_ns (now_ns () - t0));
   key
 
 let canonical_rv_fast ?stats ?max_perms (prog : Prog.t) st =
-  canonicalize ~locals:rv_locals ~home:rv_home
-    ~encode_perm:Rendezvous.encode_perm ?stats ?max_perms ~n:prog.n st
-
-let canonical_async_fast ?stats ?max_perms (prog : Prog.t) st =
-  canonicalize ~locals:async_locals ~home:async_home
-    ~encode_perm:Async.encode_perm ?stats ?max_perms ~n:prog.n st
+  let n = prog.n in
+  let sc = Domain.DLS.get scratch_key in
+  canonicalize ?stats ?max_perms ~n
+    ~signatures:(fun () ->
+      for i = 0 to n - 1 do
+        Buffer.clear sc.sbuf;
+        rv_local sc.sbuf st i;
+        sc.locals.(i) <- Buffer.contents sc.sbuf
+      done;
+      start_home sc;
+      feat_env sc n st.h.env)
+    ~compare:(fun a b ->
+      let c = String.compare sc.locals.(a) sc.locals.(b) in
+      if c <> 0 then c else compare_words n sc.bits (sc.words * n) a b 0)
+    ~encode_perm:(fun ~p ~inv -> Rendezvous.encode_perm ~p ~inv st)
+    ()

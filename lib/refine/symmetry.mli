@@ -21,7 +21,10 @@
     (control state, env, buffer, transient mode, both channel contents),
     then one bit per home feature that refers to the slot — and
     enumerates permutations only within tied signature groups, so the
-    common case is one sort plus one [encode_perm].  Both fall back to a deterministic injective — hence
+    common case is one sort plus one [encode_perm].  The async level's
+    fast canonicalizer is {!Table.canonical}, which memoizes every
+    signature part per interned component.  Both
+    fall back to a deterministic injective — hence
     still sound, merely less reducing — key when their work bound is
     exceeded, and the fallback is {e counted}, never silent.
 
@@ -89,13 +92,43 @@ val canonical_rv_fast :
     tried before falling back to the signature-sorted order (counted in
     [stats]). *)
 
-val canonical_async_fast :
-  ?stats:stats -> ?max_perms:int -> Prog.t -> Async.state -> string
-(** As {!canonical_rv_fast}.  The slot signatures of the state
-    {!Async.decode} last returned in the calling domain
-    ({!Async.splice_base}) are cached, and a slot whose remote and both
-    channels are physically that parent's reuses them; the key is
-    byte-identical to a computation without the cache. *)
+val canonicalize :
+  ?stats:stats ->
+  ?max_perms:int ->
+  n:int ->
+  signatures:(unit -> unit) ->
+  compare:(int -> int -> int) ->
+  encode_perm:(p:int array -> inv:int array -> string) ->
+  unit ->
+  string
+(** The sort and tie enumeration behind the fast canonicalizers, over
+    [n] slots: [signatures ()] runs first (inside the timed part of
+    [stats]) and makes [compare] ready, [compare a b] orders slots [a]
+    and [b] by signature, and [encode_perm ~p ~inv] is the key of the
+    state permuted by [p] ([inv] its inverse; both arrays are reused
+    between calls).  The async level's canonicalizer is
+    {!Table.canonical}, over memoized signature parts. *)
+
+(** {2 Signature parts}
+
+    A slot's signature at the async level is its remote's part, then
+    its two channels' parts, then the home self-bits; each depends on
+    one component and the slot alone. *)
+
+val remote_signature : Async.remote -> int -> string
+(** The slot-relative bytes of a remote at slot [i], ended by ['|']. *)
+
+val channel_signature : Wire.t list -> int -> string
+(** The slot-relative bytes of the channel between the home and slot
+    [i], ended by ['|']. *)
+
+val home_self_bits : int -> Async.home -> int array
+(** One bit per rid-valued feature of the home, per slot of [n]: word
+    [w] of slot [i] at [w * n + i], first feature most significant. *)
+
+val compare_self_bits : int -> int array -> int -> int -> int
+(** [compare_self_bits n bits a b] orders slots [a] and [b] of [n] by
+    their self-bit words, first word first. *)
 
 val last_orbit : unit -> int
 (** Orbit size ([n! / |stabilizer|]) of the state passed to the most

@@ -5,7 +5,12 @@ open Ccr_core
    Every record below is built whole before it is published, and its
    mutable fields are memos that only ever grow: a reader on another
    domain sees an old memo (and takes the lock) or a new one, never a
-   torn one. *)
+   torn one.
+
+   For {!canonical}: [*_rid] says whether the value names a remote id
+   anywhere, so that renaming remotes can change its bytes; [*_sig]
+   memoizes its slot-relative signature part per slot ([""] until
+   computed). *)
 
 type msg = { m_id : int; m_w : Wire.t; m_b : string }
 
@@ -15,6 +20,8 @@ type chan = {
   c_b : string;
   c_pop : (msg * chan) option;  (** head and tail; [None] when empty *)
   mutable c_push : (msg * chan) list;  (** appended message -> channel *)
+  c_rid : bool;
+  c_sig : string array;
 }
 
 type home = {
@@ -23,6 +30,8 @@ type home = {
   h_b : string;
   mutable h_local : hstep list option;
   mutable h_recv : hrecv list;
+  h_rid : bool;
+  mutable h_bits : int array;  (** {!Symmetry.home_self_bits}; [no_bits] until computed *)
 }
 
 and hstep = { hs_label : Async.label; hs_h : home; hs_outs : (int * msg) list }
@@ -34,6 +43,8 @@ type remote = {
   r_b : string;
   r_local : rstep list option array;  (** per slot *)
   mutable r_recv : rrecv list;
+  r_rid : bool;
+  r_sig : string array;
 }
 
 and rstep = { rs_label : Async.label; rs_r : remote; rs_outs : msg list }
@@ -133,6 +144,8 @@ type t = {
   remotes : remote pool;
   chans : chan pool;
   msgs : msg pool;
+  mutable sigs : int;  (** signature parts and self-bit arrays memoized *)
+  mutable memo_words : int;  (** their heap words *)
 }
 
 (* Placeholders that no caller holds: the pools' empty slot markers and
@@ -142,10 +155,29 @@ let void_home =
 
 let void = { Async.h = void_home; r = [||]; to_h = [||]; to_r = [||] }
 let dummy_msg = { m_id = -1; m_w = Wire.Ack; m_b = "" }
-let dummy_chan = { c_id = -1; c_q = []; c_b = ""; c_pop = None; c_push = [] }
+let no_bits = [| -1 |]
+
+let dummy_chan =
+  {
+    c_id = -1;
+    c_q = [];
+    c_b = "";
+    c_pop = None;
+    c_push = [];
+    c_rid = false;
+    c_sig = [||];
+  }
 
 let dummy_home =
-  { h_id = -1; h_v = void_home; h_b = ""; h_local = None; h_recv = [] }
+  {
+    h_id = -1;
+    h_v = void_home;
+    h_b = "";
+    h_local = None;
+    h_recv = [];
+    h_rid = false;
+    h_bits = no_bits;
+  }
 
 let dummy_remote =
   {
@@ -154,6 +186,8 @@ let dummy_remote =
     r_b = "";
     r_local = [||];
     r_recv = [];
+    r_rid = false;
+    r_sig = [||];
   }
 
 let create (prog : Prog.t) cfg =
@@ -166,6 +200,8 @@ let create (prog : Prog.t) cfg =
     remotes = pool (fun r -> r.r_b) dummy_remote;
     chans = pool (fun c -> c.c_b) dummy_chan;
     msgs = pool (fun m -> m.m_b) dummy_msg;
+    sigs = 0;
+    memo_words = 0;
   }
 
 let locked t f = Mutex.protect t.lock f
@@ -181,6 +217,30 @@ let decode_wire b =
   Value.decode_end c;
   w
 
+(* Whether renaming remotes can change a value's bytes: a rid or a set
+   in it, and for the home also a transient peer or a buffered request's
+   sender.  [Async.encode_perm] writes every other field as
+   [Async.encode] does. *)
+let value_rid (v : Value.t) =
+  match v with
+  | Value.Vrid _ | Value.Vset _ -> true
+  | Value.Vunit | Value.Vbool _ | Value.Vint _ -> false
+
+let env_rid e = Array.exists value_rid e
+let msg_rid (m : Wire.msg) = List.exists value_rid m.m_payload
+let wire_rid = function Wire.Req m -> msg_rid m | Wire.Ack | Wire.Nack -> false
+
+let home_rid (h : Async.home) =
+  env_rid h.h_env || h.h_buf <> []
+  || match h.h_mode with Async.Hcomm -> false | Async.Htrans _ -> true
+
+let remote_rid (r : Async.remote) =
+  env_rid r.r_env
+  || (match r.r_mode with
+     | Async.Rcomm -> false
+     | Async.Rtrans { scratch; _ } | Async.Rwait { scratch; _ } -> env_rid scratch)
+  || match r.r_buf with None -> false | Some m -> msg_rid m
+
 (* Interning, lock held.  Components are decoded from their bytes. *)
 
 let msg_of t w =
@@ -193,28 +253,42 @@ let rec make_chan t b =
   let c_pop =
     match q with [] -> None | w :: rest -> Some (msg_of t w, chan_of t rest)
   in
-  { c_id = t.chans.count; c_q = q; c_b = b; c_pop; c_push = [] }
+  {
+    c_id = t.chans.count;
+    c_q = q;
+    c_b = b;
+    c_pop;
+    c_push = [];
+    c_rid = List.exists wire_rid q;
+    c_sig = Array.make t.n "";
+  }
 
 and chan_of t q =
   let b = Async.channel_key q in
   intern t.chans b 0 (String.length b) (make_chan t)
 
 let make_home t b =
+  let h_v = Async.decode_home t.prog b in
   {
     h_id = t.homes.count;
-    h_v = Async.decode_home t.prog b;
+    h_v;
     h_b = b;
     h_local = None;
     h_recv = [];
+    h_rid = home_rid h_v;
+    h_bits = no_bits;
   }
 
 let make_remote t b =
+  let r_v = Async.decode_remote t.prog b in
   {
     r_id = t.remotes.count;
-    r_v = Async.decode_remote t.prog b;
+    r_v;
     r_b = b;
     r_local = Array.make t.n None;
     r_recv = [];
+    r_rid = remote_rid r_v;
+    r_sig = Array.make t.n "";
   }
 
 (* The component of bytes [s.[off .. off + len - 1]], from outside the
@@ -339,6 +413,67 @@ let push t c m =
           c'
         end)
 
+(* ---- symmetry memos -------------------------------------------------------- *)
+
+(* Heap words of a string and of an array of [k] fields. *)
+let string_words s = 2 + (String.length s / (Sys.word_size / 8))
+let array_words k = 1 + k
+
+(* Lock held: count a memoized signature part. *)
+let remember_sig t s =
+  t.sigs <- t.sigs + 1;
+  t.memo_words <- t.memo_words + string_words s;
+  s
+
+(* Each memo read below is a hit test inlined into its caller and a miss
+   function that fills the memo under the lock. *)
+
+let remote_sig_miss t r i =
+  locked t (fun () ->
+      if r.r_sig.(i) = "" then begin
+        r.r_sig.(i) <- remember_sig t (Symmetry.remote_signature r.r_v i)
+      end;
+      r.r_sig.(i))
+
+let[@inline] remote_sig t r i =
+  let s = Array.unsafe_get r.r_sig i in
+  if String.length s > 0 then s else remote_sig_miss t r i
+
+let chan_sig_miss t c i =
+  locked t (fun () ->
+      if c.c_sig.(i) = "" then begin
+        c.c_sig.(i) <- remember_sig t (Symmetry.channel_signature c.c_q i)
+      end;
+      c.c_sig.(i))
+
+let[@inline] chan_sig t c i =
+  let s = Array.unsafe_get c.c_sig i in
+  if String.length s > 0 then s else chan_sig_miss t c i
+
+let home_bits_miss t h =
+  locked t (fun () ->
+      if h.h_bits == no_bits then begin
+        let b = Symmetry.home_self_bits t.n h.h_v in
+        h.h_bits <- b;
+        t.sigs <- t.sigs + 1;
+        t.memo_words <- t.memo_words + array_words (Array.length b)
+      end;
+      h.h_bits)
+
+let[@inline] home_bits t h =
+  let b = h.h_bits in
+  if b != no_bits then b else home_bits_miss t h
+
+(* The component of id [id], which some domain interned: a stale
+   [by_id] can only lack it, so a miss re-reads under the lock. *)
+let by_id_miss t p id = locked t (fun () -> p.by_id.(id))
+
+let[@inline] by_id t p id =
+  let a = p.by_id in
+  if id < Array.length a && Array.unsafe_get a id != p.dummy then
+    Array.unsafe_get a id
+  else by_id_miss t p id
+
 (* ---- per-domain scratch ------------------------------------------------------
 
    The parent: the state whose components are in [p_*] — the last
@@ -347,7 +482,10 @@ let push t c m =
    components successor [k] changed, in
    [d_*.(b_off.(k)) .. d_*.(b_off.(k + 1) - 1)].  Only ints go into the
    arrays that live as long as the scratch, so the hot path adds nothing
-   to the GC's remembered set. *)
+   to the GC's remembered set; the exception is [canonical]'s [c_*],
+   the state being canonicalized as interned components, almost always
+   promoted long before they are stored there.  [kbuf] is where its
+   keys are written. *)
 
 type scratch = {
   mutable tbl : t option;
@@ -367,6 +505,12 @@ type scratch = {
   mutable ids : int array;
   mutable key : Bytes.t;
   mutable pos : int;
+  mutable c_st : Async.state;
+  mutable c_h : home;
+  mutable c_r : remote array;
+  mutable c_th : chan array;
+  mutable c_tr : chan array;
+  kbuf : Buffer.t;
 }
 
 let scratch_key =
@@ -389,6 +533,12 @@ let scratch_key =
         ids = [||];
         key = Bytes.empty;
         pos = 0;
+        c_st = void;
+        c_h = dummy_home;
+        c_r = [||];
+        c_th = [||];
+        c_tr = [||];
+        kbuf = Buffer.create 256;
       })
 
 let scratch t =
@@ -413,13 +563,19 @@ let scratch t =
     sc.d_len <- 0;
     sc.ids <- Array.make m 0;
     (* a LEB128 id of an OCaml int takes at most 9 bytes *)
-    sc.key <- Bytes.create (9 * m));
+    sc.key <- Bytes.create (9 * m);
+    sc.c_st <- void;
+    sc.c_h <- dummy_home;
+    sc.c_r <- Array.make n dummy_remote;
+    sc.c_th <- Array.make n dummy_chan;
+    sc.c_tr <- Array.make n dummy_chan);
   sc
 
 (* Make [st] the parent, interning its components unless it already is. *)
 let resolve t sc (st : Async.state) =
   if st != sc.p_st then begin
     sc.p_st <- void;
+    sc.b_out <- [];
     sc.p_h <- home_of t st.h;
     for i = 0 to t.n - 1 do
       sc.p_r.(i) <- remote_of t st.r.(i);
@@ -615,8 +771,8 @@ let rec index_of st k = function
   | [] -> -1
   | (_, s) :: rest -> if s == st then k else index_of st (k + 1) rest
 
-let encode t st =
-  let sc = scratch t in
+(* [st]'s component ids into [ids]: from the batch, or by interning. *)
+let state_ids t sc st =
   let k = index_of st 0 sc.b_out in
   if k >= 0 then begin
     Array.blit sc.b_ids 0 sc.ids 0 (Array.length sc.ids);
@@ -627,7 +783,11 @@ let encode t st =
   else begin
     resolve t sc st;
     parent_ids t sc sc.ids
-  end;
+  end
+
+let encode t st =
+  let sc = scratch t in
+  state_ids t sc st;
   put_ids sc
 
 let bad key at what = Value.refuse (Value.cursor ~who:"Table.decode" key) at what
@@ -658,6 +818,7 @@ let decode t key =
   let sc = scratch t in
   let n = t.n in
   sc.p_st <- void;
+  sc.b_out <- [];
   sc.pos <- 0;
   let h = next sc key t.homes "home" in
   sc.p_h <- h;
@@ -674,7 +835,6 @@ let decode t key =
   done;
   let st = { Async.h = h.h_v; r; to_h; to_r } in
   sc.p_st <- st;
-  Async.set_splice_base st;
   st
 
 let export t key =
@@ -703,3 +863,91 @@ let split t key =
     cuts.(k) <- !pos
   done;
   cuts
+
+(* ---- canonical keys ------------------------------------------------------------
+
+   [Symmetry.canonicalize] over the components of [c_st], gathered into
+   [c_*]: their memoized signature parts and self-bits, and keys
+   written from their bytes. *)
+
+(* A successor of the batch is its parent's components, which are in
+   [p_*] while the batch lasts ([resolve] and [decode] end it), with its
+   recorded changes; any other state is interned into [p_*]. *)
+let find_components t sc =
+  let n = t.n in
+  let st = sc.c_st in
+  let k = index_of st 0 sc.b_out in
+  if k < 0 then resolve t sc st;
+  sc.c_h <- sc.p_h;
+  for i = 0 to n - 1 do
+    sc.c_r.(i) <- sc.p_r.(i);
+    sc.c_th.(i) <- sc.p_th.(i);
+    sc.c_tr.(i) <- sc.p_tr.(i)
+  done;
+  if k >= 0 then
+    for j = sc.b_off.(k) to sc.b_off.(k + 1) - 1 do
+      let comp = sc.d_comp.(j) and id = sc.d_id.(j) in
+      if comp = 0 then sc.c_h <- by_id t t.homes id
+      else if comp <= n then sc.c_r.(comp - 1) <- by_id t t.remotes id
+      else if comp <= 2 * n then sc.c_th.(comp - 1 - n) <- by_id t t.chans id
+      else sc.c_tr.(comp - 1 - (2 * n)) <- by_id t t.chans id
+    done;
+  (* fill every memo [compare_slots] reads *)
+  for i = 0 to n - 1 do
+    ignore (remote_sig t sc.c_r.(i) i);
+    ignore (chan_sig t sc.c_th.(i) i);
+    ignore (chan_sig t sc.c_tr.(i) i)
+  done;
+  ignore (home_bits t sc.c_h)
+
+let compare_slots t sc a b =
+  let c = String.compare sc.c_r.(a).r_sig.(a) sc.c_r.(b).r_sig.(b) in
+  if c <> 0 then c
+  else
+    let c = String.compare sc.c_th.(a).c_sig.(a) sc.c_th.(b).c_sig.(b) in
+    if c <> 0 then c
+    else
+      let c = String.compare sc.c_tr.(a).c_sig.(a) sc.c_tr.(b).c_sig.(b) in
+      if c <> 0 then c else Symmetry.compare_self_bits t.n sc.c_h.h_bits a b
+
+let add_chans b p inv (a : chan array) =
+  for j = 0 to Array.length a - 1 do
+    let c = a.(inv.(j)) in
+    if c.c_rid then Async.add_channel_perm b p c.c_q else Buffer.add_string b c.c_b
+  done
+
+(* [Async.encode_perm ~p ~inv] of the state, component by component: a
+   component that names no remote id keeps its own bytes. *)
+let permuted_key sc ~p ~inv =
+  let b = sc.kbuf in
+  Buffer.clear b;
+  let h = sc.c_h in
+  if h.h_rid then Async.add_home_perm b p h.h_v else Buffer.add_string b h.h_b;
+  for j = 0 to Array.length sc.c_r - 1 do
+    let r = sc.c_r.(inv.(j)) in
+    if r.r_rid then Async.add_remote_perm b p r.r_v else Buffer.add_string b r.r_b
+  done;
+  add_chans b p inv sc.c_th;
+  add_chans b p inv sc.c_tr;
+  Buffer.contents b
+
+let canonical ?stats ?max_perms t st =
+  let sc = scratch t in
+  sc.c_st <- st;
+  let key =
+    Symmetry.canonicalize ?stats ?max_perms ~n:t.n
+      ~signatures:(fun () -> find_components t sc)
+      ~compare:(compare_slots t sc) ~encode_perm:(permuted_key sc) ()
+  in
+  sc.c_st <- void;
+  key
+
+let sizes t =
+  [
+    ("homes", t.homes.count);
+    ("remotes", t.remotes.count);
+    ("channels", t.chans.count);
+    ("messages", t.msgs.count);
+    ("signatures", t.sigs);
+    ("memo_bytes", t.memo_words * (Sys.word_size / 8));
+  ]

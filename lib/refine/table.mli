@@ -79,8 +79,7 @@ val encode : t -> Async.state -> string
 val decode : t -> string -> Async.state
 (** The inverse of {!encode}: a state that {!Async.encode}s to the bytes
     the key stands for.  The result becomes the calling domain's parent
-    for {!succ} and its {!Async.splice_base}, so {!Symmetry}'s
-    parent reuse applies.
+    for {!succ}.
     @raise Invalid_argument naming [Table.decode] and the byte offset on
     a truncated, overlong or trailing-byte key or an unknown id. *)
 
@@ -90,6 +89,31 @@ val export : t -> string -> string
 val import : t -> string -> string
 (** The key of the state whose {!Async.encode} bytes are given.
     @raise Invalid_argument as {!Async.decode}. *)
+
+val canonical :
+  ?stats:Symmetry.stats -> ?max_perms:int -> t -> Async.state -> string
+(** The state's canonical key under remote-id symmetry: the sort and tie
+    enumeration of {!Symmetry.canonicalize} over memoized inputs.  The
+    state's components are found as {!encode} finds them (by [==] in the
+    calling domain's last {!succ} batch, else by interning); each
+    remote's and channel's signature part is memoized per component and
+    slot, and the home's self-bits per home.  A candidate key is its
+    components' bytes under the permutation: a component that names no
+    remote id keeps its own bytes, any other is written afresh.
+
+    The key is byte-identical to {!Async.encode_perm} of the chosen
+    permutation, hence to the same function computed from the structured
+    state, so checkpoints, golden digests and counts do not depend on
+    the table.  [stats] and [max_perms] are as in
+    {!Symmetry.canonical_rv_fast}; {!Symmetry.last_orbit} reports the
+    state's orbit.  The memos hold at most [n] signature parts per
+    remote and channel and one self-bit array per home; {!sizes}
+    reports them. *)
+
+val sizes : t -> (string * int) list
+(** The table's size, for metrics: interned [homes], [remotes],
+    [channels] and [messages]; memoized [signatures] (signature parts
+    and home self-bit arrays) and [memo_bytes], their heap bytes. *)
 
 val split : t -> string -> int array
 (** Component offsets for the collapse store, as {!Async.split_key}: the

@@ -136,6 +136,7 @@ type meta = {
   m_mem_bytes : int;
   m_raw_bytes : int;
   m_peak_frontier : int;
+  m_table : (string * int) list;
 }
 
 let outcome_tag = function
@@ -199,6 +200,7 @@ let assemble ~protocol ~level ~sym ~lbl ~pp_state ?msc
       m_mem_bytes = r.Explore.mem_bytes;
       m_raw_bytes = r.Explore.raw_bytes;
       m_peak_frontier = r.Explore.peak_frontier;
+      m_table = [];
     } )
 
 (* ---- spec resolution and identity ---------------------------------------- *)
@@ -317,12 +319,12 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
         | `Brute ->
           canon_of ~orbits:false (Sym.canonical_rv ~stats:sym_stats prog)
       in
-      let async_canon () =
+      let async_canon table =
         match cfg.symmetry with
         | `Off -> None
         | `Auto ->
-          canon_of ~orbits:true
-            (Sym.canonical_async_fast ~stats:sym_stats prog)
+          canon_of ~orbits:true (fun st ->
+              Table.canonical ~stats:sym_stats (table ()) st)
         | `Brute ->
           canon_of ~orbits:false (Sym.canonical_async ~stats:sym_stats prog)
       in
@@ -508,7 +510,19 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
              r)
       | `Async, None ->
         let acfg = { Async.k = cfg.k } in
-        let canon = async_canon () in
+        (* The table is made on first use, so set-up does not pay for it
+           (a race between domains keeps one of the tables made). *)
+        let table = Atomic.make None in
+        let rec tb () =
+          match Atomic.get table with
+          | Some t -> t
+          | None ->
+            ignore
+              (Atomic.compare_and_set table None
+                 (Some (Table.create prog acfg)));
+            tb ()
+        in
+        let canon = async_canon tb in
         let observed succ =
           match observe_label with
           | None -> succ
@@ -537,19 +551,6 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
                   key_io = None;
                 }
           else
-            (* The table is made on first use, so set-up does not pay
-               for it (a race between domains keeps one of the tables
-               made). *)
-            let table = Atomic.make None in
-            let rec tb () =
-              match Atomic.get table with
-              | Some t -> t
-              | None ->
-                ignore
-                  (Atomic.compare_and_set table None
-                     (Some (Table.create prog acfg)));
-                tb ()
-            in
             (* the visited keys are canonical keys under symmetry *)
             let split =
               if canon = None then fun key -> Table.split (tb ()) key
@@ -572,12 +573,17 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
                       };
                 }
         in
-        Ok
-          (assemble ~protocol ~level
-             ~sym:(cfg.symmetry <> `Off)
-             ~lbl:(Fmt.str "%a" Async.pp_label)
-             ~pp_state:(Async.pp_state prog)
-             ~msc:(Ccr_viz.Msc.render prog) r)
+        let v, m =
+          assemble ~protocol ~level
+            ~sym:(cfg.symmetry <> `Off)
+            ~lbl:(Fmt.str "%a" Async.pp_label)
+            ~pp_state:(Async.pp_state prog)
+            ~msc:(Ccr_viz.Msc.render prog) r
+        in
+        let m_table =
+          match Atomic.get table with Some t -> Table.sizes t | None -> []
+        in
+        Ok (v, { m with m_table })
     with exn -> Error (refusal exn))
 
 let check ?explorer cfg =

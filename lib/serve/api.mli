@@ -101,6 +101,9 @@ type meta = {
   m_mem_bytes : int;
   m_raw_bytes : int;
   m_peak_frontier : int;
+  m_table : (string * int) list;
+      (** an async check's component table, as {!Ccr_refine.Table.sizes}
+          reports it; [[]] when the check used none *)
 }
 
 val outcome_tag : _ Explore.outcome -> string

@@ -535,7 +535,7 @@ let tests =
             Some
               Explore.
                 {
-                  canon_key = Sym.canonical_async_fast prog;
+                  canon_key = Ccr_refine.Table.canonical (Ccr_refine.Table.create prog cfg);
                   canon_fresh = None;
                   canon_fallbacks = (fun () -> 0);
                 }

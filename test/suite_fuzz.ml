@@ -172,6 +172,27 @@ let driver_tests =
             | (o, detail) :: _ ->
               Alcotest.failf "seed %d: %s failed on %a: %s" seed
                 (Oracle.name_to_string o) Gen.pp spec detail));
+    case "the serve oracle leaves no cache directory behind" (fun () ->
+        let spec = spec_at Gen.General 3 in
+        (match
+           Oracle.failures
+             (Oracle.run_battery ~only:[ Oracle.Serve ] ~max_states:500 spec)
+         with
+        | [] -> ()
+        | (_, detail) :: _ -> Alcotest.failf "serve oracle failed: %s" detail);
+        let dir = Oracle.serve_dir () in
+        checkb "cache directory while the daemon runs" true
+          (Sys.file_exists dir && Sys.readdir dir <> [||]);
+        Oracle.stop_serve ();
+        checkb "no cache directory after stop" false (Sys.file_exists dir);
+        (* a later round starts afresh, and stops clean again *)
+        checkb "restarts" true
+          (Oracle.failures
+             (Oracle.run_battery ~only:[ Oracle.Serve ] ~max_states:500 spec)
+          = []);
+        Oracle.stop_serve ();
+        checkb "no cache directory after the second stop" false
+          (Sys.file_exists dir));
     slow_case "driver run is deterministic and failure-free" (fun () ->
         let run () =
           Driver.run ~legacy_matrix:true ~seed:10 ~count:6 ~max_states:2_000

@@ -391,7 +391,9 @@ let tests =
                 Some
                   Explore.
                     {
-                      canon_key = Sym.canonical_async_fast ~stats prog;
+                      canon_key =
+                        Ccr_refine.Table.canonical ~stats
+                          (Ccr_refine.Table.create prog Async.{ k = 2 });
                       canon_fresh = None;
                       canon_fallbacks = (fun () -> Sym.fallbacks stats);
                     };

@@ -97,6 +97,24 @@ let random_perm rng n =
   done;
   p
 
+(* The async fast canonicalizer: [Table.canonical] over a table of its
+   own, which interns the states it is given. *)
+let fast ?stats ?max_perms prog =
+  Table.canonical ?stats ?max_perms (Table.create prog k2)
+
+(* The async system on a component table, as [ccr check] runs it: the
+   canonicalizer then finds each successor in [succ]'s batch. *)
+let table_system t prog =
+  Ccr_modelcheck.Explore.
+    {
+      init = Async.initial prog k2;
+      succ = Table.succ t;
+      encode = Table.encode t;
+      decode = Table.decode t;
+      canon = None;
+      key_io = None;
+    }
+
 (* Quotient exploration through the [canon] hook, sequential or parallel. *)
 let quotient_count ~jobs sys canon_key =
   let sys =
@@ -115,6 +133,43 @@ let quotient_count ~jobs sys canon_key =
   let r = Ccr_modelcheck.Explore.run ~jobs sys in
   assert_complete "quotient" r;
   r.states
+
+(* A quotient run on a component table at [n], as [ccr check] makes
+   it, and the digest of its sorted canonical-key set. *)
+type golden = {
+  g_states : int;
+  g_keys : int;
+  g_stats : Symmetry.stats;
+  g_digest : string;
+}
+
+let golden_run ?max_perms name n =
+  let prog =
+    (Ccr_protocols.Registry.find name |> Option.get).instantiate ~reqrep:true
+      ~n
+  in
+  let t = Table.create prog k2 in
+  let stats = Symmetry.make_stats () in
+  let seen = Hashtbl.create 4096 in
+  let canon_key st =
+    let k = Table.canonical ~stats ?max_perms t st in
+    Hashtbl.replace seen k ();
+    k
+  in
+  let states = quotient_count ~jobs:1 (table_system t prog) canon_key in
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun k ->
+      Buffer.add_string b (string_of_int (String.length k));
+      Buffer.add_char b ':';
+      Buffer.add_string b k)
+    (List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) seen []));
+  {
+    g_states = states;
+    g_keys = Hashtbl.length seen;
+    g_stats = stats;
+    g_digest = Digest.to_hex (Digest.string (Buffer.contents b));
+  }
 
 let tests =
   [
@@ -220,10 +275,11 @@ let tests =
                 in
                 let brute_to_fast = Hashtbl.create 64 in
                 let fast_to_brute = Hashtbl.create 64 in
+                let canon = fast prog in
                 List.iter
                   (fun st ->
                     let b = Symmetry.canonical_async prog st in
-                    let f = Symmetry.canonical_async_fast prog st in
+                    let f = canon st in
                     (match Hashtbl.find_opt brute_to_fast b with
                     | None -> Hashtbl.add brute_to_fast b f
                     | Some f' -> checks (name ^ " merge") f' f);
@@ -237,14 +293,13 @@ let tests =
         let rng = Random.State.make [| 0xfa57 |] in
         List.iter
           (fun (name, prog) ->
+            let canon = fast prog in
             List.iter
               (fun st ->
-                let c = Symmetry.canonical_async_fast prog st in
+                let c = canon st in
                 for _ = 1 to 4 do
                   let p = random_perm rng prog.Prog.n in
-                  checks name c
-                    (Symmetry.canonical_async_fast prog
-                       (Symmetry.permute_async prog p st))
+                  checks name c (canon (Symmetry.permute_async prog p st))
                 done)
               (sample_async prog 80))
           (registry_progs 4));
@@ -306,11 +361,12 @@ let tests =
                 in
                 List.iter
                   (fun jobs ->
+                    let t = Table.create prog k2 in
                     checki
                       (Fmt.str "%s async n=%d j=%d" e.name n jobs)
                       brute
-                      (quotient_count ~jobs sys
-                         (Symmetry.canonical_async_fast prog)))
+                      (quotient_count ~jobs (table_system t prog)
+                         (Table.canonical t)))
                   [ 1; 2; 4 ]
               end)
             Ccr_protocols.Registry.all
@@ -358,12 +414,12 @@ let tests =
         (* migratory's home starts with owner [o = rid 0], which
            distinguishes remote 0; remotes 1 and 2 tie, so the stabilizer
            is 2! and the initial orbit 3!/2! = 3 *)
-        ignore (Symmetry.canonical_async_fast prog st0);
+        ignore (fast prog st0);
         checki "initial orbit" 3 (Symmetry.last_orbit ());
         (* remote 1 fires C1: now all three slots are distinguished (0 by
            the owner var, 1 by its control state), stabilizer 1, orbit 3! *)
         let st1 = fire prog st0 (by_rule ~actor:1 Async.R_C1) in
-        ignore (Symmetry.canonical_async_fast prog st1);
+        ignore (fast prog st1);
         checki "one-requester orbit" 6 (Symmetry.last_orbit ()));
     case "beyond max_fact the brute encoding falls back, counted" (fun () ->
         let prog = mig 3 in
@@ -379,15 +435,14 @@ let tests =
         let st = Async.initial prog k2 in
         let stats = Symmetry.make_stats () in
         (* the initial state's remotes all tie: 3! arrangements > 1 *)
-        let k1 = Symmetry.canonical_async_fast ~stats ~max_perms:1 prog st in
+        let k1 = fast ~stats ~max_perms:1 prog st in
         checki "fallback counted" 1 (Symmetry.fallbacks stats);
         checki "orbit unknown" 0 (Symmetry.last_orbit ());
-        checks "deterministic" k1
-          (Symmetry.canonical_async_fast ~max_perms:1 prog st);
+        checks "deterministic" k1 (fast ~max_perms:1 prog st);
         (* capped quotient still lands between true quotient and exact *)
         let capped =
           explore_with
-            (Symmetry.canonical_async_fast ~max_perms:1 prog)
+            (fast ~max_perms:1 prog)
             (Async.decode prog)
             (Async.successors prog k2)
             (Async.initial prog k2)
@@ -422,9 +477,8 @@ let tests =
         let prog = mig 3 in
         let stats = Symmetry.make_stats () in
         let sts = sample_async prog 200 in
-        List.iter
-          (fun st -> ignore (Symmetry.canonical_async_fast ~stats prog st))
-          sts;
+        let canon = fast ~stats prog in
+        List.iter (fun st -> ignore (canon st)) sts;
         checki "calls" (List.length sts) (Symmetry.calls stats);
         checkb "perms >= calls" true
           (Symmetry.perms_tried stats >= Symmetry.calls stats);
@@ -436,59 +490,120 @@ let tests =
         checkb "tied calls counted" true
           ((!tied > 0) = (Symmetry.tied_calls stats > 0)));
     case
-      "parent reuse: keys equal a cold canonicalization, every protocol, \
-       n=2,3" (fun () ->
-        (* [canonical_async_fast] reuses the slot signatures of the parent
-           [decode] just left as the splice base; each key must equal the
-           one after an unrelated decode, and the one computed in a domain
-           that never decoded (no base at all) *)
+      "table canonical: batch and fresh-table keys agree, every \
+       protocol, n=2,3" (fun () ->
+        (* [Table.canonical] finds a successor of its own [succ] batch by
+           [==] and reads its memos; each key must equal the one a fresh
+           table gives, which interns the successor and fills its memos
+           from scratch, and the one a table on another domain gives *)
         let shared = ref 0 in
         List.iter
           (fun n ->
             List.iter
               (fun (name, prog) ->
                 let sts = Array.of_list (sample_async prog 20_000) in
-                let keys = Array.map Async.encode sts in
-                let m = Array.length keys in
-                let cold =
+                let t = Table.create prog k2 in
+                let batch =
+                  Array.map
+                    (fun st ->
+                      let key = Table.encode t st in
+                      let parent = Table.decode t key in
+                      List.map
+                        (fun (_, (s : Async.state)) ->
+                          if s.r.(0) == parent.r.(0) then incr shared;
+                          Table.canonical t s)
+                        (Table.succ t parent))
+                    sts
+                in
+                let other =
                   Domain.join
                     (Domain.spawn (fun () ->
+                         let t = Table.create prog k2 in
                          Array.map
                            (fun st ->
                              List.map
-                               (fun (_, s) ->
-                                 Symmetry.canonical_async_fast prog s)
+                               (fun (_, s) -> Table.canonical t s)
                                (Async.successors prog k2 st))
                            sts))
                 in
                 Array.iteri
-                  (fun i key ->
-                    let parent = Async.decode prog key in
-                    let succs = Async.successors prog k2 parent in
-                    let reused =
+                  (fun i st ->
+                    let fresh =
                       List.map
-                        (fun (_, s) -> Symmetry.canonical_async_fast prog s)
-                        succs
+                        (fun (_, s) -> fast prog s)
+                        (Async.successors prog k2 st)
                     in
-                    ignore (Async.decode prog keys.((i + (m / 2) + 1) mod m));
-                    if List.length succs <> List.length cold.(i) then
-                      Alcotest.failf "%s n=%d: successor lists differ" name n;
-                    List.iter2
-                      (fun ((_, (s : Async.state)), r) c ->
-                        if r <> c then
-                          Alcotest.failf
-                            "%s n=%d: key with the parent as base %S, cold %S"
-                            name n r c;
-                        if Symmetry.canonical_async_fast prog s <> c then
-                          Alcotest.failf "%s n=%d: key after a miss differs"
-                            name n;
-                        if s.r.(0) == parent.r.(0) then incr shared)
-                      (List.combine succs reused)
-                      cold.(i))
-                  keys)
+                    if batch.(i) <> fresh || other.(i) <> fresh then
+                      Alcotest.failf
+                        "%s n=%d: batch, other-domain and fresh-table keys \
+                         differ"
+                        name n)
+                  sts)
               (registry_progs n))
           [ 2; 3 ];
         checkb "successors share slots with their parent" true (!shared > 0));
+    case
+      "table canonical names the brute-force orbit, every protocol n=2,3, \
+       invalidate and migratory n=4" (fun () ->
+        (* on every successor of sampled states: the state the table key
+           encodes has the same brute-force canonical key as the
+           successor (the key is of the successor's orbit), and the two
+           canonicalizers merge exactly the same successors *)
+        let check n (name, prog) =
+          let t = Table.create prog k2 in
+          let stats = Symmetry.make_stats () in
+          let to_brute = Hashtbl.create 64 and of_brute = Hashtbl.create 64 in
+          List.iter
+            (fun st ->
+              List.iter
+                (fun (_, s) ->
+                  let key = Table.canonical ~stats t s in
+                  let b = Symmetry.canonical_async prog s in
+                  checks
+                    (Fmt.str "%s n=%d orbit" name n)
+                    b
+                    (Symmetry.canonical_async prog (Async.decode prog key));
+                  (match Hashtbl.find_opt to_brute key with
+                  | None -> Hashtbl.add to_brute key b
+                  | Some b' -> checks (name ^ " merge") b' b);
+                  match Hashtbl.find_opt of_brute b with
+                  | None -> Hashtbl.add of_brute b key
+                  | Some k' -> checks (name ^ " split") k' key)
+                (Table.succ t st))
+            (sample_async prog (if n = 4 then 150 else 300));
+          checki (name ^ " no fallback") 0 (Symmetry.fallbacks stats);
+          Symmetry.tied_calls stats > 0
+        in
+        let tied =
+          List.concat_map
+            (fun n -> List.map (check n) (registry_progs n))
+            [ 2; 3 ]
+          @ List.map (check 4)
+              (List.filter
+                 (fun (name, _) -> name = "invalidate" || name = "migratory")
+                 (registry_progs 4))
+        in
+        checkb "tie groups exercised" true (List.mem true tied));
+    case "table canonical at seven remotes: migratory n=7" (fun () ->
+        (* past brute force's default: keys must be orbit-invariant and
+           name the state's orbit *)
+        let prog = mig 7 in
+        let t = Table.create prog k2 in
+        let rng = Random.State.make [| 0x7 |] in
+        List.iteri
+          (fun i st ->
+            let key = Table.canonical t st in
+            for _ = 1 to 3 do
+              checks "invariant" key
+                (Table.canonical t
+                   (Symmetry.permute_async prog (random_perm rng 7) st))
+            done;
+            if i mod 10 = 0 then
+              checks "orbit"
+                (Symmetry.canonical_async ~max_fact:7 prog st)
+                (Symmetry.canonical_async ~max_fact:7 prog
+                   (Async.decode prog key)))
+          (sample_async prog 40));
     case "canonical keys are golden: invalidate and migratory async n=3"
       (fun () ->
         (* digest of the sorted canonical-key set of each quotient run,
@@ -496,30 +611,38 @@ let tests =
            byte-identical, not just equally many *)
         List.iter
           (fun (name, states, want) ->
-            let prog =
-              (Ccr_protocols.Registry.find name |> Option.get).instantiate
-                ~reqrep:true ~n:3
-            in
-            let seen = Hashtbl.create 4096 in
-            let canon_key st =
-              let k = Symmetry.canonical_async_fast prog st in
-              Hashtbl.replace seen k ();
-              k
-            in
-            checki (name ^ " states") states
-              (quotient_count ~jobs:1 (async_system prog) canon_key);
-            checki (name ^ " keys") states (Hashtbl.length seen);
-            let b = Buffer.create (1 lsl 20) in
-            List.iter
-              (fun k ->
-                Buffer.add_string b (string_of_int (String.length k));
-                Buffer.add_char b ':';
-                Buffer.add_string b k)
-              (List.sort String.compare
-                 (Hashtbl.fold (fun k () acc -> k :: acc) seen []));
-            checks (name ^ " digest") want
-              (Digest.to_hex (Digest.string (Buffer.contents b))))
+            let r = golden_run name 3 in
+            checki (name ^ " states") states r.g_states;
+            checki (name ^ " keys") states r.g_keys;
+            checks (name ^ " digest") want r.g_digest)
           [ ("invalidate", 9263, "52fb619056804fdd9fc9d3ad36b69cab"); ("migratory", 375, "96c83e52a8870bdeb5867da0237b026e") ]);
+    case "golden keys and tie caps: invalidate n=3,4, migratory n=5"
+      (fun () ->
+        (* recorded with the structured canonicalizer before the
+           component table: key digest, fallbacks, tied calls and
+           candidates tried, with the default tie cap and with small
+           ones (a capped call keeps the signature-sorted order) *)
+        List.iter
+          (fun (name, n, max_perms, (states, fallbacks, tied, perms), want) ->
+            let what = Fmt.str "%s n=%d cap %d" name n max_perms in
+            let r = golden_run ~max_perms name n in
+            checki (what ^ " states") states r.g_states;
+            checki (what ^ " keys") states r.g_keys;
+            checki (what ^ " fallbacks") fallbacks
+              (Symmetry.fallbacks r.g_stats);
+            checki (what ^ " tied") tied (Symmetry.tied_calls r.g_stats);
+            checki (what ^ " perms") perms (Symmetry.perms_tried r.g_stats);
+            checks (what ^ " digest") want r.g_digest)
+          [
+            ( "invalidate", 4, 5040, (77965, 0, 32379, 340297),
+              "da6bd99e9168b2bb1dceef67effed8f0" );
+            ( "invalidate", 4, 2, (77965, 766, 32379, 335701),
+              "da6bd99e9168b2bb1dceef67effed8f0" );
+            ( "invalidate", 3, 1, (9263, 752, 752, 26440),
+              "52fb619056804fdd9fc9d3ad36b69cab" );
+            ( "migratory", 5, 6, (2670, 90, 7765, 26054),
+              "3fa6c582e56b2d366d40eb34bde7e7c1" );
+          ]);
   ]
 
 let suite = ("symmetry", tests)
