@@ -126,9 +126,12 @@ journal-smoke:
 # mid-exploration by CCR_CRASH_AT, resumed from their checkpoints and
 # required to land on the uninterrupted pin (invalidate async n=3:
 # 9263 states / 27191 transitions) at one and at two domains, with the
-# in-memory and the disk store; and once more without symmetry (18207 /
-# 53352), where the visited keys are component ids written to the
-# checkpoint as full keys and read back on resume.
+# in-memory and the disk store; once more without symmetry (18207 /
+# 53352), where the visited and frontier keys are component ids written
+# to the checkpoint as full keys and read back on resume; under a
+# dropped ack (22675 / 66726, a starvation verdict: exit 2, so its kill
+# is checked as SIGKILL's 137), whose frontier holds fault-injected keys;
+# and at the rendezvous level (347 / 909).
 resume-smoke:
 	dune build @all
 	dune exec test/test_main.exe -- test ckpt
@@ -157,6 +160,17 @@ resume-smoke:
 	dune exec bin/ccr.exe -- check invalidate -n 3 --level async \
 	  --symmetry off --store disk --resume /tmp/ccr-resume-smoke/ids \
 	  | grep -q '18207 states, 53352 transitions'
+	CCR_CRASH_AT=level=14 dune exec bin/ccr.exe -- check invalidate -n 3 \
+	  --level async --faults drop=1@ack \
+	  --checkpoint /tmp/ccr-resume-smoke/faults 2>/dev/null; test $$? = 137
+	dune exec bin/ccr.exe -- check invalidate -n 3 --level async \
+	  --faults drop=1@ack --resume /tmp/ccr-resume-smoke/faults \
+	  | grep -q '22675 states, 66726 transitions'
+	! CCR_CRASH_AT=level=5 dune exec bin/ccr.exe -- check invalidate -n 3 \
+	  --level rendezvous --checkpoint /tmp/ccr-resume-smoke/rv 2>/dev/null
+	dune exec bin/ccr.exe -- check invalidate -n 3 --level rendezvous \
+	  --resume /tmp/ccr-resume-smoke/rv \
+	  | grep -q '347 states, 909 transitions'
 
 # Checking service: the black-box conformance suite (forked daemons over
 # loopback), the serve fuzz oracle (daemon verdicts must byte-match the

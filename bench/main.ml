@@ -1183,21 +1183,7 @@ let checkpoint_overhead () =
     match Ckpt.load ~dir with
     | Error msg -> failwith ("bench checkpoint refused: " ^ msg)
     | Ok l ->
-      Explore.run ~max_time_s:time_cap
-        ~ckpt:
-          Explore.
-            {
-              ck_resume =
-                Some
-                  {
-                    r_states = l.Ckpt.l_states;
-                    r_transitions = l.Ckpt.l_transitions;
-                    r_frontier = l.Ckpt.l_frontier;
-                    r_keys = l.Ckpt.l_keys;
-                  };
-              ck_save = ignore;
-            }
-        plain_sys
+      Explore.run ~max_time_s:time_cap ~ckpt:(Ckpt.resume l) plain_sys
   in
   cleanup ();
   Fmt.pr "  interrupted at half, resumed: %d states, %d transitions %s@."

@@ -152,19 +152,29 @@ let harden_arg =
            survive the fault budget.")
 
 (* Parse --faults, or die with a usage error. *)
-let fault_spec_of = function
-  | None -> None
-  | Some s -> (
-    match Fault.parse s with
-    | Ok spec -> Some spec
-    | Error msg ->
-      Fmt.epr "bad --faults spec: %s@." msg;
-      exit 1)
+let fault_spec_of faults =
+  match Api.fault_spec { Api.default with faults } with
+  | Ok spec -> spec
+  | Error msg ->
+    Fmt.epr "%s@." msg;
+    exit 1
 
 let instantiate (e : Registry.t) ~generic ~n =
   Ccr_obs.Trace.with_span "instantiate"
     ~args:[ ("protocol", Ccr_obs.Trace.Str e.Registry.name) ]
     (fun () -> e.Registry.instantiate ~reqrep:(not generic) ~n)
+
+(* The async level as an explicit-state system over [Async]'s own keys. *)
+let async_system prog cfg =
+  Explore.
+    {
+      init = Async.initial prog cfg;
+      succ = Async.successors prog cfg;
+      encode = Async.encode;
+      decode = Async.decode prog;
+      canon = None;
+      key_io = None;
+    }
 
 (* ---- observability flags -------------------------------------------------- *)
 
@@ -504,18 +514,10 @@ let explain_cmd =
       let prov = Vstore.Prov.create () in
       match fspec with
       | None -> (
-        let sys =
-          Explore.
-            {
-              init = Async.initial prog cfg;
-              succ = Async.successors prog cfg;
-              encode = Async.encode;
-              decode = Async.decode prog;
-              canon = None;
-              key_io = None;
-            }
-        in
+        let sys = async_system prog cfg in
         let lbl = Fmt.str "%a" Async.pp_label in
+        let msc = Some (Ccr_viz.Msc.render prog) in
+        let head = Fmt.str "%s (async, n=%d, k=%d)" e.name n k in
         match state_id with
         | Some id ->
           (* BFS ids are dense in discovery order, so capping the
@@ -532,8 +534,8 @@ let explain_cmd =
             exit 1
           end;
           let path = Explore.replay_path prov sys id in
-          Fmt.pr "%s (async, n=%d, k=%d): state %d@." e.name n k id;
-          pp_path Fmt.stdout ~lbl ~msc:(Some (Ccr_viz.Msc.render prog)) path;
+          Fmt.pr "%s: state %d@." head id;
+          pp_path Fmt.stdout ~lbl ~msc path;
           (match List.rev path with
           | (_, st) :: _ ->
             Fmt.pr "state %d:@.%a@." id (Async.pp_state prog) st
@@ -546,52 +548,37 @@ let explain_cmd =
           in
           match (r.Explore.outcome, r.Explore.trace) with
           | Explore.Violation { invariant; _ }, Some path ->
-            Fmt.pr "%s (async, n=%d, k=%d): invariant %s violated@." e.name
-              n k invariant;
-            pp_path Fmt.stdout ~lbl ~msc:(Some (Ccr_viz.Msc.render prog))
-              path;
+            Fmt.pr "%s: invariant %s violated@." head invariant;
+            pp_path Fmt.stdout ~lbl ~msc path;
             (match List.rev path with
             | (_, st) :: _ ->
               Fmt.pr "violating state:@.%a@." (Async.pp_state prog) st
             | [] -> ())
           | Explore.Deadlock _, Some path ->
-            Fmt.pr "%s (async, n=%d, k=%d): deadlock@." e.name n k;
-            pp_path Fmt.stdout ~lbl ~msc:(Some (Ccr_viz.Msc.render prog))
-              path
+            Fmt.pr "%s: deadlock@." head;
+            pp_path Fmt.stdout ~lbl ~msc path
           | _ ->
-            Fmt.pr
-              "%s (async, n=%d, k=%d): nothing to explain (%d states, \
-               invariants hold)@."
-              e.name n k r.Explore.states;
+            Fmt.pr "%s: nothing to explain (%d states, invariants hold)@."
+              head r.Explore.states;
             exit 1))
       | Some spec -> (
         if state_id <> None then begin
           Fmt.epr "--state applies to the fault-free level only.@.";
           exit 1
         end;
-        let mode = if harden then Injected.Hardened else Injected.Vanilla in
-        let sys =
-          Explore.
-            {
-              init = Injected.initial spec prog cfg;
-              succ = Injected.successors mode spec prog cfg;
-              encode = Injected.encode;
-              decode = Injected.decode prog;
-              canon = None;
-              key_io = None;
-            }
-        in
+        let sys, invariants = Api.fault_system e ~harden spec prog cfg in
         let lbl = Fmt.str "%a" Injected.pp_label in
-        let msc render labels =
-          render
-            (List.filter_map
-               (function Injected.Step al -> Some al | Injected.Fault _ -> None)
-               labels)
+        let msc =
+          Some
+            (fun labels ->
+              Ccr_viz.Msc.render prog
+                (List.filter_map
+                   (function
+                     | Injected.Step al -> Some al | Injected.Fault _ -> None)
+                   labels))
         in
-        let invariants =
-          Injected.no_wedge
-          :: List.map Injected.lift_invariant
-               (e.Registry.async_invariants prog)
+        let head =
+          Fmt.str "%s (async, n=%d, k=%d, faults=%a)" e.name n k Fault.pp spec
         in
         let r =
           Explore.run ~prov ~max_states ~check_deadlock:true ~trace:true
@@ -599,56 +586,27 @@ let explain_cmd =
         in
         match (r.Explore.outcome, r.Explore.trace) with
         | Explore.Violation { invariant; _ }, Some path ->
-          Fmt.pr "%s (async, n=%d, k=%d, faults=%a): invariant %s violated@."
-            e.name n k Fault.pp spec invariant;
-          pp_path Fmt.stdout ~lbl
-            ~msc:(Some (msc (Ccr_viz.Msc.render prog)))
-            path
+          Fmt.pr "%s: invariant %s violated@." head invariant;
+          pp_path Fmt.stdout ~lbl ~msc path
         | Explore.Deadlock _, Some path ->
-          Fmt.pr "%s (async, n=%d, k=%d, faults=%a): deadlock@." e.name n k
-            Fault.pp spec;
-          pp_path Fmt.stdout ~lbl
-            ~msc:(Some (msc (Ccr_viz.Msc.render prog)))
-            path
+          Fmt.pr "%s: deadlock@." head;
+          pp_path Fmt.stdout ~lbl ~msc path
         | Explore.Complete, _ -> (
           (* Safety held: the remaining explainable artifact is a
-             starvation witness from the liveness analysis — rebuilt by
-             the provenance-backed O(depth) parent-chain walk. *)
-          let g = Graph.build ~max_states sys in
-          if g.Graph.truncated then begin
+             starvation witness from the liveness analysis. *)
+          match Api.starvation ~max_states ~n sys with
+          | Api.Truncated ->
             Fmt.epr "graph truncated; raise --max-states@.";
             exit 1
-          end;
-          let progress_of pred l =
-            match l with
-            | Injected.Step al -> Injected.completes al && pred al
-            | Injected.Fault _ -> false
-          in
-          let starved =
-            List.concat
-              (List.init n (fun i ->
-                   match
-                     Graph.violates_ag_ef g
-                       ~progress:(progress_of (fun al -> al.Async.actor = i))
-                   with
-                   | [] -> []
-                   | bad -> [ (i, bad) ]))
-          in
-          match starved with
-          | [] ->
+          | Api.Live ->
             Fmt.pr
-              "%s (async, n=%d, k=%d, faults=%a): nothing to explain \
-               (safety, deadlock-freedom and liveness all hold)@."
-              e.name n k Fault.pp spec;
+              "%s: nothing to explain (safety, deadlock-freedom and \
+               liveness all hold)@."
+              head;
             exit 1
-          | (i, bad) :: _ ->
-            let path = Graph.path_to g (List.hd bad) in
-            Fmt.pr
-              "%s (async, n=%d, k=%d, faults=%a): remote %d can starve@."
-              e.name n k Fault.pp spec i;
-            pp_path Fmt.stdout ~lbl
-              ~msc:(Some (msc (Ccr_viz.Msc.render prog)))
-              path;
+          | Api.Starved { remote = i; path; _ } ->
+            Fmt.pr "%s: remote %d can starve@." head i;
+            pp_path Fmt.stdout ~lbl ~msc path;
             (match List.rev path with
             | (_, st) :: _ ->
               Fmt.pr "stuck state:@.%a@." (Injected.pp_fstate prog) st
@@ -681,7 +639,15 @@ let check_cmd =
   let mem =
     Arg.(
       value & opt (some int) None
-      & info [ "mem" ] ~docv:"MB" ~doc:"Memory cap in megabytes.")
+      & info [ "mem" ] ~docv:"MB"
+          ~doc:
+            "Cap on the visited-state store, in megabytes (exit 2, \
+             $(b,unfinished), when reached).  Only the store is metered: \
+             the frontier, provenance, the component table and the rest \
+             of the heap are not, so the process's peak resident size can \
+             be several times $(docv) (invalidate async n=6 under \
+             $(b,--mem 64 --store disk) stopped at 67.1 MB of store \
+             against a 263.5 MB peak RSS).")
   in
   let symmetry =
     Arg.(
@@ -794,7 +760,6 @@ let check_cmd =
     let meter = Obs.meter reg in
     let module J = Obs.J in
     let jnl = Obs.journal_of journal_file in
-    let on_level = Obs.on_level_of jnl in
     (* Argument errors below this point still end the journal: the file
        gets an [end] event with outcome "error" instead of silently never
        appearing. *)
@@ -806,80 +771,29 @@ let check_cmd =
     let fspec =
       match Api.fault_spec cfg with Ok s -> s | Error msg -> fail_usage msg
     in
-    let ckpt_every =
-      Option.map
-        (fun s ->
-          match Ckpt.parse_every s with
-          | Ok e -> e
-          | Error msg -> fail_usage msg)
-        checkpoint_every
-    in
-    (* a malformed crash directive would otherwise surface only at the
-       first checkpoint write *)
-    (match Ckpt.crash_at () with Error msg -> fail_usage msg | Ok _ -> ());
     let prov = Option.map (fun kind -> Vstore.Prov.create ~kind ()) prov_sel in
-    let sym_name = Api.symmetry_name cfg in
-    let level_name = Api.level_name cfg in
-    let faults_name = Api.faults_name cfg in
-    (* Pins *what* is being explored (Ckpt.guard_keys); the marshalled IR
-       catches two different .ccr files sharing a registry name. *)
-    let spec_hash = Api.spec_hash e cfg in
-    (* The static checkpoint manifest — loaded back, compared over
-       [Ckpt.guard_keys], and carried across sessions of one run. *)
-    let loaded =
-      match resume_dir with
-      | None -> None
-      | Some dir -> (
-        match (Ckpt.load ~dir : (Obj.t Ckpt.loaded, string) result) with
-        | Error msg -> fail_usage msg
-        | Ok l -> Some l)
+    let session =
+      Option.map
+        (fun dir ->
+          let wrote = Obs.M.counter reg "checkpoint.writes" in
+          let wrote_bytes = Obs.M.gauge reg "checkpoint.bytes" in
+          let on_save ~bytes ~states:_ ~depth:_ =
+            Obs.M.incr wrote;
+            Obs.M.set wrote_bytes (float_of_int bytes)
+          in
+          match
+            Api.session ?every:checkpoint_every ~on_save ?prov
+              ~resume:(resume_dir <> None) ~dir e cfg
+          with
+          | Error msg -> fail_usage msg
+          | Ok s -> s)
+        ckpt_dir
     in
-    let run_id, resumes =
-      match loaded with
-      | Some l -> (
-        ( (match J.get_str (J.find (J.Obj l.Ckpt.l_manifest) "run_id") with
-          | Some id -> id
-          | None -> "unknown"),
-          match J.get_int (J.find (J.Obj l.Ckpt.l_manifest) "resumes") with
-          | Some r -> r + 1
-          | None -> 1 ))
-      | None ->
-        ( String.sub
-            (Digest.to_hex
-               (Digest.string
-                  (Fmt.str "%s %f %d" spec_hash (Unix.gettimeofday ())
-                     (Unix.getpid ()))))
-            0 12,
-          0 )
-    in
-    let ckpt_manifest =
-      [
-        ("spec_hash", J.Str spec_hash);
-        ("protocol", J.Str e.Registry.name);
-        ("level", J.Str level_name);
-        ("n", J.Int n);
-        ("k", J.Int k);
-        ("generic", J.Bool generic);
-        ("symmetry", J.Str sym_name);
-        ("faults", J.Str faults_name);
-        ("harden", J.Bool harden);
-        ("run_id", J.Str run_id);
-        ("resumes", J.Int resumes);
-        ("store", J.Str (Api.store_name cfg));
-        ("max_states", J.Int max_states);
-        ("jobs", J.Int jobs);
-      ]
-    in
-    (match loaded with
-    | Some l -> (
-      match Ckpt.mismatch ~expected:ckpt_manifest ~found:l.Ckpt.l_manifest with
-      | Some diff ->
-        fail_usage
-          (Fmt.str "cannot resume from %s: %s" (Option.get resume_dir) diff)
-      | None ->
-        Fmt.pf ppf "resuming from %s: %d states, %d transitions, depth %d@."
-          (Option.get resume_dir) l.Ckpt.l_states l.Ckpt.l_transitions
-          l.Ckpt.l_depth)
+    (match Option.bind session (fun s -> s.Api.s_loaded) with
+    | Some l ->
+      Fmt.pf ppf "resuming from %s: %d states, %d transitions, depth %d@."
+        (Option.get resume_dir) l.Ckpt.l_states l.Ckpt.l_transitions
+        l.Ckpt.l_depth
     | None -> ());
     (* SIGINT/SIGTERM ask the engines to stop at the next safe point, so
        the final checkpoint and journal are written before exit *)
@@ -935,13 +849,13 @@ let check_cmd =
       (* only checkpointed runs carry a run identity: it is derived from
          the wall clock, and journals of plain runs must stay
          byte-identical across invocations *)
-      match ckpt_dir with
+      match session with
       | None -> []
-      | Some _ ->
-        ("run_id", J.Str run_id)
+      | Some s ->
+        ("run_id", J.Str s.Api.s_run_id)
         ::
         (if resume_dir <> None then
-           [ ("resumed", J.Bool true); ("resumes", J.Int resumes) ]
+           [ ("resumed", J.Bool true); ("resumes", J.Int s.Api.s_resumes) ]
          else []));
     (match fspec with
     | Some spec ->
@@ -959,85 +873,17 @@ let check_cmd =
       end
       else None
     in
-    let mem_bytes = Option.map (fun mb -> mb * 1024 * 1024) mem in
     let on_progress, finish_progress =
       if progress then
         let cb, fin = Ccr_obs.Progress.reporter () in
         (Some cb, fin)
       else (None, fun () -> ())
     in
-    (* The store selector resolves per system: collapse needs the
-       system's component splitter.  A system without one (the rv-faults
-       wrapper) falls back to whole-key interning — correct, but no
-       compression. *)
-    let store_of split =
-      match store_sel with
-      | `Mem -> Vstore.Mem
-      | `Disk -> Vstore.Disk
-      | `Collapse ->
-        Vstore.Collapse
-          (match split with
-          | Some s -> s
-          | None -> fun key -> [| String.length key |])
-    in
-    (* The CLI's full-featured explorer behind [Api.check_entry]:
-       checkpointing, provenance and the progress UI — none of which the
-       serve daemon needs. *)
     let explorer =
-      {
-        Api.explore =
-          (fun ~check_deadlock ~split ~invariants sys ->
-            let store = store_of split in
-            (* Checkpoint control for this run's state type.  The
-               marshalled frontier carries no type information, so the
-               loaded payload is cast here — this is safe exactly because
-               [Ckpt.mismatch] accepted the manifest above (same spec
-               hash, instance and semantics flags imply the same state
-               type). *)
-            let ckpt_ctl =
-              match ckpt_dir with
-              | None -> None
-              | Some dir ->
-                let ck_resume =
-                  match loaded with
-                  | None -> None
-                  | Some l ->
-                    let l : _ Ckpt.loaded = Obj.magic l in
-                    Option.iter
-                      (fun p ->
-                        Array.iteri
-                          (fun id (parent, ord) ->
-                            Vstore.Prov.record p ~id ~parent ~ord)
-                          l.Ckpt.l_prov)
-                      prov;
-                    Some
-                      {
-                        Explore.r_states = l.Ckpt.l_states;
-                        r_transitions = l.Ckpt.l_transitions;
-                        r_frontier = l.Ckpt.l_frontier;
-                        r_keys = l.Ckpt.l_keys;
-                      }
-                in
-                let wrote = Obs.M.counter reg "checkpoint.writes" in
-                let wrote_bytes = Obs.M.gauge reg "checkpoint.bytes" in
-                let on_save ~bytes ~states:_ ~depth:_ =
-                  Obs.M.incr wrote;
-                  Obs.M.set wrote_bytes (float_of_int bytes)
-                in
-                Some
-                  {
-                    Explore.ck_resume;
-                    ck_save =
-                      Ckpt.saver ~dir ~manifest:ckpt_manifest ~prov
-                        ?every:ckpt_every ~on_save ();
-                  }
-            in
-            Obs.T.with_span "explore" (fun () ->
-                Explore.run ~jobs ~store ~max_states ?max_mem_bytes:mem_bytes
-                  ?max_time_s:deadline ~check_deadlock ~trace:true ~invariants
-                  ?on_progress ?progress_every:progress_interval ?prov
-                  ?on_level ?interrupt ?ckpt:ckpt_ctl sys));
-      }
+      Api.default_explorer ?on_level:(Obs.on_level_of jnl) ?interrupt
+        ?on_progress ?progress_every:progress_interval ?prov
+        ?ckpt:(Option.map (fun s -> s.Api.s_ckpt) session)
+        cfg
     in
     (* The implicit-nack tracer hook: rules H_T3/R_T3 are the refined
        protocol answering a request it cannot serve yet. *)
@@ -1144,20 +990,11 @@ let check_cmd =
         jnl;
       Obs.emit reg ~trace_file ~metrics_file;
       let jobs_tag =
-        String.concat ""
-          [
-            (if jobs > 1 then Fmt.str ", j=%d" jobs else "");
-            (match store_sel with
-            | `Mem -> ""
-            | `Collapse -> ", store=collapse"
-            | `Disk -> ", store=disk");
-          ]
+        (if jobs > 1 then Fmt.str ", j=%d" jobs else "")
+        ^ if store_sel = `Mem then "" else ", store=" ^ Api.store_name cfg
       in
       let sym_tag =
-        match symmetry with
-        | `Off -> ""
-        | `Auto -> ", sym=auto"
-        | `Brute -> ", sym=brute"
+        if symmetry = `Off then "" else ", sym=" ^ Api.symmetry_name cfg
       in
       let name =
         match (level, fspec) with
@@ -1183,14 +1020,8 @@ let check_cmd =
         v.Api.v_states v.Api.v_transitions m.Api.m_time_s
         (float_of_int m.Api.m_mem_bytes /. 1048576.);
       (if store_sel <> `Mem then
-         let kind =
-           match store_sel with
-           | `Collapse -> "collapse"
-           | `Disk -> "disk"
-           | `Mem -> "mem"
-         in
          Fmt.pf ppf "storage: %s, ~%.1f MB resident vs ~%.1f MB raw (%.1fx)@."
-           kind
+           (Api.store_name cfg)
            (float_of_int m.Api.m_mem_bytes /. 1048576.)
            (float_of_int m.Api.m_raw_bytes /. 1048576.)
            (if m.Api.m_mem_bytes > 0 then
@@ -1747,18 +1578,7 @@ let progress_cmd =
   let run (e : Registry.t) n k generic max_states =
     let prog = instantiate e ~generic ~n in
     let cfg = Async.{ k } in
-    let g =
-      Ccr_modelcheck.Graph.build ~max_states
-        Explore.
-          {
-            init = Async.initial prog cfg;
-            succ = Async.successors prog cfg;
-            encode = Async.encode;
-            decode = Async.decode prog;
-            canon = None;
-            key_io = None;
-          }
-    in
+    let g = Graph.build ~max_states (async_system prog cfg) in
     let progress_label (l : Async.label) =
       match l.rule with
       | Async.H_C1 | Async.H_C1_silent | Async.R_C3_ack | Async.R_C3_silent
@@ -1766,8 +1586,8 @@ let progress_cmd =
         true
       | _ -> false
     in
-    let dead = Ccr_modelcheck.Graph.deadlocks g in
-    let bad = Ccr_modelcheck.Graph.violates_ag_ef g ~progress:progress_label in
+    let dead = Graph.deadlocks g in
+    let bad = Graph.violates_ag_ef g ~progress:progress_label in
     Fmt.pr
       "%d states%s; %d deadlocks; %d states from which no rendezvous can \
        complete@."

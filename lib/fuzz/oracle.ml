@@ -612,20 +612,7 @@ let o_resume ctx =
           else
             let resumed =
               Explore.run ~max_states:ctx.max_states ~check_deadlock:true
-                ~ckpt:
-                  Explore.
-                    {
-                      ck_resume =
-                        Some
-                          {
-                            r_states = l.Ckpt.l_states;
-                            r_transitions = l.Ckpt.l_transitions;
-                            r_frontier = l.Ckpt.l_frontier;
-                            r_keys = l.Ckpt.l_keys;
-                          };
-                      ck_save = ignore;
-                    }
-                sys
+                ~ckpt:(Ckpt.resume l) sys
             in
             if
               resumed.Explore.states <> seq.Explore.states

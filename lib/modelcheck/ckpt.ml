@@ -1,11 +1,15 @@
 (* Crash-safe exploration checkpoints.
 
-   A checkpoint is one file, [DIR/ckpt], holding everything a BFS engine
-   needs to continue from a level boundary: a JSON manifest (spec hash,
-   instance parameters, engine flags, cumulative counts), the serialized
-   visited set, the unexpanded frontier, and the provenance slots.  Fault
-   budgets need no section of their own: they live inside the states of
-   the fault-injected semantics, so they ride in the marshalled frontier.
+   A checkpoint is one file, [DIR/ckpt], holding everything the BFS
+   driver needs to continue from a level boundary: a JSON manifest (spec
+   hash, instance parameters, engine flags, cumulative counts), the
+   unexpanded frontier and the visited set as keys, and the provenance
+   slots.  Keys are written as the system exports them
+   ({!Explore.key_io}), so the file holds no run-local ids and no
+   marshalled values: a key a later reader cannot decode is refused by
+   its strict decoder, with a byte offset.  Fault budgets need no section
+   of their own: they live inside the states of the fault-injected
+   semantics, so they ride in the frontier keys.
 
    Durability discipline: the file is written to [DIR/ckpt.tmp], fsynced,
    renamed over [DIR/ckpt], and the directory fsynced — a crash at any
@@ -15,14 +19,15 @@
    half-trusted.
 
    Version policy: [version] is stamped in the header and the manifest.
-   Readers refuse newer versions; a format change that keeps old
-   checkpoints readable keeps the version, anything else bumps it. *)
+   Readers refuse any other version, naming both; a format change that
+   keeps old checkpoints readable keeps the version, anything else bumps
+   it.  v1 marshalled decoded frontier states; v2 writes frontier keys. *)
 
 module J = Ccr_obs.Journal
 
-let version = 1
+let version = 2
 
-let header = "CCRCKPT v1"
+let header = Printf.sprintf "CCRCKPT v%d" version
 
 let file dir = Filename.concat dir "ckpt"
 
@@ -45,7 +50,7 @@ let crc32 s =
     s;
   !c lxor 0xffffffff
 
-(* ---- varints (visited-section key framing) ------------------------------- *)
+(* ---- varints (key framing of the frontier and visited sections) ---------- *)
 
 let put_varint buf i =
   let rec go i =
@@ -70,23 +75,28 @@ let get_varint s pos =
 
 (* ---- section payloads ---------------------------------------------------- *)
 
-let render_visited iter_keys =
+(* A key section: each key as its varint length, then its bytes. *)
+let render_keys iter_keys =
   let buf = Buffer.create 65536 in
   iter_keys (fun k ->
       put_varint buf (String.length k);
       Buffer.add_string buf k);
   Buffer.contents buf
 
-let iter_visited s f =
+exception Damaged of string
+
+(* [f] on each key of section [name] in order, refusing bad framing. *)
+let iter_keys name s f =
   let pos = ref 0 in
-  (try
-     while !pos < String.length s do
-       let len, data = get_varint s !pos in
-       if data + len > String.length s then raise Exit;
-       f (String.sub s data len);
-       pos := data + len
-     done
-   with Exit -> invalid_arg "Ckpt: truncated visited section")
+  try
+    while !pos < String.length s do
+      let len, data = get_varint s !pos in
+      if data + len > String.length s then raise Exit;
+      f (String.sub s data len);
+      pos := data + len
+    done
+  with Exit ->
+    raise (Damaged (Printf.sprintf "truncated key in %s section" name))
 
 let render_prov prov ~states =
   match prov with
@@ -155,8 +165,8 @@ let section buf name payload =
   Buffer.add_string buf payload;
   Buffer.add_char buf '\n'
 
-let save ~dir ~manifest ~prov (v : 's Explore.ckpt_view) =
-  let frontier = v.Explore.v_frontier () in
+let save ~dir ~manifest ~prov (v : Explore.ckpt_view) =
+  let frontier = Lazy.force v.Explore.v_frontier in
   let manifest =
     manifest
     @ [
@@ -174,8 +184,8 @@ let save ~dir ~manifest ~prov (v : 's Explore.ckpt_view) =
   Buffer.add_string buf header;
   Buffer.add_char buf '\n';
   section buf "manifest" (J.to_string (J.Obj manifest));
-  section buf "frontier" (Marshal.to_string frontier []);
-  section buf "visited" (render_visited v.Explore.v_iter_keys);
+  section buf "frontier" (render_keys (fun f -> Array.iter f frontier));
+  section buf "visited" (render_keys v.Explore.v_iter_keys);
   section buf "prov" (render_prov prov ~states:v.Explore.v_states);
   Buffer.add_string buf "end\n";
   let contents = Buffer.contents buf in
@@ -184,18 +194,16 @@ let save ~dir ~manifest ~prov (v : 's Explore.ckpt_view) =
 
 (* ---- load ---------------------------------------------------------------- *)
 
-type 's loaded = {
+type loaded = {
   l_manifest : (string * J.value) list;
   l_states : int;
   l_transitions : int;
   l_depth : int;
-  l_frontier : (int * int * int * 's) array;
+  l_frontier : string array;
   l_keys : (string -> unit) -> unit;
   l_prov : (int * int) array;
   l_bytes : int;
 }
-
-exception Damaged of string
 
 let read_file path =
   let ic = open_in_bin path in
@@ -241,6 +249,20 @@ let manifest_int m key =
   | Some i -> i
   | None -> raise (Damaged (Printf.sprintf "manifest lacks %S" key))
 
+(* The offset past the header line when its version is this reader's;
+   else a refusal, naming both versions when the header names one. *)
+let check_header s =
+  match Scanf.sscanf_opt s "CCRCKPT v%u\n%n" (fun v n -> (v, n)) with
+  | Some (v, n) when v = version -> n
+  | Some (v, _) ->
+    raise
+      (Damaged
+         (Printf.sprintf
+            "written in checkpoint format v%d, this ccr reads v%d; restart the \
+             check without --resume"
+            v version))
+  | None -> raise (Damaged "bad header (not a ccr checkpoint)")
+
 let load ~dir =
   let path = file dir in
   try
@@ -248,21 +270,18 @@ let load ~dir =
       Error (Printf.sprintf "no checkpoint at %s" path)
     else begin
       let s = read_file path in
-      let hl = String.length header in
-      if String.length s < hl + 1 || String.sub s 0 hl <> header then
-        raise (Damaged "bad magic (not a ccr checkpoint, or a newer version)");
-      if s.[hl] <> '\n' then raise (Damaged "bad magic terminator");
-      let mstr, pos = read_section s (hl + 1) "manifest" in
+      let mstr, pos = read_section s (check_header s) "manifest" in
       let manifest =
         match J.parse mstr with
         | Some (J.Obj fields) -> fields
         | Some _ | None -> raise (Damaged "manifest is not a JSON object")
       in
       let v = manifest_int manifest "ckpt_version" in
-      if v > version then
+      if v <> version then
         raise
           (Damaged
-             (Printf.sprintf "written by a newer version (%d > %d)" v version));
+             (Printf.sprintf "manifest version %d disagrees with the header's v%d"
+                v version));
       let fstr, pos = read_section s pos "frontier" in
       let vstr, pos = read_section s pos "visited" in
       let pstr, pos = read_section s pos "prov" in
@@ -271,27 +290,16 @@ let load ~dir =
         || String.sub s pos (String.length s - pos) <> "end\n"
       then raise (Damaged "missing end marker");
       let states = manifest_int manifest "states" in
-      let frontier : (int * int * int * 's) array =
-        try Marshal.from_string fstr 0
-        with Failure _ -> raise (Damaged "frontier does not unmarshal")
-      in
+      let frontier = ref [] in
+      iter_keys "frontier" fstr (fun k -> frontier := k :: !frontier);
+      let frontier = Array.of_list (List.rev !frontier) in
       if Array.length frontier <> manifest_int manifest "frontier_len" then
         raise (Damaged "frontier length disagrees with the manifest");
-      (* every checkpoint is a level boundary: one depth, contiguous ids
-         ending at [states], no resume ordinal *)
-      (match frontier with
-      | [||] -> ()
-      | _ ->
-        let len = Array.length frontier in
-        let _, d0, _, _ = frontier.(0) in
-        Array.iteri
-          (fun i (id, d, o, _) ->
-            if d <> d0 || o <> 0 || id <> states - len + i then
-              raise
-                (Damaged
-                   "mid-level checkpoint written by an older version; it \
-                    cannot be resumed"))
-          frontier);
+      (* the frontier is the last ids of the boundary *)
+      if Array.length frontier > states then
+        raise (Damaged "frontier holds more keys than the manifest's states");
+      (* framing checked here, so [l_keys] never refuses *)
+      iter_keys "visited" vstr ignore;
       let prov = decode_prov pstr in
       if Array.length prov > 0 && Array.length prov <> states then
         raise (Damaged "provenance record count disagrees with the manifest");
@@ -302,7 +310,7 @@ let load ~dir =
           l_transitions = manifest_int manifest "transitions";
           l_depth = manifest_int manifest "depth";
           l_frontier = frontier;
-          l_keys = iter_visited vstr;
+          l_keys = iter_keys "visited" vstr;
           l_prov = prov;
           l_bytes = String.length s;
         }
@@ -312,6 +320,26 @@ let load ~dir =
   | Sys_error msg -> Error (Printf.sprintf "checkpoint %s unreadable: %s" path msg)
   | Invalid_argument msg ->
     Error (Printf.sprintf "checkpoint %s refused: %s" path msg)
+
+let resume ?prov ?(save = ignore) l =
+  Option.iter
+    (fun p ->
+      Array.iteri
+        (fun id (parent, ord) -> Vstore.Prov.record p ~id ~parent ~ord)
+        l.l_prov)
+    prov;
+  {
+    Explore.ck_resume =
+      Some
+        {
+          Explore.r_states = l.l_states;
+          r_transitions = l.l_transitions;
+          r_depth = l.l_depth;
+          r_frontier = l.l_frontier;
+          r_keys = l.l_keys;
+        };
+    ck_save = save;
+  }
 
 (* ---- compatibility guard -------------------------------------------------- *)
 
@@ -407,13 +435,13 @@ let saver ~dir ~manifest ~prov ?every ?on_save () =
   let crash =
     match crash_at () with Ok l -> l | Error msg -> invalid_arg msg
   in
-  fun (v : 's Explore.ckpt_view) ->
+  fun (v : Explore.ckpt_view) ->
     let due =
       if v.Explore.v_final then
         (* a final view with an empty frontier is a finished exploration
            — complete, or stopped on an event; there is nothing a resume
            could continue, so skip the (large) write *)
-        Array.length (v.Explore.v_frontier ()) > 0
+        Array.length (Lazy.force v.Explore.v_frontier) > 0
       else
         match every with
         | None -> true

@@ -2,10 +2,14 @@
 
     One file, [DIR/ckpt], holds everything the BFS driver needs to continue
     from a level boundary: a JSON manifest (spec hash, instance
-    parameters, engine flags, cumulative counts), the serialized visited
-    set, the unexpanded frontier, and the provenance slots.  Fault
-    budgets have no section of their own — they live inside the states of
-    the fault-injected semantics and ride in the marshalled frontier.
+    parameters, engine flags, cumulative counts), the unexpanded frontier
+    and the visited set as keys (each a varint length and the key's
+    bytes, as the system exports them through {!Explore.key_io}), and the
+    provenance slots.  Fault budgets have no section of their own — they
+    live inside the states of the fault-injected semantics and ride in
+    the frontier keys.  Nothing is marshalled: a key the reader's
+    decoder does not accept is refused with its byte offset when the
+    resumed run imports or expands it.
 
     Writes are atomic (temp file, fsync, rename, directory fsync): a
     crash at any byte leaves either the previous checkpoint or a complete
@@ -15,9 +19,10 @@
     format-blind; everything about bytes on disk lives here. *)
 
 val version : int
-(** Format version stamped in the header and manifest.  Readers refuse
-    checkpoints written by a newer version; compatible format changes
-    keep the number, incompatible ones bump it. *)
+(** Format version stamped in the header and manifest (2: frontier keys;
+    1 marshalled decoded states).  Readers refuse checkpoints of any
+    other version with one line naming both versions; compatible format
+    changes keep the number, incompatible ones bump it. *)
 
 val file : string -> string
 (** [file dir] is the checkpoint path inside [dir] ([dir ^ "/ckpt"]). *)
@@ -29,7 +34,7 @@ val save :
   dir:string ->
   manifest:(string * Ccr_obs.Journal.value) list ->
   prov:Vstore.Prov.t option ->
-  's Explore.ckpt_view ->
+  Explore.ckpt_view ->
   int
 (** Write a checkpoint for the boundary [view] into [dir] (created if
     missing), returning the file's size in bytes.  [manifest] is the
@@ -38,34 +43,41 @@ val save :
     [frontier_len], [prov_records]) are appended here.  When [prov] is
     given it must hold exactly [v_states] records. *)
 
-type 's loaded = {
+type loaded = {
   l_manifest : (string * Ccr_obs.Journal.value) list;
   l_states : int;
   l_transitions : int;
   l_depth : int;  (** BFS depth of the checkpointed frontier *)
-  l_frontier : (int * int * int * 's) array;
-      (** [(id, depth, resume_ord, state)], as {!Explore.ckpt_resume}:
-          one depth, contiguous ids ending at [l_states], ordinals 0 *)
+  l_frontier : string array;
+      (** the frontier's exported keys, in id order: the last ids before
+          [l_states] *)
   l_keys : (string -> unit) -> unit;
       (** re-iterate the visited-set keys, insertion order preserved *)
   l_prov : (int * int) array;
       (** [(parent, ord)] per dense id, empty when saved without
-          provenance; replay through {!Vstore.Prov.record} before
-          resuming *)
+          provenance; {!resume} replays them *)
   l_bytes : int;  (** checkpoint file size *)
 }
 
-val load : dir:string -> ('s loaded, string) result
+val load : dir:string -> (loaded, string) result
 (** Read and verify [dir]'s checkpoint.  Any damage — missing file, bad
-    magic, truncation at whatever byte, CRC mismatch, manifest/section
-    disagreement, newer version — yields [Error] with a one-line
-    diagnosis; this function never raises on malformed input.  So does a
-    checkpoint that is not a level boundary (a mid-level checkpoint of
-    an older version, with a non-zero resume ordinal).
+    magic, truncation at whatever byte, CRC mismatch, bad key framing,
+    manifest/section disagreement, another format version — yields
+    [Error] with a one-line diagnosis; this function never raises on
+    malformed input.  Keys are not decoded here: {!mismatch} decides
+    whether they belong to the run at hand, and the run's own strict
+    decoder refuses a damaged one. *)
 
-    The ['s] is trusted, not checked: marshalled states carry no type
-    information, which is why {!mismatch} must pass before the frontier
-    is used. *)
+val resume :
+  ?prov:Vstore.Prov.t ->
+  ?save:(Explore.ckpt_view -> unit) ->
+  loaded ->
+  Explore.ckpt
+(** The checkpoint control that continues from [loaded]: its counts,
+    depth, frontier and visited keys as {!Explore.ckpt_resume}, and
+    [save] (default: none) for the boundaries still to come.  When
+    [prov] is given, the loaded provenance slots are recorded into it
+    first; it must be empty. *)
 
 val guard_keys : string list
 (** Manifest fields that pin {e what} is being explored ([spec_hash],
@@ -97,7 +109,7 @@ val saver :
   ?every:every ->
   ?on_save:(bytes:int -> states:int -> depth:int -> unit) ->
   unit ->
-  's Explore.ckpt_view ->
+  Explore.ckpt_view ->
   unit
 (** The standard write policy, packaged as an {!Explore.ckpt} [ck_save]
     callback.  Writes at every level boundary by default, or when

@@ -26,13 +26,11 @@ let key_fns sys =
       (match c.canon_fresh with None -> fun _ -> () | Some f -> f),
       c.canon_fallbacks )
 
-(* How visited keys leave a run (checkpoint) and come back (resume):
-   canonical keys are portable already, [encode]d ones through the
-   system's [key_io]. *)
-let visited_io sys =
-  match (sys.canon, sys.key_io) with
-  | None, Some io -> (io.export, io.import)
-  | _ -> (Fun.id, Fun.id)
+(* How [encode]d keys leave a run (checkpoint) and come back (resume). *)
+let key_io sys =
+  match sys.key_io with
+  | Some io -> (io.export, io.import)
+  | None -> (Fun.id, Fun.id)
 
 (* The frontier entry of a fresh state [st] stored under [key]: the key
    itself without symmetry reduction (the very string the store holds),
@@ -72,26 +70,24 @@ type ('s, 'l) stats = {
    boundaries through this control record (see explore.mli) and the
    callback (the [Ckpt] layer) decides whether to actually write. *)
 
-type 's ckpt_view = {
+type ckpt_view = {
   v_states : int;
   v_transitions : int;
   v_depth : int;
   v_final : bool;
-  v_frontier : unit -> (int * int * int * 's) array;
+  v_frontier : string array Lazy.t;
   v_iter_keys : (string -> unit) -> unit;
 }
 
-type 's ckpt_resume = {
+type ckpt_resume = {
   r_states : int;
   r_transitions : int;
-  r_frontier : (int * int * int * 's) array;
+  r_depth : int;
+  r_frontier : string array;
   r_keys : (string -> unit) -> unit;
 }
 
-type 's ckpt = {
-  ck_resume : 's ckpt_resume option;
-  ck_save : 's ckpt_view -> unit;
-}
+type ckpt = { ck_resume : ckpt_resume option; ck_save : ckpt_view -> unit }
 
 let bitstate_positions = Vstore.bitstate_positions
 
@@ -292,7 +288,12 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
   let t0 = Unix.gettimeofday () in
   let key_of, on_fresh, canon_fallbacks = key_fns sys in
   let fkey = frontier_key sys in
-  let export, import = visited_io sys in
+  (* frontier keys are [encode]d; visited keys are canonical under
+     [canon], and those are portable as they are *)
+  let fexport, fimport = key_io sys in
+  let export, import =
+    if sys.canon = None then (fexport, fimport) else (Fun.id, Fun.id)
+  in
   let jobs = max 1 jobs in
   (* counterexamples are rebuilt from provenance: without the caller's
      table, an internal one (8 bytes per state) *)
@@ -442,7 +443,7 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
       incr i
     done
   in
-  let offer ~final ~base ~depth frontier =
+  let offer ~final ~depth frontier =
     Option.iter
       (fun c ->
         c.ck_save
@@ -451,11 +452,7 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
             v_transitions = !trans;
             v_depth = depth;
             v_final = final;
-            v_frontier =
-              (fun () ->
-                Array.mapi
-                  (fun i key -> (base + i, depth, 0, sys.decode key))
-                  frontier);
+            v_frontier = lazy (Array.map fexport frontier);
             v_iter_keys =
               (fun f ->
                 Array.iter
@@ -477,7 +474,7 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
       (* nothing was deduplicated: the stores still hold exactly this
          boundary *)
       stop ~transitions:!trans (Limit (Option.value (poll ()) ~default:L_time));
-      offer ~final:true ~base ~depth frontier
+      offer ~final:true ~depth frontier
     end
     else begin
       let nsucc = count_succ (Array.length frontier) out in
@@ -519,13 +516,13 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
     let base = !n_states - len in
     peak := max !peak len;
     if len = 0 then ()
-    else if !finishing then offer ~final:true ~base ~depth frontier
+    else if !finishing then offer ~final:true ~depth frontier
     else if !outcome = None then begin
       let halted = poll () in
       Option.iter (fun l -> stop ~transitions:!trans (Limit l)) halted;
       (* the starting boundary is on disk already (or is the root) *)
       if (not first) || halted <> None then
-        offer ~final:(halted <> None) ~base ~depth frontier;
+        offer ~final:(halted <> None) ~depth frontier;
       if halted = None then begin
         if jobs = 1 then stream_level stores.(0) ~base ~depth frontier
         else shard_level ~base ~depth frontier;
@@ -539,16 +536,8 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
     r.r_keys (fun k -> seed (import k));
     n_states := r.r_states;
     trans := r.r_transitions;
-    let d0 =
-      if Array.length r.r_frontier = 0 then 0
-      else
-        let _, d, _, _ = r.r_frontier.(0) in
-        d
-    in
-    max_depth := d0;
-    level ~first:true
-      (Array.map (fun (_, _, _, st) -> sys.encode st) r.r_frontier)
-      d0
+    max_depth := r.r_depth;
+    level ~first:true (Array.map fimport r.r_frontier) r.r_depth
   | _ ->
     let key = key_of sys.init in
     seed key;

@@ -52,14 +52,15 @@ type ('s, 'l) system = {
           equal to [st] — same successors, in the same order, same
           invariant verdicts, same printing.  The BFS frontier holds
           each discovered state as its key and decodes it when expanding
-          it (and when a checkpoint or a deadlock report needs it), so
-          no structured state outlives its level *)
+          it (and when a deadlock report needs it), so no structured
+          state outlives its level *)
   canon : 's canon option;
       (** optional symmetry reduction; [None] = explore the full space *)
   key_io : key_io option;
-      (** how the visited keys of a run without [canon] are written to a
-          checkpoint and read back on resume; [None] = the [encode]d
-          keys are portable as they are (canonical keys always are) *)
+      (** how [encode]d keys — the frontier's, and the visited keys of a
+          run without [canon] — are written to a checkpoint and read back
+          on resume; [None] = they are portable as they are (canonical
+          keys always are) *)
 }
 
 type limit =
@@ -116,47 +117,49 @@ type ('s, 'l) stats = {
 (** {2 Checkpoint control}
 
     The driver exposes resumable points through this record; the file
-    format, write policy and refusal logic live in {!Ckpt}.  A frontier
-    entry is [(id, depth, resume_ord, state)]: the state's visited id,
-    its BFS depth, and a resume ordinal that is always 0 (checkpoints of
-    older versions could carry a non-zero one; {!Ckpt.load} refuses
-    them).  Every checkpoint is a level boundary. *)
+    format, write policy and refusal logic live in {!Ckpt}.  Every
+    checkpoint is a level boundary: its frontier is the whole unexpanded
+    level, in id order, so the frontier's ids are the last ones before
+    [v_states] and its depth is [v_depth].  Frontier keys leave a run
+    through the system's [key_io.export] and come back through
+    [key_io.import] (as they are without a [key_io]); the visited keys
+    do the same, except under [canon], whose keys are portable. *)
 
-type 's ckpt_view = {
+type ckpt_view = {
   v_states : int;
   v_transitions : int;
   v_depth : int;  (** BFS depth of the frontier *)
   v_final : bool;
       (** the driver is stopping at a cap or interrupt: last chance to
           persist *)
-  v_frontier : unit -> (int * int * int * 's) array;
-      (** materialize the unexpanded frontier, decoding its keys
-          (thunked: costs nothing when the policy declines the
-          boundary) *)
+  v_frontier : string array Lazy.t;
+      (** the unexpanded frontier's keys, exported (lazy: costs nothing
+          when the policy declines the boundary) *)
   v_iter_keys : (string -> unit) -> unit;
       (** visit every visited-set key {e at this boundary}, through the
           system's [key_io.export] when it has one and no [canon] *)
 }
 
-type 's ckpt_resume = {
+type ckpt_resume = {
   r_states : int;
   r_transitions : int;
-  r_frontier : (int * int * int * 's) array;
-      (** re-encoded to frontier keys on resume *)
+  r_depth : int;  (** BFS depth of the frontier *)
+  r_frontier : string array;
+      (** the frontier keys as [v_frontier] gave them; the driver
+          imports them through [key_io.import] *)
   r_keys : (string -> unit) -> unit;
       (** the visited keys as [v_iter_keys] gave them; the driver
           re-imports them through [key_io.import] *)
 }
 
-type 's ckpt = {
-  ck_resume : 's ckpt_resume option;
-      (** continue from this level boundary (as {!Ckpt.load} returns it:
-          one depth, contiguous trailing ids) instead of [sys.init].  The
-          visited store is re-populated from [r_keys], counts continue
-          from [r_states]/[r_transitions], and the frontier is re-queued.
-          A provenance table passed alongside must already hold
-          [r_states] records (see {!Ckpt.load}). *)
-  ck_save : 's ckpt_view -> unit;
+type ckpt = {
+  ck_resume : ckpt_resume option;
+      (** continue from this level boundary (as {!Ckpt.resume} builds it)
+          instead of [sys.init].  The visited store is re-populated from
+          [r_keys], counts continue from [r_states]/[r_transitions], and
+          the frontier is re-queued.  A provenance table passed alongside
+          must already hold [r_states] records. *)
+  ck_save : ckpt_view -> unit;
       (** offered at every BFS level boundary after the first, and once
           more with [v_final = true] at the boundary the driver stops
           at: on a state or memory cap the driver first completes the
@@ -182,7 +185,7 @@ val run :
   ?prov:Vstore.Prov.t ->
   ?on_level:(depth:int -> states:int -> unit) ->
   ?interrupt:(unit -> bool) ->
-  ?ckpt:'s ckpt ->
+  ?ckpt:ckpt ->
   ('s, 'l) system ->
   ('s, 'l) stats
 (** Breadth-first search from [init], one level at a time, over [jobs]
@@ -219,7 +222,14 @@ val run :
     successors.  [trace] (default [false]) rebuilds the offending
     state's path with {!replay_path} from [prov], or from an internal
     in-memory provenance table (8 bytes per state) when [prov] is not
-    given.  [max_time_s] and [interrupt] are polled before every
+    given.  [max_mem_bytes] caps the visited stores alone
+    ([mem_bytes], summed over the shards): the frontier, the provenance
+    table, a system's own tables (e.g. {!Ccr_refine.Table}'s interned
+    components) and the rest of the heap are not metered, so the
+    process's resident peak can be several times the cap (invalidate
+    async n=6 under a 64 MB cap with the disk store stopped at 67.1 MB
+    of store against a 263.5 MB peak RSS).  [max_time_s] and
+    [interrupt] are polled before every
     expansion and stop with [Limit L_time]/[Limit L_interrupt]; beyond
     one shard a level they interrupt is discarded, so the figures are
     those of its boundary.  [on_progress] (default: none) is invoked every

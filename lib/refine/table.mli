@@ -30,8 +30,8 @@
     unsigned LEB128 varint of any width.  Ids are dense in
     first-interned order and exist only inside one table: {!export}
     turns a key into the state's {!Async.encode} bytes, which are what
-    leaves the check (checkpoint visited sections), and {!import} turns
-    those bytes back into a key.
+    leaves the check (checkpoint frontier and visited sections), and
+    {!import} turns those bytes back into a key.
 
     {b Domains.}  Domain shards may share one table.  A memo hit takes
     no lock; a miss, and every interning, takes the table's mutex.  The
@@ -49,8 +49,7 @@
     {b Values.}  An interned component's value is decoded from its
     bytes, so its shape in memory never depends on which rule produced
     it first; {!decode} returns states built from these values.
-    Equal components of one state are then physically equal, which
-    marshalling preserves. *)
+    Equal components of one state are then physically equal. *)
 
 open Ccr_core
 

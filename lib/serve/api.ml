@@ -9,6 +9,7 @@
 
 open Ccr_core
 module Explore = Ccr_modelcheck.Explore
+module Ckpt = Ccr_modelcheck.Ckpt
 module Graph = Ccr_modelcheck.Graph
 module Vstore = Ccr_modelcheck.Vstore
 module Async = Ccr_refine.Async
@@ -88,7 +89,8 @@ type explorer = {
     ('st, 'lbl) Explore.stats;
 }
 
-let default_explorer ?on_level ?interrupt cfg =
+let default_explorer ?on_level ?interrupt ?on_progress ?progress_every ?prov
+    ?ckpt cfg =
   let store_of split =
     match cfg.store with
     | `Mem -> Vstore.Mem
@@ -103,10 +105,12 @@ let default_explorer ?on_level ?interrupt cfg =
   {
     explore =
       (fun ~check_deadlock ~split ~invariants sys ->
-        Explore.run ~jobs:cfg.jobs ~store:(store_of split)
-          ~max_states:cfg.max_states ?max_mem_bytes:mem_bytes
-          ?max_time_s:cfg.deadline_s ~check_deadlock ~trace:true ~invariants
-          ?on_level ?interrupt sys);
+        Ccr_obs.Trace.with_span "explore" (fun () ->
+            Explore.run ~jobs:cfg.jobs ~store:(store_of split)
+              ~max_states:cfg.max_states ?max_mem_bytes:mem_bytes
+              ?max_time_s:cfg.deadline_s ~check_deadlock ~trace:true
+              ~invariants ?on_progress ?progress_every ?prov ?on_level
+              ?interrupt ?ckpt sys));
   }
 
 (* ---- verdicts ------------------------------------------------------------ *)
@@ -248,6 +252,83 @@ let spec_hash (e : Registry.t) cfg =
             faults_name cfg; string_of_bool cfg.harden;
           ]))
 
+type session = {
+  s_run_id : string;
+  s_resumes : int;
+  s_loaded : Ckpt.loaded option;
+  s_ckpt : Explore.ckpt;
+}
+
+let session ?every ?on_save ?prov ?(resume = false) ~dir (e : Registry.t) cfg
+    =
+  let ( let* ) = Result.bind in
+  let* every =
+    match every with
+    | None -> Ok None
+    | Some s -> Result.map Option.some (Ckpt.parse_every s)
+  in
+  let* _ = Ckpt.crash_at () in
+  let* loaded =
+    if resume then Result.map Option.some (Ckpt.load ~dir) else Ok None
+  in
+  let hash = spec_hash e cfg in
+  let found key =
+    Option.bind loaded (fun l -> J.find (J.Obj l.Ckpt.l_manifest) key)
+  in
+  (* a run keeps its identity across sessions; a fresh one draws it from
+     the clock and the process *)
+  let run_id, resumes =
+    match loaded with
+    | Some _ ->
+      ( Option.value (J.get_str (found "run_id")) ~default:"unknown",
+        match J.get_int (found "resumes") with Some r -> r + 1 | None -> 1 )
+    | None ->
+      ( String.sub
+          (Digest.to_hex
+             (Digest.string
+                (Fmt.str "%s %f %d" hash (Unix.gettimeofday ())
+                   (Unix.getpid ()))))
+          0 12,
+        0 )
+  in
+  (* the fields [Ckpt.guard_keys] compares, then how this session runs *)
+  let manifest =
+    [
+      ("spec_hash", J.Str hash);
+      ("protocol", J.Str e.Registry.name);
+      ("level", J.Str (level_name cfg));
+      ("n", J.Int cfg.n);
+      ("k", J.Int cfg.k);
+      ("generic", J.Bool cfg.generic);
+      ("symmetry", J.Str (symmetry_name cfg));
+      ("faults", J.Str (faults_name cfg));
+      ("harden", J.Bool cfg.harden);
+      ("run_id", J.Str run_id);
+      ("resumes", J.Int resumes);
+      ("store", J.Str (store_name cfg));
+      ("max_states", J.Int cfg.max_states);
+      ("jobs", J.Int cfg.jobs);
+    ]
+  in
+  let mismatch =
+    Option.bind loaded (fun l ->
+        Ckpt.mismatch ~expected:manifest ~found:l.Ckpt.l_manifest)
+  in
+  match mismatch with
+  | Some diff -> Error (Fmt.str "cannot resume from %s: %s" dir diff)
+  | None ->
+    let save = Ckpt.saver ~dir ~manifest ~prov ?every ?on_save () in
+    Ok
+      {
+        s_run_id = run_id;
+        s_resumes = resumes;
+        s_loaded = loaded;
+        s_ckpt =
+          (match loaded with
+          | Some l -> Ckpt.resume ?prov ~save l
+          | None -> { Explore.ck_resume = None; ck_save = save });
+      }
+
 let checker_version = 1
 
 let cache_key (e : Registry.t) cfg =
@@ -267,6 +348,50 @@ let cacheable v =
   | _ -> false
 
 (* ---- the check ----------------------------------------------------------- *)
+
+let fault_system (e : Registry.t) ~harden spec prog acfg =
+  let mode = if harden then Injected.Hardened else Injected.Vanilla in
+  ( Explore.
+      {
+        init = Injected.initial spec prog acfg;
+        succ = Injected.successors mode spec prog acfg;
+        encode = Injected.encode;
+        decode = Injected.decode prog;
+        canon = None;
+        key_io = None;
+      },
+    Injected.no_wedge
+    :: List.map Injected.lift_invariant (e.Registry.async_invariants prog) )
+
+type starvation =
+  | Truncated
+  | Live
+  | Starved of {
+      remote : int;
+      lost : int;
+      path : (Injected.label option * Injected.fstate) list;
+    }
+
+(* Safety held and no deadlock: a dropped message can still leave a
+   remote stuck in its transient state forever while the rest of the
+   system keeps running (starvation, not deadlock), so ask the
+   reachability graph, remote by remote: can it always still complete? *)
+let starvation ~max_states ~n sys =
+  let g = Graph.build ~max_states sys in
+  let completes i = function
+    | Injected.Step al -> Injected.completes al && al.Async.actor = i
+    | Injected.Fault _ -> false
+  in
+  let rec first i =
+    if i >= n then Live
+    else
+      match Graph.violates_ag_ef g ~progress:(completes i) with
+      | [] -> first (i + 1)
+      | witness :: _ as bad ->
+        Starved
+          { remote = i; lost = List.length bad; path = Graph.path_to g witness }
+  in
+  if g.Graph.truncated then Truncated else first 0
 
 let refusal = function
   | Invalid_argument m | Failure m -> m
@@ -364,23 +489,8 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
                r)
         end
       | `Async, Some spec ->
-        let acfg = { Async.k = cfg.k } in
-        let mode = if cfg.harden then Injected.Hardened else Injected.Vanilla in
-        let invariants =
-          Injected.no_wedge
-          :: List.map Injected.lift_invariant
-               (e.Registry.async_invariants prog)
-        in
-        let sys =
-          Explore.
-            {
-              init = Injected.initial spec prog acfg;
-              succ = Injected.successors mode spec prog acfg;
-              encode = Injected.encode;
-              decode = Injected.decode prog;
-              canon = None;
-              key_io = None;
-            }
+        let sys, invariants =
+          fault_system e ~harden:cfg.harden spec prog { Async.k = cfg.k }
         in
         let r =
           explorer.explore ~check_deadlock:true
@@ -393,17 +503,14 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
             ~pp_state:(Injected.pp_fstate prog)
             r
         in
-        (* Safety held and no deadlock: the remaining question is
-           liveness — a dropped message can leave a remote stuck in its
-           transient state forever while the rest of the system keeps
-           running (starvation, not deadlock), so ask the reachability
-           graph: can every remote always still complete? *)
+        (* safety held and no deadlock: the remaining question is
+           liveness *)
         let v =
           if not (v.v_trace = [] && r.Explore.outcome = Explore.Complete)
           then v
-          else begin
-            let g = Graph.build ~max_states:cfg.max_states sys in
-            if g.Graph.truncated then
+          else
+            match starvation ~max_states:cfg.max_states ~n:cfg.n sys with
+            | Truncated ->
               {
                 v with
                 v_liveness =
@@ -411,80 +518,49 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
                     "liveness: not assessed (graph truncated; raise \
                      --max-states)";
               }
-            else begin
-              let progress_of pred l =
-                match l with
-                | Injected.Step al -> Injected.completes al && pred al
-                | Injected.Fault _ -> false
+            | Live ->
+              {
+                v with
+                v_liveness =
+                  Some
+                    "liveness: every remote can always still complete a \
+                     rendezvous (quiescence preserved under the fault \
+                     budget)";
+              }
+            | Starved { remote = i; lost; path } ->
+              (* one fresh formatter per line: each [%a] renderer must
+                 open its boxes at column 0, exactly as the CLI's
+                 per-line [Fmt.pf ... "@."] calls did *)
+              let rules =
+                List.filter_map
+                  (fun (l, _) ->
+                    Option.map (fun l -> Fmt.str "%a" Injected.pp_label l) l)
+                  path
               in
-              let starved =
-                List.concat
-                  (List.init cfg.n (fun i ->
-                       match
-                         Graph.violates_ag_ef g
-                           ~progress:
-                             (progress_of (fun al -> al.Async.actor = i))
-                       with
-                       | [] -> []
-                       | bad -> [ (i, bad) ]))
+              let lines =
+                [
+                  Fmt.str
+                    "liveness violation: remote %d can be starved forever \
+                     (%d reachable states lose its completion)"
+                    i lost;
+                  Fmt.str "starvation witness (%d steps):"
+                    (List.length path - 1);
+                ]
+                @ List.map (fun r -> "  " ^ r) rules
+                @
+                match List.rev path with
+                | (_, st) :: _ ->
+                  [ "stuck state:"; Fmt.str "%a" (Injected.pp_fstate prog) st ]
+                | [] -> []
               in
-              match starved with
-              | [] ->
-                {
-                  v with
-                  v_liveness =
-                    Some
-                      "liveness: every remote can always still complete a \
-                       rendezvous (quiescence preserved under the fault \
-                       budget)";
-                }
-              | (i, bad) :: _ ->
-                let witness = List.hd bad in
-                let path = Graph.path_to g witness in
-                (* one fresh formatter per line: each [%a] renderer must
-                   open its boxes at column 0, exactly as the CLI's
-                   per-line [Fmt.pf ... "@."] calls did *)
-                let lines =
-                  [
-                    Fmt.str
-                      "liveness violation: remote %d can be starved forever \
-                       (%d reachable states lose its completion)"
-                      i (List.length bad);
-                    Fmt.str "starvation witness (%d steps):"
-                      (List.length path - 1);
-                  ]
-                  @ List.filter_map
-                      (fun (l, _) ->
-                        Option.map
-                          (fun l -> Fmt.str "  %a" Injected.pp_label l)
-                          l)
-                      path
-                  @
-                  match List.rev path with
-                  | (_, st) :: _ ->
-                    [
-                      "stuck state:";
-                      Fmt.str "%a" (Injected.pp_fstate prog) st;
-                    ]
-                  | [] -> []
-                in
-                {
-                  v with
-                  v_outcome = "starvation";
-                  v_ok = false;
-                  v_starved = Some i;
-                  v_rules =
-                    Some
-                      (List.filter_map
-                         (fun (l, _) ->
-                           Option.map
-                             (fun l -> Fmt.str "%a" Injected.pp_label l)
-                             l)
-                         path);
-                  v_liveness = Some (String.concat "\n" lines);
-                }
-            end
-          end
+              {
+                v with
+                v_outcome = "starvation";
+                v_ok = false;
+                v_starved = Some i;
+                v_rules = Some rules;
+                v_liveness = Some (String.concat "\n" lines);
+              }
         in
         Ok (v, m)
       | `Rv, None ->

@@ -2,14 +2,15 @@
     record out.
 
     Extracted from the [ccr check] command so the CLI and the [ccr serve]
-    daemon run the exact same code path.  The CLI injects a full-featured
-    {!explorer} (checkpointing, provenance, progress);
-    the daemon uses {!default_explorer}.  Everything user-visible — the
+    daemon run the exact same code path, {!default_explorer}: the CLI
+    adds a checkpoint {!session}, provenance and progress, the daemon
+    level and interrupt hooks.  Everything user-visible — the
     rendered outcome line, counterexample states, starvation witnesses,
     journal events — is produced here so that a daemon verdict is
     byte-identical to the in-process one. *)
 
 module Explore = Ccr_modelcheck.Explore
+module Injected = Ccr_faults.Injected
 module J = Ccr_obs.Journal
 
 (** A protocol either by registry name or as inline [.ccr] source. *)
@@ -59,10 +60,17 @@ type explorer = {
 }
 
 (** Sequential (or [jobs]-domain) exploration honouring the config's
-    store/caps; no checkpointing, no progress UI. *)
+    store and caps, with counterexample traces, as one ["explore"] trace
+    span.  The optional arguments pass through to {!Explore.run}: [prov]
+    keeps the provenance (an internal table otherwise), [ckpt] is a
+    {!session}'s checkpoint control. *)
 val default_explorer :
   ?on_level:(depth:int -> states:int -> unit) ->
   ?interrupt:(unit -> bool) ->
+  ?on_progress:(Ccr_obs.Progress.sample -> unit) ->
+  ?progress_every:int ->
+  ?prov:Ccr_modelcheck.Vstore.Prov.t ->
+  ?ckpt:Explore.ckpt ->
   config ->
   explorer
 
@@ -118,6 +126,35 @@ val resolve : spec_src -> (Ccr_protocols.Registry.t, string) result
     they may change across a checkpoint resume. *)
 val spec_hash : Ccr_protocols.Registry.t -> config -> string
 
+(** A checkpointed run's session: the run's identity, which it keeps
+    across sessions, and the control to pass to {!default_explorer}. *)
+type session = {
+  s_run_id : string;
+  s_resumes : int;  (** sessions before this one: 0 on a fresh run *)
+  s_loaded : Ccr_modelcheck.Ckpt.loaded option;  (** what a resume continues *)
+  s_ckpt : Explore.ckpt;
+}
+
+(** Open the checkpoint session of checking [e] under [cfg] in [dir],
+    fresh or (with [resume]) continuing [dir]'s checkpoint, whose
+    provenance is replayed into [prov] — the table the explorer gets.
+    The manifest pins {!spec_hash}, the instance and semantics flags
+    ({!Ccr_modelcheck.Ckpt.guard_keys}) and the run's identity, and
+    records the store, [max_states] and [jobs].  [every] is a
+    [--checkpoint-every] argument; [on_save] observes each write.
+    [Error] is a one-line refusal — a bad [every] or [CCR_CRASH_AT], a
+    damaged or other-version checkpoint — or a field-by-field diff
+    against a checkpoint of another exploration. *)
+val session :
+  ?every:string ->
+  ?on_save:(bytes:int -> states:int -> depth:int -> unit) ->
+  ?prov:Ccr_modelcheck.Vstore.Prov.t ->
+  ?resume:bool ->
+  dir:string ->
+  Ccr_protocols.Registry.t ->
+  config ->
+  (session, string) result
+
 (** The checker's version as the result cache sees it.  Bump it whenever
     a change can alter a verdict for the same spec and config: checker
     semantics, the registry's invariants, or the key layout (which fixes
@@ -141,6 +178,40 @@ val cacheable : verdict -> bool
     [Invalid_argument] or a [Failure] as it stands, any other exception
     as {!Printexc.to_string} prints it. *)
 val refusal : exn -> string
+
+(** The fault-injected async system of [e]'s program [prog] under a
+    fault budget, hardened or vanilla, with its invariants: the system
+    {!check_entry} explores under [--faults]. *)
+val fault_system :
+  Ccr_protocols.Registry.t ->
+  harden:bool ->
+  Ccr_faults.Fault.spec ->
+  Ccr_core.Prog.t ->
+  Ccr_refine.Async.config ->
+  (Injected.fstate, Injected.label) Explore.system
+  * (string * (Injected.fstate -> bool)) list
+
+(** The liveness verdict of a fault-injected async check whose safety
+    and deadlock freedom held: from every reachable state, can every
+    remote still complete a rendezvous? *)
+type starvation =
+  | Truncated  (** the reachability graph hit [max_states]: not assessed *)
+  | Live
+  | Starved of {
+      remote : int;  (** the lowest remote that can starve *)
+      lost : int;  (** reachable states that lose its completion *)
+      path : (Injected.label option * Injected.fstate) list;
+          (** a shortest path from the initial state to a witness *)
+    }
+
+(** Build the reachability graph of [sys] (up to [max_states] states) and
+    ask it, remote by remote over [n] remotes.  {!check_entry} and
+    [ccr explain --violation] share it. *)
+val starvation :
+  max_states:int ->
+  n:int ->
+  (Injected.fstate, Injected.label) Explore.system ->
+  starvation
 
 (** Run one check.  [meter], [observe_label], [sym_stats] and [on_orbit]
     are CLI observability hooks; the daemon omits them. *)

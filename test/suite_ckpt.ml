@@ -4,9 +4,10 @@
    and resumed reproduces the uninterrupted run's states, transitions
    and outcome exactly, at every partition.  A cap stop checkpoints the
    boundary that completes the stop's level.  Damaged files (truncation
-   at every byte, corruption) and mid-level checkpoints of older
-   versions are refused with a message, never a crash; manifest
-   mismatches are refused before any state is trusted. *)
+   at every byte, corruption, a frontier key the decoder refuses) and
+   checkpoints of another format version are refused with a message,
+   never a crash; manifest mismatches are refused before any state is
+   trusted. *)
 
 open Test_util
 module Explore = Ccr_modelcheck.Explore
@@ -36,20 +37,6 @@ let ckpt_to dir =
   Explore.
     { ck_resume = None; ck_save = Ckpt.saver ~dir ~manifest ~prov:None () }
 
-let resume_of (l : _ Ckpt.loaded) =
-  Explore.
-    {
-      ck_resume =
-        Some
-          {
-            r_states = l.Ckpt.l_states;
-            r_transitions = l.Ckpt.l_transitions;
-            r_frontier = l.Ckpt.l_frontier;
-            r_keys = l.Ckpt.l_keys;
-          };
-      ck_save = ignore;
-    }
-
 let load_ok dir =
   match Ckpt.load ~dir with
   | Ok l -> l
@@ -57,14 +44,13 @@ let load_ok dir =
 
 (* The checkpoint of a cap stop is the boundary completing the stop's
    level: its depth, at least its states, every entry at that depth. *)
-let check_boundary name (first : (_, _) Explore.stats) (l : _ Ckpt.loaded) =
+let check_boundary name (first : (_, _) Explore.stats) (l : Ckpt.loaded) =
   checki (name ^ ": boundary depth") first.Explore.max_depth l.Ckpt.l_depth;
   checkb (name ^ ": boundary holds the stop") true
     (l.Ckpt.l_states >= first.Explore.states);
-  checkb (name ^ ": one level, no resume ordinal") true
-    (Array.for_all
-       (fun (_, d, o, _) -> d = l.Ckpt.l_depth && o = 0)
-       l.Ckpt.l_frontier)
+  checkb (name ^ ": a level to resume") true
+    (Array.length l.Ckpt.l_frontier > 0
+    && Array.length l.Ckpt.l_frontier <= l.Ckpt.l_states)
 
 (* Interrupt [run] at [cap] states with a checkpoint, then resume with
    [run] again and require the uninterrupted pin. *)
@@ -82,7 +68,7 @@ let check_resume name ?store run sys =
         (first.Explore.outcome = Explore.Limit Explore.L_states);
       let l = load_ok dir in
       check_boundary (Fmt.str "%s cap=%d" name cap) first l;
-      let r = run ~max_states:max_int ~ckpt:(resume_of l) in
+      let r = run ~max_states:max_int ~ckpt:(Ckpt.resume l) in
       checki (Fmt.str "%s cap=%d: states" name cap) seq.Explore.states
         r.Explore.states;
       checki
@@ -137,6 +123,58 @@ let section file name =
   in
   go (String.index file '\n' + 1)
 
+(* [file] with section [name]'s payload replaced by [payload], its
+   length and CRC recomputed so that only the payload differs. *)
+let replace_section file name payload =
+  let rec go pos =
+    let eol = String.index_from file pos '\n' in
+    match String.split_on_char ' ' (String.sub file pos (eol - pos)) with
+    | [ n; len; _ ] when n = name ->
+      let rest = eol + 1 + int_of_string len in
+      String.concat ""
+        [
+          String.sub file 0 pos;
+          Fmt.str "%s %d %08x\n" name (String.length payload)
+            (Ckpt.crc32 payload);
+          payload;
+          String.sub file rest (String.length file - rest);
+        ]
+    | [ _; len; _ ] -> go (eol + int_of_string len + 2)
+    | _ -> Alcotest.failf "no %s section" name
+  in
+  go (String.index file '\n' + 1)
+
+(* The keys of a key section: each a varint length, then its bytes. *)
+let keys_of payload =
+  let rec varint pos shift acc =
+    let c = Char.code payload.[pos] in
+    let acc = acc lor ((c land 0x7f) lsl shift) in
+    if c < 0x80 then (acc, pos + 1) else varint (pos + 1) (shift + 7) acc
+  in
+  let rec go pos acc =
+    if pos >= String.length payload then List.rev acc
+    else
+      let len, data = varint pos 0 0 in
+      go (data + len) (String.sub payload data len :: acc)
+  in
+  go 0 []
+
+let key_section keys =
+  String.concat ""
+    (List.map
+       (fun k ->
+         let b = Buffer.create 8 in
+         let rec put i =
+           if i < 0x80 then Buffer.add_char b (Char.chr i)
+           else begin
+             Buffer.add_char b (Char.chr (0x80 lor (i land 0x7f)));
+             put (i lsr 7)
+           end
+         in
+         put (String.length k);
+         Buffer.contents b ^ k)
+       keys)
+
 (* invalidate async n=3 under symmetry, the CLI default: uninterrupted,
    9263 states and 27191 transitions *)
 let inv3 = { Api.default with Api.spec = Api.Named "invalidate"; n = 3 }
@@ -147,13 +185,18 @@ let check_inv3 explorer =
   | Ok (v, _) -> v
   | Error msg -> Alcotest.failf "check refused: %s" msg
 
-(* The level-[depth] boundary of [sys], written the way engines that kept
-   structured frontiers wrote it: the frontier holds the concrete states
-   [succ] produced, marshalled as they are, never a decoded key. *)
+(* The level-[depth] boundary of [sys], found by a BFS over structured
+   states: each frontier key is exported from the [encode]d concrete
+   state [succ] produced, never from a key the driver kept. *)
 let save_structured ~dir ~depth (sys : (_, _) Explore.system) =
+  let export =
+    match sys.Explore.key_io with
+    | Some io -> io.Explore.export
+    | None -> Fun.id
+  in
   let key =
     match sys.Explore.canon with
-    | None -> sys.Explore.encode
+    | None -> fun st -> export (sys.Explore.encode st)
     | Some c -> c.Explore.canon_key
   in
   let seen = Hashtbl.create 4096 and keys = ref [] in
@@ -183,7 +226,6 @@ let save_structured ~dir ~depth (sys : (_, _) Explore.system) =
   in
   let frontier = Array.of_list (level 0 [ sys.Explore.init ]) in
   let states = Hashtbl.length seen in
-  let base = states - Array.length frontier in
   ignore
     (Ckpt.save ~dir ~manifest ~prov:None
        Explore.
@@ -193,39 +235,40 @@ let save_structured ~dir ~depth (sys : (_, _) Explore.system) =
            v_depth = depth;
            v_final = false;
            v_frontier =
-             (fun () ->
-               Array.mapi (fun i st -> (base + i, depth, 0, st)) frontier);
+             lazy
+               (Array.map (fun st -> export (sys.Explore.encode st)) frontier);
            v_iter_keys = (fun f -> List.iter f (List.rev !keys));
          })
 
 let tests =
   [
-    case "a mid-level checkpoint of an older version is refused at load"
+    case "a checkpoint of another format version is refused with both versions"
       (fun () ->
+        let sys = counter_system ~limit:60 in
         in_dir @@ fun dir ->
-        (* what older sequential engines wrote at a mid-level cap on
-           [counter_system ~limit:100] with cap 5: the in-flight state 2
-           (depth 2, both successors already traversed: resume ordinal
-           2), ahead of the rest of its level and the depth-3 state 5 *)
-        let frontier = [| (2, 2, 2, 2); (3, 2, 0, 3); (4, 3, 0, 5) |] in
-        ignore
-          (Ckpt.save ~dir ~manifest ~prov:None
-             Explore.
-               {
-                 v_states = 5;
-                 v_transitions = 6;
-                 v_depth = 3;
-                 v_final = true;
-                 v_frontier = (fun () -> frontier);
-                 v_iter_keys =
-                   (fun f -> List.iter f [ "0"; "1"; "2"; "3"; "5" ]);
-               });
-        match Ckpt.load ~dir with
-        | Ok (_ : int Ckpt.loaded) -> Alcotest.fail "mid-level checkpoint loaded"
-        | Error msg ->
-          checkb "names the directory" true (contains msg dir);
-          checkb "says why" true (contains msg "mid-level");
-          checkb "one line" false (String.contains msg '\n'));
+        ignore (Explore.run ~max_states:15 ~ckpt:(ckpt_to dir) sys);
+        let file =
+          In_channel.with_open_bin (Ckpt.file dir) In_channel.input_all
+        in
+        let body = String.sub file 10 (String.length file - 10) in
+        checks "v2 header" (Fmt.str "CCRCKPT v%d" Ckpt.version)
+          (String.sub file 0 10);
+        List.iter
+          (fun v ->
+            (* v1 marshalled its frontier; the header is refused first *)
+            Out_channel.with_open_bin (Ckpt.file dir) (fun oc ->
+                output_string oc (Fmt.str "CCRCKPT v%d" v ^ body));
+            match Ckpt.load ~dir with
+            | Ok _ -> Alcotest.failf "a v%d checkpoint loaded" v
+            | Error msg ->
+              checkb "names the directory" true (contains msg dir);
+              checkb "names the file's version" true
+                (contains msg (Fmt.str "format v%d," v));
+              checkb "names the reader's version" true
+                (contains msg (Fmt.str "reads v%d" Ckpt.version));
+              checkb "says to restart" true (contains msg "restart the check");
+              checkb "one line" false (String.contains msg '\n'))
+          [ 1; 3 ]);
     case "seq: resume matches the uninterrupted run (all stores)" (fun () ->
         let sys = counter_system ~limit:400 in
         check_resume "counter mem"
@@ -276,7 +319,7 @@ let tests =
         let r =
           Explore.run ~prov:prov2 ~trace:true
             ~invariants:[ ("small", fun s -> s < 90) ]
-            ~ckpt:(resume_of l) sys
+            ~ckpt:(Ckpt.resume l) sys
         in
         (match r.Explore.outcome with
         | Explore.Violation { state; _ } -> checkb "violates" true (state >= 90)
@@ -369,12 +412,12 @@ let tests =
           (first.Explore.outcome = Explore.Limit Explore.L_states);
         let l = load_ok dir in
         check_boundary "j=4" first l;
-        let r = Explore.run ~jobs:4 ~ckpt:(resume_of l) sys in
+        let r = Explore.run ~jobs:4 ~ckpt:(Ckpt.resume l) sys in
         checki "states" seq.Explore.states r.Explore.states;
         checki "transitions" seq.Explore.transitions r.Explore.transitions;
         checki "max_depth" seq.Explore.max_depth r.Explore.max_depth;
         (* cross-engine: a boundary checkpoint resumes sequentially too *)
-        let rs = Explore.run ~ckpt:(resume_of (load_ok dir)) sys in
+        let rs = Explore.run ~ckpt:(Ckpt.resume (load_ok dir)) sys in
         checki "states (seq resume)" seq.Explore.states rs.Explore.states);
     case "CCR_CRASH_AT accepts level=L and nothing else" (fun () ->
         with_crash_at "" (fun () ->
@@ -392,7 +435,7 @@ let tests =
               checkb (value ^ ": one line") false (String.contains msg '\n'));
             (* the saver refuses it too, before any exploration *)
             match Ckpt.saver ~dir:"unused" ~manifest ~prov:None () with
-            | (_ : int Explore.ckpt_view -> unit) ->
+            | (_ : Explore.ckpt_view -> unit) ->
               Alcotest.failf "saver accepted CCR_CRASH_AT=%s" value
             | exception Invalid_argument _ -> ())
           [
@@ -417,8 +460,8 @@ let tests =
           | Error msg -> Alcotest.failf "check refused: %s" msg
         in
         in_dir @@ fun dir ->
-        (* what [--workers 2 -j 2 --checkpoint DIR] wrote before the
-           multi-process engine was removed *)
+        (* the manifest [--workers 2 -j 2 --checkpoint DIR] wrote before
+           the multi-process engine was removed *)
         let written =
           cli_manifest e cfg [ ("jobs", J.Int 2); ("workers", J.Int 2) ]
         in
@@ -453,10 +496,10 @@ let tests =
                 {
                   Api.explore =
                     (fun ~check_deadlock ~split:_ ~invariants sys ->
-                      (* the loaded frontier is trusted to be this system's
-                         states: the manifest passed the guard above *)
+                      (* the frontier keys are this system's: the
+                         manifest passed the guard above *)
                       Explore.run ~jobs ~check_deadlock ~invariants
-                        ~ckpt:(resume_of (load_ok dir))
+                        ~ckpt:(Ckpt.resume (load_ok dir))
                         sys);
                 }
             in
@@ -484,7 +527,7 @@ let tests =
                   Api.explore =
                     (fun ~check_deadlock ~split:_ ~invariants sys ->
                       Explore.run ~jobs ~check_deadlock ~invariants
-                        ~ckpt:(resume_of (load_ok dir))
+                        ~ckpt:(Ckpt.resume (load_ok dir))
                         sys);
                 }
             in
@@ -587,7 +630,7 @@ let tests =
                 List.iter
                   (fun jobs ->
                     let r =
-                      Explore.run ~jobs ~ckpt:(resume_of (load_ok dir))
+                      Explore.run ~jobs ~ckpt:(Ckpt.resume (load_ok dir))
                         (reader sym)
                     in
                     let name = Fmt.str "sym=%b %s j=%d" sym what jobs in
@@ -633,6 +676,42 @@ let tests =
               true
               (String.equal (file ()) (file ())))
           [ `Auto; `Off ]);
+    case "a frontier key the decoder refuses stops the resume with its offset"
+      (fun () ->
+        (* [ccr check --resume]'s path: a session over the checkpoint and
+           the default explorer; an [Error] is its exit 1 *)
+        let cfg = { inv3 with Api.symmetry = `Off } in
+        let e = Result.get_ok (Api.resolve cfg.Api.spec) in
+        in_dir @@ fun dir ->
+        let check ~resume =
+          match Api.session ~resume ~dir e cfg with
+          | Error msg -> Error msg
+          | Ok s ->
+            Api.check_entry
+              ~explorer:(Api.default_explorer ~ckpt:s.Api.s_ckpt cfg)
+              e cfg
+        in
+        (match check ~resume:false with
+        | Ok _ -> ()
+        | Error msg -> Alcotest.failf "check refused: %s" msg);
+        let file =
+          In_channel.with_open_bin (Ckpt.file dir) In_channel.input_all
+        in
+        let keys = keys_of (section file "frontier") in
+        checkb "a frontier to damage" true (keys <> []);
+        (* one trailing byte on the first key; its length, the section's
+           length and its CRC follow, so only the key is wrong *)
+        let damaged = (List.hd keys ^ "\x00") :: List.tl keys in
+        Out_channel.with_open_bin (Ckpt.file dir) (fun oc ->
+            output_string oc
+              (replace_section file "frontier" (key_section damaged)));
+        match check ~resume:true with
+        | Ok (v, _) ->
+          Alcotest.failf "resumed to %d states over a damaged key" v.Api.v_states
+        | Error msg ->
+          checkb "the strict decoder's refusal" true
+            (contains msg "decode: " && contains msg "at byte");
+          checkb "one line" false (String.contains msg '\n'));
   ]
 
 let suite = ("ckpt", tests)
