@@ -77,8 +77,8 @@ fuzz-smoke:
 	  --out-dir /tmp/ccr-fuzz-smoke
 
 # Storage: the store unit suite, then live — the memory-cliff headline
-# (collapse completes migratory n=5 under an 8 MB cap that the plain
-# store blows through) and the out-of-core store under two domain
+# (the disk store completes migratory n=5 under an 8 MB cap that the
+# plain store blows through) and the disk store under two domain
 # shards, whose counts must match the one-shard run's.
 ooc-smoke:
 	dune build @all
@@ -86,7 +86,8 @@ ooc-smoke:
 	! dune exec bin/ccr.exe -- check migratory -n 5 --level async \
 	  --symmetry off --mem 8 --max-states 2000000 2>/dev/null
 	dune exec bin/ccr.exe -- check migratory -n 5 --level async \
-	  --symmetry off --mem 8 --max-states 2000000 --store collapse
+	  --symmetry off --mem 8 --max-states 2000000 --store disk \
+	  | grep -q '139418 states'
 	dune exec bin/ccr.exe -- check migratory -n 4 --level async \
 	  --symmetry off --store disk -j 2 \
 	  | grep -q '16129 states, 58516 transitions'

@@ -242,13 +242,12 @@ let table3_64 () =
      nodes in 32 MB while the asynchronous version exhausted 64 MB at two \
      nodes.)@."
 
-(* ---- storage: collapse compression and the out-of-core store ------------- *)
+(* ---- storage: the out-of-core store ------------------------------------- *)
 
 let storage () =
   let module Vstore = Ccr_modelcheck.Vstore in
   section
-    "Storage: collapse compression and the out-of-core store vs the \
-     Table 3 memory cliff";
+    "Storage: the out-of-core store vs the Table 3 memory cliff";
   let sys_of prog =
     Explore.
       {
@@ -262,18 +261,14 @@ let storage () =
   in
   Fmt.pr "%-26s %9s %10s %8s %9s %9s %7s %s@." "workload" "states" "trans"
     "time(s)" "resident" "raw" "ratio" "outcome";
-  let row ~protocol ~n ?(jobs = 1) ~store:(sname, kind) ?cap_mb
-      ?max_time prog =
+  let row ~protocol ~n ~store:(sname, kind) ?cap_mb ?max_time prog =
     let sys = sys_of prog in
     let max_mem_bytes = Option.map (fun mb -> mb * 1024 * 1024) cap_mb in
     let max_time_s = Option.value max_time ~default:time_cap in
-    let r =
-      Explore.run ~jobs ~store:kind ?max_mem_bytes ~max_time_s sys
-    in
-    record_row ~protocol ~n ~level:"async" ~jobs ~store:sname r;
+    let r = Explore.run ~store:kind ?max_mem_bytes ~max_time_s sys in
+    record_row ~protocol ~n ~level:"async" ~jobs:1 ~store:sname r;
     let name =
-      Fmt.str "%s n=%d %s%s%s" protocol n sname
-        (if jobs > 1 then Fmt.str " j=%d" jobs else "")
+      Fmt.str "%s n=%d %s%s" protocol n sname
         (match cap_mb with Some mb -> Fmt.str " @%dMB" mb | None -> "")
     in
     Fmt.pr "%-26s %9d %10d %8.2f %7.1fMB %7.1fMB %6.1fx %s@." name r.states
@@ -285,35 +280,26 @@ let storage () =
     r
   in
   (* The cliff itself: migratory n=5 under an 8 MB cap.  The plain store
-     blows through it; collapse and disk complete with room to spare. *)
+     blows through it; disk completes with room to spare. *)
   let mig n = Link.compile ~n (Migratory.system ()) in
   let m5 = mig 5 in
-  let split5 = Async.split_key m5 in
   let mem5 =
     row ~protocol:"migratory" ~n:5 ~store:("mem", Vstore.Mem) ~cap_mb:8 m5
   in
-  let col5 =
-    row ~protocol:"migratory" ~n:5
-      ~store:("collapse", Vstore.Collapse split5)
-      ~cap_mb:8 m5
+  let disk5 =
+    row ~protocol:"migratory" ~n:5 ~store:("disk", Vstore.Disk) ~cap_mb:8 m5
   in
-  ignore
-    (row ~protocol:"migratory" ~n:5 ~store:("disk", Vstore.Disk) ~cap_mb:8 m5);
   (* Out-of-core headline: one size past the cliff, uncapped wall-clock,
      still a few tens of MB resident. *)
   let m6 = mig 6 in
   ignore
     (row ~protocol:"migratory" ~n:6 ~store:("disk", Vstore.Disk)
        ~max_time:(max time_cap 60.0) m6);
-  ignore
-    (row ~protocol:"migratory" ~n:5
-       ~store:("collapse", Vstore.Collapse split5)
-       ~cap_mb:8 ~jobs:bench_jobs m5);
   Fmt.pr
-    "@.(The plain store stopped at %d states; collapse finished all %d in the \
+    "@.(The plain store stopped at %d states; disk finished all %d in the \
      same 8 MB — the Table 3 'Unfinished' wall is a storage artifact, not a \
      state-count one.)@."
-    mem5.Explore.states col5.Explore.states
+    mem5.Explore.states disk5.Explore.states
 
 (* ---- parallel exploration ----------------------------------------------- *)
 

@@ -115,17 +115,14 @@ let jobs_arg =
 let store_arg =
   Arg.(
     value
-    & opt (enum [ ("mem", `Mem); ("collapse", `Collapse); ("disk", `Disk) ])
-        `Mem
+    & opt (enum [ ("mem", `Mem); ("disk", `Disk) ]) `Mem
     & info [ "store" ] ~docv:"KIND"
         ~doc:
-          "Visited-set representation: $(b,mem) (exact in-memory hash set), \
-           $(b,collapse) (SPIN-style collapse compression: per-component \
-           intern tables, states stored as tuples of small indices), or \
-           $(b,disk) (out-of-core: key bytes in an unlinked temp file, only \
-           the index in RAM).  All three give identical state and \
+          "Visited-set representation: $(b,mem) (exact in-memory hash set) \
+           or $(b,disk) (out-of-core: key bytes in an unlinked temp file, \
+           only the index in RAM).  Both give identical state and \
            transition counts; only memory use differs.  The report prints \
-           resident vs raw bytes for the compressed stores.")
+           resident vs raw bytes for the disk store.")
 
 let faults_arg =
   Arg.(
@@ -789,12 +786,6 @@ let check_cmd =
           | Ok s -> s)
         ckpt_dir
     in
-    (match Option.bind session (fun s -> s.Api.s_loaded) with
-    | Some l ->
-      Fmt.pf ppf "resuming from %s: %d states, %d transitions, depth %d@."
-        (Option.get resume_dir) l.Ckpt.l_states l.Ckpt.l_transitions
-        l.Ckpt.l_depth
-    | None -> ());
     (* SIGINT/SIGTERM ask the engines to stop at the next safe point, so
        the final checkpoint and journal are written before exit *)
     let interrupted = ref false in
@@ -902,6 +893,14 @@ let check_cmd =
     with
     | Error msg -> fail_usage msg
     | Ok (v, m) ->
+      (* Only now has the run imported every checkpoint key: a refused
+         key ends in the [Error] above, with nothing on stdout. *)
+      (match Option.bind session (fun s -> s.Api.s_loaded) with
+      | Some l ->
+        Fmt.pf ppf "resuming from %s: %d states, %d transitions, depth %d@."
+          (Option.get resume_dir) l.Ckpt.l_states l.Ckpt.l_transitions
+          l.Ckpt.l_depth
+      | None -> ());
       (* Emit the trace and metrics artifacts before the report below,
          which exits non-zero on any non-Complete outcome. *)
       finish_progress ();

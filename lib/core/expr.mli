@@ -26,7 +26,8 @@ type b =
   | Set_mem of t * t  (** [Set_mem (rid, set)] *)
   | Set_is_empty of t
 
-(** Simple types, the erasure of {!Value.domain} (integer ranges collapse). *)
+(** Simple types, the erasure of {!Value.domain} (every integer range
+    erases to [Tint]). *)
 type ty = Tunit | Tbool | Tint | Trid | Tset
 
 exception Eval_error of string

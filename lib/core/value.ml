@@ -132,31 +132,6 @@ let encode_perm buf p v =
     encode_set buf !m'
   | Vunit | Vbool _ | Vint _ -> encode buf v
 
-(* ---- scanning encoded keys ----------------------------------------------
-
-   The encodings above are self-delimiting, so an encoded state can be
-   re-parsed from its bytes alone.  The collapse-compression visited store
-   uses this to cut a key into per-component substrings without a second
-   encoder: the scanners below advance a cursor over one encoded item. *)
-
-let read_int s pos =
-  let b = Char.code (String.unsafe_get s pos) in
-  if b < 0xf8 then (b, pos + 1)
-  else
-    let byte i = Char.code (String.unsafe_get s (pos + i)) in
-    let v = byte 1 lor (byte 2 lsl 8) lor (byte 3 lsl 16) lor (byte 4 lsl 24) in
-    (* byte 4 carries the sign (encode_int wrote [i asr 24]) *)
-    ((if byte 4 >= 0x80 then v - (1 lsl 32) else v), pos + 5)
-
-let skip_int s pos =
-  if Char.code (String.unsafe_get s pos) < 0xf8 then pos + 1 else pos + 5
-
-let skip s pos =
-  match Char.code (String.unsafe_get s pos) with
-  | 0 | 1 | 2 -> pos + 1 (* unit, false, true *)
-  | 3 | 4 | 5 -> skip_int s (pos + 1) (* int, rid, set: tag then varint *)
-  | b -> invalid_arg (Printf.sprintf "Value.skip: bad tag byte %d" b)
-
 (* ---- decoding encoded keys ----------------------------------------------
 
    The inverse of the encoders above, for keys read back as states.  A
@@ -171,6 +146,14 @@ let cursor ~who key = { key; pos = 0; who }
 
 let refuse c at what =
   invalid_arg (Printf.sprintf "%s: %s at byte %d" c.who what at)
+
+(* The 5-byte form of [encode_int] at [pos]: the value and the position
+   just past it. *)
+let read_int s pos =
+  let byte i = Char.code (String.unsafe_get s (pos + i)) in
+  let v = byte 1 lor (byte 2 lsl 8) lor (byte 3 lsl 16) lor (byte 4 lsl 24) in
+  (* byte 4 carries the sign (encode_int wrote [i asr 24]) *)
+  ((if byte 4 >= 0x80 then v - (1 lsl 32) else v), pos + 5)
 
 let decode_int c =
   let p = c.pos in

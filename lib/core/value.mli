@@ -68,24 +68,6 @@ val encode_perm : Buffer.t -> int array -> t -> unit
     [i] of [m].  Lets canonicalization encode a permuted state without
     materializing it. *)
 
-(** {2 Scanning encoded keys}
-
-    The encodings are self-delimiting: an encoded state key can be
-    re-parsed from its bytes alone.  The collapse-compression visited
-    store uses these scanners to cut a key into per-component substrings
-    (see {!Ccr_modelcheck.Vstore}). *)
-
-val read_int : string -> int -> int * int
-(** [read_int s pos] decodes the {!encode_int} varint at [pos]; returns
-    the value and the position just past it. *)
-
-val skip_int : string -> int -> int
-(** Position just past the {!encode_int} varint at [pos]. *)
-
-val skip : string -> int -> int
-(** Position just past the {!encode}d value at [pos].
-    @raise Invalid_argument if [pos] does not hold a value tag. *)
-
 (** {2 Decoding encoded keys}
 
     The inverse of the encoders, over a cursor into a key.  Each reader

@@ -332,17 +332,6 @@ let decode (prog : Prog.t) key =
     wedged;
   }
 
-(* Collapse-store splitter: the async boundaries of the prefix (the fault
-   markers after [\xfd] never look like async state bytes to the parser —
-   the async part is self-delimiting, so the parse stops exactly at the
-   marker) plus one trailing component holding all fault bookkeeping. *)
-let split_key prog key =
-  let base = Async.split_key prog key in
-  let bounds = Array.make (Array.length base + 1) 0 in
-  Array.blit base 0 bounds 0 (Array.length base);
-  bounds.(Array.length base) <- String.length key;
-  bounds
-
 let no_wedge = ("no_protocol_error", fun fs -> fs.wedged = None)
 let lift_invariant (name, f) = (name, fun fs -> f fs.base)
 

@@ -91,12 +91,6 @@ val decode : Prog.t -> string -> fstate
     @raise Invalid_argument naming [Injected.decode] and the byte offset
     on a malformed key. *)
 
-val split_key : Ccr_core.Prog.t -> string -> int array
-(** Collapse-store splitter over {!encode}d keys: the async boundaries of
-    the embedded base state ({!Async.split_key}) plus one trailing
-    component holding the fault bookkeeping.  Last offset equals
-    [String.length key]. *)
-
 val no_wedge : string * (fstate -> bool)
 (** Invariant: the run never wedged on a protocol error. *)
 

@@ -491,17 +491,12 @@ let o_store ctx =
              seq.Explore.transitions)
       else rest ()
     in
-    (* Compressed stores share the sequential engine's discovery order,
-       so even an [L_states]-limited baseline pins exact counts. *)
-    let collapse_kind = Vstore.Collapse (Async.split_key prog) in
-    let collapse =
-      Explore.run ~max_states:ctx.max_states ~store:collapse_kind sys
-    in
-    agree "collapse" collapse @@ fun () ->
-    (* The disk run also tees every encoded key into a tiny-tail disk
-       store and an exact one: with [tail_cap=64] almost every key
-       crosses the spill boundary, so the file read-back path is
-       exercised even on fuzz-sized instances. *)
+    (* The disk store shares the sequential engine's discovery order, so
+       even an [L_states]-limited baseline pins exact counts.  The disk
+       run also tees every encoded key into a tiny-tail disk store and an
+       exact one: with [tail_cap=64] almost every key crosses the spill
+       boundary, so the file read-back path is exercised even on
+       fuzz-sized instances. *)
     let tee_disk = Vstore.disk ~tail_cap:64 () in
     let tee_exact = Vstore.exact () in
     let tee_mismatch = ref None in
@@ -531,10 +526,10 @@ let o_store ctx =
              (tee_exact.Vstore.count ()))
       else
         let par =
-          Explore.run ~jobs:2 ~max_states:ctx.max_states
-            ~store:collapse_kind sys
+          Explore.run ~jobs:2 ~max_states:ctx.max_states ~store:Vstore.Disk
+            sys
         in
-        agree "parallel (j=2) collapse" par (fun () -> Pass)
+        agree "parallel (j=2) disk" par (fun () -> Pass)
 
 let o_engine ctx =
   match Lazy.force ctx.prog with

@@ -23,12 +23,11 @@
     - [Faults]: under a one-drop budget the hardened transport stays
       safe — no wedge, no deadlock — and the fault-injected codec
       round-trips as for [Rv];
-    - [Store]: the collapse-compressed and disk-backed visited stores
-      report the same state and transition counts as the exact in-memory
-      store (sequentially even under a state cap — the discovery order
-      is shared — and with a tiny spill buffer forcing the disk
-      read-back path; in parallel with 2 domains when the baseline
-      completed);
+    - [Store]: the disk-backed visited store reports the same state and
+      transition counts as the exact in-memory store (sequentially even
+      under a state cap — the discovery order is shared — and with a
+      tiny spill buffer forcing the disk read-back path; in parallel
+      with 2 domains);
     - [Engine]: a budgeted traced run of the loop engine replays
       ({!Ccr_runtime.Engine.replay}) label-for-label through
       {!Ccr_refine.Async.successors} — every transition the compiled

@@ -108,11 +108,11 @@ let replay_path prov sys id =
   in
   go sys.init (Vstore.Prov.chain prov id) [ (None, sys.init) ]
 
-(* One shard's visited set: exact in-memory, collapse-compressed or
-   out-of-core per the [store] kind, or bitstate when the [visited] mode
-   asks for it (bitstate changes the semantics — approximate counts — so
-   it stays a mode, not a store, and takes precedence).  A bitstate table
-   is split over the shards, keeping the total at [2^bits] bits. *)
+(* One shard's visited set: exact in-memory or out-of-core per the
+   [store] kind, or bitstate when the [visited] mode asks for it (bitstate
+   changes the semantics — approximate counts — so it stays a mode, not a
+   store, and takes precedence).  A bitstate table is split over the
+   shards, keeping the total at [2^bits] bits. *)
 let make_store ~shards visited kind =
   match visited with
   | Exact -> Vstore.make kind

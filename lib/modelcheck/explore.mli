@@ -97,9 +97,9 @@ type ('s, 'l) stats = {
           tables, headers and tail buffers — what [max_mem_bytes] meters *)
   raw_bytes : int;
       (** what the plain in-memory store would hold for the same states
-          (key bytes plus a fixed per-state overhead); with a compressed
-          or out-of-core store, [raw_bytes /. mem_bytes] is the
-          compression ratio *)
+          (key bytes plus a fixed per-state overhead); with the
+          out-of-core store, [raw_bytes /. mem_bytes] is the resident
+          saving *)
   peak_frontier : int;  (** the largest BFS level expanded *)
   max_depth : int;
       (** deepest discovery (the eccentricity of the initial state over
@@ -213,8 +213,8 @@ val run :
     compiled program).
 
     [store] (default {!Vstore.Mem}) selects the visited-set
-    representation — collapse-compressed or out-of-core, see {!Vstore};
-    all kinds produce identical counts, only memory use differs.  A
+    representation — in memory or out-of-core, see {!Vstore}; both
+    kinds produce identical counts, only memory use differs.  A
     [Bitstate] visited mode takes precedence over [store].  Invariants
     are checked on every state as it is discovered (including the
     initial one); the first violation stops the search.

@@ -1,6 +1,6 @@
-(* Visited-state stores: the exact in-memory set, SPIN-style collapse
-   compression, an out-of-core append-file store, and bitstate hashing —
-   all behind one record so the exploration engines stay store-agnostic. *)
+(* Visited-state stores: the exact in-memory set, an out-of-core
+   append-file store, and bitstate hashing — all behind one record so the
+   exploration engines stay store-agnostic. *)
 
 type t = {
   add : string -> bool;
@@ -10,15 +10,12 @@ type t = {
   iter_keys : (string -> unit) -> unit;
 }
 
-type kind = Mem | Collapse of (string -> int array) | Disk
+type kind = Mem | Disk
 
-let kind_name = function
-  | Mem -> "mem"
-  | Collapse _ -> "collapse"
-  | Disk -> "disk"
+let kind_name = function Mem -> "mem" | Disk -> "disk"
 
 (* Stable per-state bookkeeping figure used by the *raw* (uncompressed)
-   byte count: what a plain interned store pays per state on top of the
+   byte count: what the exact store pays per state on top of the
    key bytes (hash slot, boxed string header, id).  Kept identical across
    store kinds so bench bytes/state comparisons share one baseline. *)
 let per_state_overhead = 64
@@ -29,7 +26,7 @@ let per_state_overhead = 64
    for the machine really is honored — the old figure ignored the tables
    themselves, undercounting by ~30%. *)
 let string_overhead = 24
-let intern_entry_overhead = 48 (* hashtbl bucket + boxed header *)
+let hashtbl_entry_overhead = 48 (* hashtbl bucket + boxed header *)
 
 (* ---- exact in-memory store ---------------------------------------------
 
@@ -161,261 +158,6 @@ let bitstate bits =
         (* bitstate drops the keys by construction; checkpointing refuses
            the mode before ever asking *)
         invalid_arg "Vstore.bitstate: keys are not recoverable");
-  }
-
-(* ---- component interning (shared with the collapse store) --------------- *)
-
-module Intern = struct
-  type t = {
-    tbl : (string, int) Hashtbl.t;
-    mutable rev : string array;
-    mutable n : int;
-    mutable str_bytes : int;
-  }
-
-  let create () =
-    { tbl = Hashtbl.create 64; rev = Array.make 64 ""; n = 0; str_bytes = 0 }
-
-  let id t s =
-    match Hashtbl.find_opt t.tbl s with
-    | Some i -> i
-    | None ->
-      let i = t.n in
-      Hashtbl.add t.tbl s i;
-      if i >= Array.length t.rev then begin
-        let rev = Array.make (2 * Array.length t.rev) "" in
-        Array.blit t.rev 0 rev 0 i;
-        t.rev <- rev
-      end;
-      t.rev.(i) <- s;
-      t.n <- i + 1;
-      t.str_bytes <- t.str_bytes + String.length s;
-      i
-
-  let get t i =
-    if i < 0 || i >= t.n then invalid_arg "Vstore.Intern.get: unknown id";
-    t.rev.(i)
-
-  let count t = t.n
-
-  let mem_bytes t =
-    t.str_bytes + (intern_entry_overhead * t.n) + (8 * Array.length t.rev)
-end
-
-(* ---- collapse-compressed store ------------------------------------------
-
-   SPIN's collapse compression (Holzmann, "State compression in SPIN"):
-   each state key is cut into per-component substrings (one per process /
-   channel — the [split] function), every distinct component value is
-   interned once per position, and the visited set stores only the tuple
-   of small component ids.  Component values repeat massively across
-   states (a remote cache's local view changes in few transitions), so
-   tuples of 1-byte ids replace 50-200 byte keys.
-
-   The tuple set itself is flat: a growable byte arena of
-   varint-length-prefixed tuples plus an open-addressing index of arena
-   offsets, so a stored state costs its tuple bytes (+1-2 length bytes)
-   plus ~9 bytes of index slot — no per-state boxed values at all. *)
-
-(* FNV-1a over scratch bytes, folded to a non-negative OCaml int.  The
-   index cannot use [Hashtbl.hash] because tuples live in scratch/arena
-   bytes, never as strings. *)
-let hash_bytes b len =
-  let h = ref 0x5_17_cc_1b_72_72_20_a5 in
-  for i = 0 to len - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x100000001b3
-  done;
-  let h = !h in
-  (h lxor (h lsr 29)) land max_int
-
-(* LEB128 for the non-negative ids packed into tuples (internal to the
-   tuple set — state keys keep the [Value.encode_int] format).  Intern
-   tables routinely exceed a few hundred entries per position, so the
-   2-byte middle range matters: it is the difference between ~20-byte and
-   ~40-byte tuples on the larger asynchronous instances. *)
-let rec put_varint b pos i =
-  if i < 0x80 then begin
-    Bytes.unsafe_set b pos (Char.unsafe_chr i);
-    pos + 1
-  end
-  else begin
-    Bytes.unsafe_set b pos (Char.unsafe_chr (0x80 lor (i land 0x7f)));
-    put_varint b (pos + 1) (i lsr 7)
-  end
-
-let get_varint b pos =
-  let rec go pos shift acc =
-    let c = Char.code (Bytes.unsafe_get b pos) in
-    if c < 0x80 then (acc lor (c lsl shift), pos + 1)
-    else go (pos + 1) (shift + 7) (acc lor ((c land 0x7f) lsl shift))
-  in
-  go pos 0 0
-
-module Tupleset = struct
-  type t = {
-    mutable offs : int array; (* arena offset + 1; 0 = empty slot *)
-    mutable tags : Bytes.t; (* low byte of the tuple hash, cuts probes *)
-    mutable count : int;
-    mutable arena : Bytes.t;
-    mutable arena_len : int;
-  }
-
-  let create ~init_slots =
-    {
-      offs = Array.make init_slots 0;
-      tags = Bytes.make init_slots '\000';
-      count = 0;
-      arena = Bytes.create 4096;
-      arena_len = 0;
-    }
-
-  (* tuple stored at [off]: varint length, then the id bytes *)
-  let tuple_matches t off b len =
-    let stored_len, data = get_varint t.arena off in
-    stored_len = len
-    &&
-    let i = ref 0 in
-    while
-      !i < len && Bytes.unsafe_get t.arena (data + !i) = Bytes.unsafe_get b !i
-    do
-      incr i
-    done;
-    !i = len
-
-  let resize t =
-    let old = t.offs in
-    let cap = 2 * Array.length old in
-    let mask = cap - 1 in
-    let offs = Array.make cap 0 and tags = Bytes.make cap '\000' in
-    Array.iter
-      (fun o ->
-        if o <> 0 then begin
-          let len, data = get_varint t.arena (o - 1) in
-          let h = hash_bytes (Bytes.sub t.arena data len) len in
-          let j = ref (h land mask) in
-          while offs.(!j) <> 0 do
-            j := (!j + 1) land mask
-          done;
-          offs.(!j) <- o;
-          Bytes.set tags !j (Char.chr ((h lsr 24) land 0xff))
-        end)
-      old;
-    t.offs <- offs;
-    t.tags <- tags
-
-  let append t b len =
-    let need = t.arena_len + 10 + len in
-    if need > Bytes.length t.arena then begin
-      (* 3/2 growth: the arena is counted at capacity by the honest
-         memory figure, so doubling would overstate steady-state use *)
-      let cap = ref (Bytes.length t.arena * 3 / 2) in
-      while !cap < need do
-        cap := !cap * 3 / 2
-      done;
-      let arena = Bytes.create !cap in
-      Bytes.blit t.arena 0 arena 0 t.arena_len;
-      t.arena <- arena
-    end;
-    let off = t.arena_len in
-    let pos = put_varint t.arena off len in
-    Bytes.blit b 0 t.arena pos len;
-    t.arena_len <- pos + len;
-    off
-
-  (* true when the tuple in [b.(0..len-1)] was absent (then inserted).
-     Load factor 3/4: higher than the string sets' 1/2 because the tag
-     byte rejects almost all false probes without touching the arena. *)
-  let add t b len =
-    if 4 * t.count >= 3 * Array.length t.offs then resize t;
-    let h = hash_bytes b len in
-    let tag = Char.chr ((h lsr 24) land 0xff) in
-    let mask = Array.length t.offs - 1 in
-    let j = ref (h land mask) in
-    let fresh = ref false and scanning = ref true in
-    while !scanning do
-      let o = t.offs.(!j) in
-      if o = 0 then begin
-        t.offs.(!j) <- append t b len + 1;
-        Bytes.set t.tags !j tag;
-        t.count <- t.count + 1;
-        fresh := true;
-        scanning := false
-      end
-      else if Bytes.get t.tags !j = tag && tuple_matches t (o - 1) b len then
-        scanning := false
-      else j := (!j + 1) land mask
-    done;
-    !fresh
-
-  let mem_bytes t =
-    (* offset array (words) + tag bytes + the arena's full capacity *)
-    (9 * Array.length t.offs) + Bytes.length t.arena
-end
-
-let collapse ?(init_slots = 1024) ~split () =
-  let interns = ref [||] in
-  let tuples = Tupleset.create ~init_slots in
-  let scratch = ref (Bytes.create 256) in
-  let raw = ref 0 in
-  let add key =
-    let bounds = split key in
-    let n_comp = Array.length bounds in
-    if Bytes.length !scratch < 10 * n_comp then
-      scratch := Bytes.create (2 * 10 * n_comp);
-    let b = !scratch in
-    let pos = ref 0 in
-    (* one intern table per component position, sized on first use *)
-    if Array.length !interns = 0 then
-      interns := Array.init n_comp (fun _ -> Intern.create ())
-    else if Array.length !interns <> n_comp then
-      invalid_arg "Vstore.collapse: split returned inconsistent arity";
-    let start = ref 0 in
-    for c = 0 to n_comp - 1 do
-      let stop = bounds.(c) in
-      let id =
-        Intern.id
-          (Array.unsafe_get !interns c)
-          (String.sub key !start (stop - !start))
-      in
-      pos := put_varint b !pos id;
-      start := stop
-    done;
-    if !start <> String.length key then
-      invalid_arg "Vstore.collapse: split did not cover the key";
-    let fresh = Tupleset.add tuples b !pos in
-    if fresh then raw := !raw + String.length key + per_state_overhead;
-    fresh
-  in
-  {
-    add;
-    mem_bytes =
-      (fun () ->
-        Tupleset.mem_bytes tuples
-        + Array.fold_left (fun acc it -> acc + Intern.mem_bytes it) 0 !interns
-        + Bytes.length !scratch);
-    raw_bytes = (fun () -> !raw);
-    count = (fun () -> tuples.Tupleset.count);
-    iter_keys =
-      (fun f ->
-        (* The arena is a dense sequence of varint-length-prefixed tuples
-           in insertion order; components concatenate back to the exact
-           key (split covers the key), so this inverts [add]. *)
-        let arena = tuples.Tupleset.arena in
-        let buf = Buffer.create 256 in
-        let off = ref 0 in
-        while !off < tuples.Tupleset.arena_len do
-          let len, data = get_varint arena !off in
-          Buffer.clear buf;
-          let pos = ref data and c = ref 0 in
-          while !pos < data + len do
-            let id, next = get_varint arena !pos in
-            Buffer.add_string buf (Intern.get !interns.(!c) id);
-            pos := next;
-            incr c
-          done;
-          f (Buffer.contents buf);
-          off := data + len
-        done);
   }
 
 (* ---- out-of-core (append-file) store ------------------------------------
@@ -587,7 +329,7 @@ module Diskset = struct
   let mem_bytes t =
     (8 * Array.length t.packed)
     + Buffer.length t.tail
-    + (intern_entry_overhead * Hashtbl.length t.long_lens)
+    + (hashtbl_entry_overhead * Hashtbl.length t.long_lens)
     + Bytes.length t.read_buf
 end
 
@@ -623,7 +365,6 @@ let disk ?path ?(init_slots = 1024) ?(tail_cap = 1 lsl 16) () =
 
 let make ?init_slots ?tail_cap = function
   | Mem -> exact ?init_slots ()
-  | Collapse split -> collapse ?init_slots ~split ()
   | Disk -> disk ?init_slots ?tail_cap ()
 
 (* ---- provenance side-table ----------------------------------------------

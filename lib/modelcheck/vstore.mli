@@ -2,18 +2,10 @@
 
     Explicit-state exploration is bounded by the visited set (the paper's
     Table 3 "Unfinished" entries are exactly this cliff), so the store is
-    pluggable:
+    pluggable.  Two stores are exact:
 
     - {!Mem}: the exact interned hash set — fastest, one full key in RAM
       per state.
-    - {!Collapse}: SPIN-style collapse compression (Holzmann).  A key is
-      cut into per-component substrings by a [split] function; each
-      distinct component value is interned once per position and the set
-      stores only the tuple of small ids, in a flat byte arena.
-      Component values repeat massively across states, so a 50–200 byte
-      key shrinks to a handful of bytes.  Exact: key ↦ tuple is a
-      bijection (components concatenate back to the key), so counts equal
-      {!Mem}'s.
     - {!Disk}: out-of-core.  Key bytes live in an unlinked temporary
       file; RAM holds a one-word-per-slot (offset, hash-tag, length)
       index.  A tag hit is confirmed by reading the stored key back, so —
@@ -28,26 +20,23 @@ type t = {
       (** [add key] is [true] when the key was not seen before (and marks
           it) — the one hot-path operation *)
   mem_bytes : unit -> int;
-      (** honest resident memory: key/tuple bytes {e plus} table slots,
+      (** honest resident memory: key bytes {e plus} table slots,
           headers, tail buffers — what a memory cap should meter *)
   raw_bytes : unit -> int;
       (** what the plain interned store would hold for the same states
           (key bytes + a fixed per-state overhead): the stable baseline
-          for compression-ratio and bytes/state comparisons *)
+          for resident-saving and bytes/state comparisons *)
   count : unit -> int;  (** keys marked *)
   iter_keys : (string -> unit) -> unit;
-      (** visit every stored key — in insertion order for the collapse
-          and disk stores, in (deterministic) table order for the exact
-          store — so serialization of a given run is reproducible.
+      (** visit every stored key — in insertion order for the disk
+          store, in (deterministic) table order for the exact store — so
+          serialization of a given run is reproducible.
           @raise Invalid_argument for {!bitstate}, which drops the keys
           by construction. *)
 }
 
-type kind = Mem | Collapse of (string -> int array) | Disk
-(** Store selector, as exposed by [ccr check --store].  [Collapse]
-    carries the component splitter: given an encoded key, the offsets
-    just past each component, in order, the last equal to the key length
-    (see e.g. {!Ccr_refine.Async.split_key}). *)
+type kind = Mem | Disk
+(** Store selector, as exposed by [ccr check --store]. *)
 
 val kind_name : kind -> string
 
@@ -59,7 +48,6 @@ val make : ?init_slots:int -> ?tail_cap:int -> kind -> t
     (default 64 KiB, {!Disk} only) bounds the in-RAM append buffer. *)
 
 val exact : ?init_slots:int -> unit -> t
-val collapse : ?init_slots:int -> split:(string -> int array) -> unit -> t
 val disk : ?path:string -> ?init_slots:int -> ?tail_cap:int -> unit -> t
 (** [?path] names the backing file (created/truncated, left on disk) so a
     checkpointed run can reopen a stable store file; without it the store
@@ -79,27 +67,6 @@ val bitstate_positions : bits:int -> string -> int * int
 
 val per_state_overhead : int
 (** The fixed per-state overhead {!t.raw_bytes} adds to the key bytes. *)
-
-(** {2 Component interning}
-
-    The collapse store's per-position intern tables, exposed for the
-    codec round-trip tests: {!Intern.get} inverts {!Intern.id}. *)
-module Intern : sig
-  type t
-
-  val create : unit -> t
-
-  val id : t -> string -> int
-  (** Intern a component value: a fresh value gets the next id (ids are
-      dense from 0, in first-seen order); a seen value returns its id. *)
-
-  val get : t -> int -> string
-  (** The component value behind an id.
-      @raise Invalid_argument on an id never returned by {!id}. *)
-
-  val count : t -> int
-  val mem_bytes : t -> int
-end
 
 (** {2 Provenance side-table}
 

@@ -835,8 +835,7 @@ let encode (st : state) =
 
 (* The inverse of [encode]: the frontier of the model checker holds keys
    and decodes each one as it is expanded.  Must mirror the [encode] layout
-   field for field; array lengths come from the program, as in
-   [split_key]. *)
+   field for field; array lengths come from the program. *)
 let dec_env c (proc : Prog.proc) =
   Value.decode_values c (Array.length proc.p_init_env)
 
@@ -1062,72 +1061,6 @@ let encode_perm ~p ~inv (st : state) =
   done;
   Buffer.contents buf
 
-(* Cut an [encode]d key into per-component substrings for the collapse
-   store: offsets just past the home, past each remote, then past each
-   [to_h] and [to_r] channel — [1 + 3n] of them, the last equal to the key
-   length.  Must mirror the [encode] layout field for field; works on
-   canonical keys too, since [encode_perm] emits the same layout. *)
-let split_key (prog : Prog.t) key =
-  let n = prog.n in
-  let bounds = Array.make (1 + (3 * n)) 0 in
-  let pos = ref 0 in
-  let int () =
-    let v, pos' = Value.read_int key !pos in
-    pos := pos';
-    v
-  in
-  let skip_int () = pos := Value.skip_int key !pos in
-  let env (proc : Prog.proc) =
-    for _ = 1 to Array.length proc.p_init_env do
-      pos := Value.skip key !pos
-    done
-  in
-  let repl () = pos := !pos + int () in
-  let wire_msg () = pos := Wire.skip key !pos in
-  (* home *)
-  skip_int ();
-  (* h_ctl *)
-  skip_int ();
-  (* h_rot *)
-  env prog.home;
-  (match int () with
-  | 0 -> ()
-  | mode ->
-    if mode = 2 then repl ();
-    skip_int ();
-    (* guard *)
-    skip_int ();
-    (* peer *)
-    env prog.home);
-  for _ = 1 to int () do
-    skip_int ();
-    (* sender *)
-    wire_msg ()
-  done;
-  bounds.(0) <- !pos;
-  (* remotes *)
-  for i = 1 to n do
-    skip_int ();
-    (* r_ctl *)
-    env prog.remote;
-    (match int () with
-    | 0 -> ()
-    | mode ->
-      skip_int ();
-      (* guard *)
-      if mode = 2 then repl ();
-      env prog.remote);
-    if int () = 1 then wire_msg ();
-    bounds.(i) <- !pos
-  done;
-  (* channels: to_h then to_r *)
-  for c = 1 to 2 * n do
-    for _ = 1 to int () do
-      wire_msg ()
-    done;
-    bounds.(n + c) <- !pos
-  done;
-  bounds
 
 let pp_label ppf l =
   if l.subject = "" then

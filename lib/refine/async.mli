@@ -201,13 +201,6 @@ val encode_perm : p:int array -> inv:int array -> state -> string
     payloads are renamed through [p].  Lets symmetry canonicalization score
     a permutation without building the permuted state. *)
 
-val split_key : Prog.t -> string -> int array
-(** [split_key prog key] cuts an {!encode}d (or canonical) key into
-    per-component substrings for collapse compression: [1 + 3n] offsets —
-    past the home, past each remote, past each home-bound channel, past
-    each remote-bound channel.  The last offset equals
-    [String.length key]. *)
-
 (** {2 Components}
 
     A key is the concatenation of its components' bytes (see above).

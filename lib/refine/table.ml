@@ -852,18 +852,6 @@ let export t key =
 
 let import t full = encode t (Async.decode t.prog full)
 
-let split t key =
-  let cuts = Array.make (1 + (3 * t.n)) 0 in
-  let pos = ref 0 in
-  for k = 0 to Array.length cuts - 1 do
-    while Char.code key.[!pos] >= 0x80 do
-      incr pos
-    done;
-    incr pos;
-    cuts.(k) <- !pos
-  done;
-  cuts
-
 (* ---- canonical keys ------------------------------------------------------------
 
    [Symmetry.canonicalize] over the components of [c_st], gathered into

@@ -114,7 +114,3 @@ val sizes : t -> (string * int) list
     [channels] and [messages]; memoized [signatures] (signature parts
     and home self-bit arrays) and [memo_bytes], their heap bytes. *)
 
-val split : t -> string -> int array
-(** Component offsets for the collapse store, as {!Async.split_key}: the
-    [1 + 3n] positions just past each id, the last equal to the key's
-    length. *)

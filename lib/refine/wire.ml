@@ -56,20 +56,6 @@ let decode c =
     Req { m_name; m_payload }
   | t -> Value.refuse c p (Printf.sprintf "bad message tag %d" t)
 
-let skip s pos =
-  let tag, pos = Value.read_int s pos in
-  match tag with
-  | 0 | 1 -> pos (* ack, nack *)
-  | 2 ->
-    let namelen, pos = Value.read_int s pos in
-    let arity, pos = Value.read_int s (pos + namelen) in
-    let pos = ref pos in
-    for _ = 1 to arity do
-      pos := Value.skip s !pos
-    done;
-    !pos
-  | t -> invalid_arg (Printf.sprintf "Wire.skip: bad message tag %d" t)
-
 let pp ppf = function
   | Ack -> Fmt.string ppf "ack"
   | Nack -> Fmt.string ppf "nack"

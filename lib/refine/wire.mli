@@ -24,9 +24,4 @@ val decode : Value.cursor -> t
 (** Read an {!encode}d message at the cursor (see {!Value.decode}).
     @raise Invalid_argument on a truncated or malformed message. *)
 
-val skip : string -> int -> int
-(** Position just past the {!encode}d message at [pos] in [s]; used when
-    re-parsing encoded state keys for collapse compression.
-    @raise Invalid_argument if [pos] does not hold a message tag. *)
-
 val pp : t Fmt.t

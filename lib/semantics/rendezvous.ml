@@ -160,7 +160,7 @@ let encode (st : state) =
   Buffer.contents buf
 
 (* The inverse of [encode], field for field; env lengths come from the
-   program, as in [split_key]. *)
+   program. *)
 let dec_pstate c (proc : Prog.proc) =
   let p = c.Value.pos in
   let ctl = Value.decode_int c in
@@ -199,28 +199,6 @@ let encode_perm ~p ~inv (st : state) =
     pstate st.r.(inv.(j))
   done;
   Buffer.contents buf
-
-(* Cut an [encode]d key into per-process components for the collapse
-   store: offsets just past home and past each remote, in order.  Works on
-   canonical keys too — [encode_perm] emits the same layout.  Env lengths
-   come from the program ([Prog.complete] always returns an env the same
-   length as [p_init_env]), so the parse needs no per-value domain info. *)
-let split_key (prog : Prog.t) key =
-  let bounds = Array.make (1 + prog.n) 0 in
-  let pos = ref 0 in
-  let pstate (proc : Prog.proc) =
-    pos := Value.skip_int key !pos;
-    for _ = 1 to Array.length proc.p_init_env do
-      pos := Value.skip key !pos
-    done
-  in
-  pstate prog.home;
-  bounds.(0) <- !pos;
-  for i = 1 to prog.n do
-    pstate prog.remote;
-    bounds.(i) <- !pos
-  done;
-  bounds
 
 let pp_proc_id ppf = function
   | Ph -> Fmt.string ppf "home"

@@ -48,12 +48,6 @@ val encode_perm : p:int array -> inv:int array -> state -> string
     the permuted state is [st]'s slot [inv.(j)]), without materializing the
     permuted state.  Backbone of fast symmetry canonicalization. *)
 
-val split_key : Prog.t -> string -> int array
-(** [split_key prog key] cuts an {!encode}d (or canonical) key into
-    per-process components for collapse compression: [1 + n] offsets, one
-    just past the home's bytes and one past each remote's.  The last
-    offset equals [String.length key]. *)
-
 val pp_proc_id : proc_id Fmt.t
 val pp_label : label Fmt.t
 val pp_state : Prog.t -> state Fmt.t

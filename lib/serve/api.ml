@@ -34,7 +34,7 @@ type config = {
   max_states : int;
   max_mem_mb : int option;
   deadline_s : float option;
-  store : [ `Mem | `Collapse | `Disk ];
+  store : [ `Mem | `Disk ];
   jobs : int;
 }
 
@@ -62,7 +62,7 @@ let symmetry_name cfg =
   match cfg.symmetry with `Auto -> "auto" | `Off -> "off" | `Brute -> "brute"
 
 let store_name cfg =
-  match cfg.store with `Mem -> "mem" | `Collapse -> "collapse" | `Disk -> "disk"
+  match cfg.store with `Mem -> "mem" | `Disk -> "disk"
 
 let fault_spec cfg =
   match cfg.faults with
@@ -91,22 +91,13 @@ type explorer = {
 
 let default_explorer ?on_level ?interrupt ?on_progress ?progress_every ?prov
     ?ckpt cfg =
-  let store_of split =
-    match cfg.store with
-    | `Mem -> Vstore.Mem
-    | `Disk -> Vstore.Disk
-    | `Collapse ->
-      Vstore.Collapse
-        (match split with
-        | Some s -> s
-        | None -> fun key -> [| String.length key |])
-  in
+  let store = match cfg.store with `Mem -> Vstore.Mem | `Disk -> Vstore.Disk in
   let mem_bytes = Option.map (fun mb -> mb * 1024 * 1024) cfg.max_mem_mb in
   {
     explore =
-      (fun ~check_deadlock ~split ~invariants sys ->
+      (fun ~check_deadlock ~split:_ ~invariants sys ->
         Ccr_obs.Trace.with_span "explore" (fun () ->
-            Explore.run ~jobs:cfg.jobs ~store:(store_of split)
+            Explore.run ~jobs:cfg.jobs ~store
               ~max_states:cfg.max_states ?max_mem_bytes:mem_bytes
               ?max_time_s:cfg.deadline_s ~check_deadlock ~trace:true
               ~invariants ?on_progress ?progress_every ?prov ?on_level
@@ -493,9 +484,7 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
           fault_system e ~harden:cfg.harden spec prog { Async.k = cfg.k }
         in
         let r =
-          explorer.explore ~check_deadlock:true
-            ~split:(Some (Injected.split_key prog))
-            ~invariants sys
+          explorer.explore ~check_deadlock:true ~split:None ~invariants sys
         in
         let v, m =
           assemble ~protocol ~level ~sym:false
@@ -565,8 +554,7 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
         Ok (v, m)
       | `Rv, None ->
         let r =
-          explorer.explore ~check_deadlock:false
-            ~split:(Some (Ccr_semantics.Rendezvous.split_key prog))
+          explorer.explore ~check_deadlock:false ~split:None
             ~invariants:(e.Registry.rv_invariants prog)
             Explore.
               {
@@ -615,8 +603,7 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
              so beyond one shard they stay out of the visited set: a
              sharded check without symmetry runs on [Async] itself. *)
           if canon = None && cfg.jobs > 1 then
-            explorer.explore ~check_deadlock:true
-              ~split:(Some (Async.split_key prog)) ~invariants
+            explorer.explore ~check_deadlock:true ~split:None ~invariants
               Explore.
                 {
                   init;
@@ -627,13 +614,7 @@ let check_entry ?explorer ?meter ?observe_label ?sym_stats ?on_orbit
                   key_io = None;
                 }
           else
-            (* the visited keys are canonical keys under symmetry *)
-            let split =
-              if canon = None then fun key -> Table.split (tb ()) key
-              else Async.split_key prog
-            in
-            explorer.explore ~check_deadlock:true ~split:(Some split)
-              ~invariants
+            explorer.explore ~check_deadlock:true ~split:None ~invariants
               Explore.
                 {
                   init;
@@ -798,7 +779,6 @@ let config_of_json json =
         match str "store" with
         | None -> Ok default.store
         | Some "mem" -> Ok `Mem
-        | Some "collapse" -> Ok `Collapse
         | Some "disk" -> Ok `Disk
         | Some other -> Error (Fmt.str "bad store %S" other)
       in

@@ -28,7 +28,7 @@ type config = {
   max_states : int;
   max_mem_mb : int option;
   deadline_s : float option;
-  store : [ `Mem | `Collapse | `Disk ];
+  store : [ `Mem | `Disk ];  (** exact visited store *)
   jobs : int;  (** worker domains; the daemon always runs 1 *)
 }
 
@@ -48,7 +48,8 @@ val fault_spec :
 
 (** The exploration engine a caller plugs into {!check_entry}.  The field
     is explicitly polymorphic: one record serves every (state, label)
-    instantiation of the four check branches. *)
+    instantiation of the four check branches.  [split] is always [None]
+    and {!default_explorer} ignores it. *)
 type explorer = {
   explore :
     'st 'lbl.

@@ -274,13 +274,6 @@ let tests =
         check_resume "counter mem"
           (fun ~max_states ~ckpt -> Explore.run ~max_states ~ckpt sys)
           sys;
-        (* component boundaries, constant arity: the whole key is one
-           component *)
-        let split k = [| String.length k |] in
-        check_resume "counter collapse" ~store:(Vstore.Collapse split)
-          (fun ~max_states ~ckpt ->
-            Explore.run ~store:(Vstore.Collapse split) ~max_states ~ckpt sys)
-          sys;
         check_resume "counter disk" ~store:Vstore.Disk
           (fun ~max_states ~ckpt ->
             Explore.run ~store:Vstore.Disk ~max_states ~ckpt sys)

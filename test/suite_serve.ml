@@ -522,6 +522,26 @@ let tests =
         checkb "the recomputed entry replaced it" true
           (Option.map (fun e -> e.Cache.e_verdict.Api.v_states) e
           = Some v.Api.v_states));
+    case "removed store: \"collapse\" is a bad store, 400 from the daemon"
+      (fun () ->
+        let body =
+          match Api.config_to_json invalidate_cfg with
+          | J.Obj fields ->
+            J.Obj
+              (List.map
+                 (fun (k, v) ->
+                   if k = "store" then (k, J.Str "collapse") else (k, v))
+                 fields)
+          | _ -> Alcotest.fail "config is not a JSON object"
+        in
+        (match Api.config_of_json body with
+        | Ok _ -> Alcotest.fail "store \"collapse\" was accepted"
+        | Error msg -> checks "config_of_json" "bad store \"collapse\"" msg);
+        with_forked_daemon @@ fun ~port ->
+        let status, reply = req ~port ~body:(J.to_string body) "POST" "/jobs" in
+        checki "removed store is 400" 400 status;
+        checks "the refusal names the store" "bad store \"collapse\""
+          (jstr (parse reply) "error"));
   ]
 
 let suite = ("serve", tests)

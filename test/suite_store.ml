@@ -1,10 +1,9 @@
-(* The visited-store zoo: collapse compression and the out-of-core disk
-   store must be *exact* — byte-identical state and transition counts to
-   the plain interned store — while resident memory drops.  These tests
-   pin the codec round-trips, the splitter contracts the collapse store
-   builds on, cross-store count agreement on every registry protocol,
-   and the headline regression: migratory async n=5 completes under an
-   8 MB cap that the plain store blows through. *)
+(* The visited stores: the out-of-core disk store must be *exact* —
+   byte-identical state and transition counts to the plain interned store
+   — while resident memory drops.  These tests pin the codec round-trips,
+   cross-store count agreement on every registry protocol, and the
+   headline regression: migratory async n=5 completes under an 8 MB cap
+   that the plain store blows through. *)
 
 open Test_util
 module Explore = Ccr_modelcheck.Explore
@@ -12,28 +11,20 @@ module Vstore = Ccr_modelcheck.Vstore
 module Async = Ccr_refine.Async
 module Sym = Ccr_refine.Symmetry
 module Table = Ccr_refine.Table
-module Rendezvous = Ccr_semantics.Rendezvous
 module Fault = Ccr_faults.Fault
 module Injected = Ccr_faults.Injected
 module Registry = Ccr_protocols.Registry
 
 (* ---- generators -------------------------------------------------------- *)
 
-(* Short strings over a 4-letter alphabet: plenty of duplicate keys and
-   duplicate components, which is what the stores must get right. *)
+(* Short strings over a 4-letter alphabet: plenty of duplicate keys,
+   which is what the stores must get right. *)
 let keys_gen =
   QCheck2.Gen.(
     list_size (int_range 1 200)
       (string_size ~gen:(char_range 'a' 'd') (int_range 1 24)))
 
 let print_keys = QCheck2.Print.(list string)
-
-(* Cut a key into 4 components at the quarter points (possibly empty for
-   short keys): a fixed-arity splitter for arbitrary strings, as the
-   per-position intern tables require. *)
-let split3 key =
-  let len = String.length key in
-  Array.init 4 (fun i -> (i + 1) * len / 4)
 
 (* Feed the same key sequence to [store] and to an exact reference;
    every [add] verdict and the final counts must agree. *)
@@ -44,68 +35,23 @@ let agrees_with_exact store keys =
     keys
   && store.Vstore.count () = exact.Vstore.count ()
 
-(* ---- splitter contract -------------------------------------------------- *)
-
-(* Collect every distinct key an exploration encodes. *)
-let reachable_keys sys =
-  let seen = Hashtbl.create 256 in
-  let encode st =
-    let k = sys.Explore.encode st in
-    Hashtbl.replace seen k ();
-    k
-  in
-  ignore (Explore.run { sys with Explore.encode });
-  Hashtbl.fold (fun k () acc -> k :: acc) seen []
-
-let check_splitter what split ~arity keys =
-  checkb (what ^ ": some keys collected") true (keys <> []);
-  List.iter
-    (fun key ->
-      let bs = split key in
-      checki (what ^ ": component arity") arity (Array.length bs);
-      let prev = ref 0 in
-      Array.iter
-        (fun b ->
-          checkb (what ^ ": boundaries strictly increase") true (b > !prev);
-          prev := b)
-        bs;
-      checki (what ^ ": boundaries cover the key") (String.length key)
-        bs.(Array.length bs - 1))
-    keys
-
 (* ---- cross-store agreement on real systems ------------------------------ *)
 
-let stores_for prog =
-  [
-    ("collapse", Vstore.Collapse (Async.split_key prog));
-    ("disk", Vstore.Disk);
-  ]
-
-let check_stores_equal name prog sys =
+let check_stores_equal name sys =
   let seq = Explore.run sys in
   assert_complete name seq;
+  let r = Explore.run ~store:Vstore.Disk sys in
+  checki (name ^ ": states (disk)") seq.states r.states;
+  checki (name ^ ": transitions (disk)") seq.transitions r.transitions;
+  checkb (name ^ ": complete (disk)") true (outcome_complete r.outcome);
   List.iter
-    (fun (sname, kind) ->
-      let r = Explore.run ~store:kind sys in
-      checki (Fmt.str "%s: states (%s)" name sname) seq.states r.states;
+    (fun jobs ->
+      let p = Explore.run ~jobs ~store:Vstore.Disk sys in
+      checki (Fmt.str "%s: states (disk, j=%d)" name jobs) seq.states p.states;
       checki
-        (Fmt.str "%s: transitions (%s)" name sname)
-        seq.transitions r.transitions;
-      checkb
-        (Fmt.str "%s: complete (%s)" name sname)
-        true
-        (outcome_complete r.outcome);
-      List.iter
-        (fun jobs ->
-          let p = Explore.run ~jobs ~store:kind sys in
-          checki
-            (Fmt.str "%s: states (%s, j=%d)" name sname jobs)
-            seq.states p.states;
-          checki
-            (Fmt.str "%s: transitions (%s, j=%d)" name sname jobs)
-            seq.transitions p.transitions)
-        [ 2; 4 ])
-    (stores_for prog)
+        (Fmt.str "%s: transitions (disk, j=%d)" name jobs)
+        seq.transitions p.transitions)
+    [ 2; 4 ]
 
 (* ---- key codecs ---------------------------------------------------------- *)
 
@@ -210,26 +156,6 @@ let injected_system mode prog =
 
 let tests =
   [
-    case "intern: ids are dense, get inverts id, unknowns raise" (fun () ->
-        let t = Vstore.Intern.create () in
-        let words = [ "alpha"; "beta"; "alpha"; ""; "gamma"; "beta" ] in
-        let ids = List.map (Vstore.Intern.id t) words in
-        checki "ids" 0 (List.nth ids 0);
-        checki "ids" 1 (List.nth ids 1);
-        checki "re-intern returns the first id" 0 (List.nth ids 2);
-        checki "empty component interns" 2 (List.nth ids 3);
-        checki "count" 4 (Vstore.Intern.count t);
-        List.iter2
-          (fun w id -> checks "get inverts id" w (Vstore.Intern.get t id))
-          words ids;
-        match Vstore.Intern.get t 99 with
-        | exception Invalid_argument _ -> ()
-        | s -> Alcotest.failf "unknown id returned %S" s);
-    qcase ~count:200 ~print:print_keys
-      "collapse add/count agree with the exact store on random keys"
-      keys_gen
-      (fun keys ->
-        agrees_with_exact (Vstore.collapse ~split:split3 ()) keys);
     qcase ~count:200 ~print:print_keys
       "disk store with a tiny spill buffer agrees with the exact store"
       keys_gen
@@ -237,55 +163,6 @@ let tests =
         (* tail_cap=16 forces nearly every key through the file and the
            read-back comparison path *)
         agrees_with_exact (Vstore.disk ~tail_cap:16 ()) keys);
-    qcase ~count:200 ~print:print_keys
-      "collapse shards partition like one exact store"
-      keys_gen
-      (fun keys ->
-        let shards = Array.init 4 (fun _ -> Vstore.collapse ~split:split3 ()) in
-        let exact = Vstore.exact () in
-        List.for_all
-          (fun k ->
-            let s = shards.(Hashtbl.hash k land 3) in
-            s.Vstore.add k = exact.Vstore.add k)
-          keys
-        && Array.fold_left (fun a s -> a + s.Vstore.count ()) 0 shards
-           = exact.Vstore.count ());
-    case "async split_key parses every reachable key" (fun () ->
-        let prog = compile ~n:2 ping_system in
-        let keys = reachable_keys (async_system prog) in
-        check_splitter "ping async" (Async.split_key prog) ~arity:(1 + (3 * 2))
-          keys;
-        let prog = compile ~n:3 (Ccr_protocols.Migratory.system ()) in
-        let keys = reachable_keys (async_system prog) in
-        check_splitter "migratory async"
-          (Async.split_key prog)
-          ~arity:(1 + (3 * 3))
-          keys);
-    case "rendezvous split_key parses every reachable key" (fun () ->
-        let prog = compile ~n:3 ping_system in
-        let keys = reachable_keys (rv_system prog) in
-        check_splitter "ping rv" (Rendezvous.split_key prog) ~arity:(1 + 3)
-          keys);
-    case "faults split_key parses every reachable key" (fun () ->
-        let prog = compile ~n:2 ping_system in
-        let cfg = Async.{ k = 2 } in
-        let budget = { Fault.none with Fault.drop = 1 } in
-        let sys =
-          Explore.
-            {
-              init = Injected.initial budget prog cfg;
-              succ = Injected.successors Injected.Hardened budget prog cfg;
-              encode = Injected.encode;
-              decode = Injected.decode prog;
-              canon = None;
-              key_io = None;
-            }
-        in
-        let keys = reachable_keys sys in
-        check_splitter "ping faults"
-          (Injected.split_key prog)
-          ~arity:(1 + (3 * 2) + 1)
-          keys);
     case "codec: async and rendezvous keys round-trip, every protocol, n=2,3"
       (fun () ->
         List.iter
@@ -375,12 +252,11 @@ let tests =
         List.iter
           (fun (e : Registry.t) ->
             let prog = e.Registry.instantiate ~reqrep:true ~n:2 in
-            check_stores_equal (e.Registry.name ^ " async n=2") prog
+            check_stores_equal (e.Registry.name ^ " async n=2")
               (async_system prog))
           Registry.all);
     case "stores compose with symmetry reduction" (fun () ->
-        (* canonical keys are valid encode layouts, so the splitter
-           parses them and the quotient counts match across stores *)
+        (* the quotient counts match across stores *)
         let prog = compile ~n:3 (Ccr_protocols.Migratory.system ()) in
         let quotient kind =
           let stats = Sym.make_stats () in
@@ -401,24 +277,9 @@ let tests =
         in
         let m = quotient Vstore.Mem in
         assert_complete "migratory quotient" m;
-        List.iter
-          (fun (sname, kind) ->
-            let r = quotient kind in
-            checki (Fmt.str "quotient states (%s)" sname) m.states r.states;
-            checki
-              (Fmt.str "quotient transitions (%s)" sname)
-              m.transitions r.transitions)
-          (stores_for prog));
-    case "collapse resident memory beats raw on a real run" (fun () ->
-        let prog = compile ~n:3 (Ccr_protocols.Migratory.system ()) in
-        let r =
-          Explore.run
-            ~store:(Vstore.Collapse (Async.split_key prog))
-            (async_system prog)
-        in
-        assert_complete "migratory n=3 collapse" r;
-        checkb "raw accounted" true (r.raw_bytes > 0);
-        checkb "compressed below raw" true (r.mem_bytes < r.raw_bytes));
+        let r = quotient Vstore.Disk in
+        checki "quotient states (disk)" m.states r.states;
+        checki "quotient transitions (disk)" m.transitions r.transitions);
     case "prov: mem and disk backends record and replay identically"
       (fun () ->
         (* tail_cap=32 forces the disk backend through its spill +
@@ -503,7 +364,7 @@ let tests =
               true
               (sig_of r = sig_of legacy))
           [ Vstore.Prov.P_mem; Vstore.Prov.P_disk ]);
-    slow_case "memory cliff: migratory n=5 completes at 8 MB with collapse"
+    slow_case "memory cliff: migratory n=5 completes at 8 MB with disk"
       (fun () ->
         let prog = compile ~n:5 (Ccr_protocols.Migratory.system ()) in
         let sys = async_system prog in
@@ -515,15 +376,11 @@ let tests =
           Alcotest.failf "plain store expected to hit the cap, got %a"
             (Explore.pp_outcome (Async.pp_state prog))
             o);
-        let col =
-          Explore.run ~max_mem_bytes:cap
-            ~store:(Vstore.Collapse (Async.split_key prog))
-            sys
-        in
-        assert_complete "migratory n=5 collapse @8MB" col;
+        let disk = Explore.run ~max_mem_bytes:cap ~store:Vstore.Disk sys in
+        assert_complete "migratory n=5 disk @8MB" disk;
         checkb "cliff was real: plain stopped short" true
-          (mem.Explore.states < col.Explore.states);
-        checkb "under the cap" true (col.Explore.mem_bytes <= cap));
+          (mem.Explore.states < disk.Explore.states);
+        checkb "under the cap" true (disk.Explore.mem_bytes <= cap));
     case "splice: parent-spliced keys are byte-identical, every protocol, n=2,3"
       (fun () ->
         (* [Async.encode] copies the components a successor shares with
@@ -680,8 +537,6 @@ let tests =
           [ 2; 3 ]);
     case "table: every store and shard count gives the same counts via Api"
       (fun () ->
-        (* the collapse store cuts canonical keys under symmetry and
-           component ids without it *)
         let module Api = Ccr_serve.Api in
         List.iter
           (fun (symmetry, states, transitions) ->
@@ -707,10 +562,7 @@ let tests =
                   checki (what ^ ": transitions") transitions
                     v.Api.v_transitions
                 | Error msg -> Alcotest.failf "%s: %s" what msg)
-              [
-                (`Mem, 1); (`Collapse, 1); (`Disk, 1); (`Mem, 2);
-                (`Collapse, 2); (`Disk, 2);
-              ])
+              [ (`Mem, 1); (`Disk, 1); (`Mem, 2); (`Disk, 2) ])
           [ (`Auto, 9263, 27191); (`Off, 18207, 53352) ]);
     case "table: decode refuses truncated keys and unknown ids" (fun () ->
         let cfg = Async.{ k = 2 } in
