@@ -744,7 +744,7 @@ let symmetry () =
         }
   in
   let rv_q ?(brute = false) prog =
-    let stats = Sym.make_stats () in
+    let stats = Sym.make_stats ~timing:true () in
     let key =
       if brute then Sym.canonical_rv ~stats prog
       else Sym.canonical_rv_fast ~stats prog
@@ -766,7 +766,7 @@ let symmetry () =
   in
   let as_q ?(brute = false) prog =
     let cfg = Async.{ k = 2 } in
-    let stats = Sym.make_stats () in
+    let stats = Sym.make_stats ~timing:true () in
     let sys =
       if brute then
         Explore.

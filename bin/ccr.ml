@@ -853,7 +853,8 @@ let check_cmd =
       Obs.jev jnl "faults" [ ("budget", J.Str (Fmt.str "%a" Fault.pp spec)) ]
     | None -> ());
     let module Sym = Ccr_refine.Symmetry in
-    let sym_stats = Sym.make_stats () in
+    (* only canon.time_share, a --metrics-json gauge, needs the clock *)
+    let sym_stats = Sym.make_stats ~timing:(metrics_file <> None) () in
     (* Orbit sizes are harvested from the canonicalizing domain's local
        storage, readable only when freshness is decided right there:
        sequential, fault-free auto runs. *)

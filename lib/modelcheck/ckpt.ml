@@ -203,6 +203,7 @@ type loaded = {
   l_keys : (string -> unit) -> unit;
   l_prov : (int * int) array;
   l_bytes : int;
+  l_file : string;
 }
 
 let read_file path =
@@ -313,6 +314,7 @@ let load ~dir =
           l_keys = iter_keys "visited" vstr;
           l_prov = prov;
           l_bytes = String.length s;
+          l_file = path;
         }
     end
   with
@@ -337,6 +339,11 @@ let resume ?prov ?(save = ignore) l =
           r_depth = l.l_depth;
           r_frontier = l.l_frontier;
           r_keys = l.l_keys;
+          r_refused =
+            (fun msg ->
+              Printf.sprintf
+                "checkpoint %s refused: %s; restart the check without --resume"
+                l.l_file msg);
         };
     ck_save = save;
   }

@@ -57,6 +57,7 @@ type loaded = {
       (** [(parent, ord)] per dense id, empty when saved without
           provenance; {!resume} replays them *)
   l_bytes : int;  (** checkpoint file size *)
+  l_file : string;  (** the checkpoint's path, [file dir] *)
 }
 
 val load : dir:string -> (loaded, string) result

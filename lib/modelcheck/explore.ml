@@ -85,6 +85,7 @@ type ckpt_resume = {
   r_depth : int;
   r_frontier : string array;
   r_keys : (string -> unit) -> unit;
+  r_refused : string -> string;
 }
 
 type ckpt = { ck_resume : ckpt_resume option; ck_save : ckpt_view -> unit }
@@ -533,11 +534,30 @@ let run ?(jobs = 1) ?(visited = Exact) ?(store = Vstore.Mem) ?max_states
   let seed key = ignore (stores.(owner key).Vstore.add key) in
   (match ckpt with
   | Some { ck_resume = Some r; _ } ->
-    r.r_keys (fun k -> seed (import k));
+    (* a key the decoder refuses names its section and index; frontier
+       keys are decoded once here, so none is refused mid-run *)
+    let resumed section i f =
+      try f ()
+      with Invalid_argument m ->
+        invalid_arg (r.r_refused (Printf.sprintf "%s key %d: %s" section i m))
+    in
+    let i = ref 0 in
+    r.r_keys (fun k ->
+        seed (resumed "visited" !i (fun () -> import k));
+        incr i);
+    let frontier =
+      Array.mapi
+        (fun i k ->
+          resumed "frontier" i (fun () ->
+              let k = fimport k in
+              ignore (sys.decode k);
+              k))
+        r.r_frontier
+    in
     n_states := r.r_states;
     trans := r.r_transitions;
     max_depth := r.r_depth;
-    level ~first:true (Array.map fimport r.r_frontier) r.r_depth
+    level ~first:true frontier r.r_depth
   | _ ->
     let key = key_of sys.init in
     seed key;

@@ -150,6 +150,11 @@ type ckpt_resume = {
   r_keys : (string -> unit) -> unit;
       (** the visited keys as [v_iter_keys] gave them; the driver
           re-imports them through [key_io.import] *)
+  r_refused : string -> string;
+      (** the one-line refusal for a resumed key that [key_io.import] or
+          [decode] refuses, given the section, the key's index and the
+          decoder's message (e.g. ["frontier key 0: …"]); the driver
+          raises it as [Invalid_argument] before exploring anything *)
 }
 
 type ckpt = {

@@ -1,6 +1,8 @@
-(* Visited-state stores: the exact in-memory set, an out-of-core
-   append-file store, and bitstate hashing — all behind one record so the
+(* Visited-state stores: one exact index over keys kept in RAM or in an
+   append file, and bitstate hashing — all behind one record so the
    exploration engines stay store-agnostic. *)
+
+open Bigarray
 
 type t = {
   add : string -> bool;
@@ -15,107 +17,483 @@ type kind = Mem | Disk
 let kind_name = function Mem -> "mem" | Disk -> "disk"
 
 (* Stable per-state bookkeeping figure used by the *raw* (uncompressed)
-   byte count: what the exact store pays per state on top of the
-   key bytes (hash slot, boxed string header, id).  Kept identical across
+   byte count: what a store of boxed key strings pays per state on top of
+   the key bytes (hash slot, string header, id).  Kept identical across
    store kinds so bench bytes/state comparisons share one baseline. *)
 let per_state_overhead = 64
 
-(* Honest accounting constants for [mem_bytes]: OCaml boxed-string header
-   plus word rounding (~24 bytes on 64-bit), and open-addressing slot
-   costs.  These make [mem_bytes] track actual RAM, so a memory cap set
-   for the machine really is honored — the old figure ignored the tables
-   themselves, undercounting by ~30%. *)
-let string_overhead = 24
-let hashtbl_entry_overhead = 48 (* hashtbl bucket + boxed header *)
+type bigstring = (char, int8_unsigned_elt, c_layout) Array1.t
 
-(* ---- exact in-memory store ---------------------------------------------
+external big_get64 : bigstring -> int -> int64 = "%caml_bigstring_get64u"
+external big_set64 : bigstring -> int -> int64 -> unit
+  = "%caml_bigstring_set64u"
+external str_get64 : string -> int -> int64 = "%caml_string_get64u"
+external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-   Insert-only open-addressing string set.  [add] is the visited-set hot
-   path: it hashes the key once and walks a single probe sequence to both
-   test membership and insert, where the stdlib [Hashtbl.mem] +
-   [Hashtbl.add] pair traverses its bucket chain twice and allocates a
-   bucket cell per state.  Keys are interned exactly once: the encoded
-   string handed to [add] is the string retained in the table. *)
-module Strset = struct
+(* ---- RAM log: append-only bytes in off-heap chunks ---------------------
+
+   Logical offset [off] lives in chunk [off lsr bits] at [off land mask].
+   Chunk 0 starts small and doubles (by copy) up to [cap]; every later
+   chunk is [cap] bytes, so a small store stays small, a large one copies
+   nothing past the first chunk, and the bytes sit outside the OCaml heap, where the GC neither
+   scans them nor sizes its slack by them.  A record may straddle two
+   chunks. *)
+module Chunks = struct
+  let bits = 18
+  let cap = 1 lsl bits
+  let mask = cap - 1
+
   type t = {
-    mutable keys : string array;
-    mutable hashes : int array;
+    mutable chunks : bigstring array;
+    mutable n : int; (* chunks in use *)
+    mutable len : int; (* bytes appended *)
+  }
+
+  let chunk size : bigstring = Array1.create char c_layout size
+  let create ~first = { chunks = [| chunk first |]; n = 1; len = 0 }
+
+  (* room for [extra] more bytes *)
+  let reserve t extra =
+    let need = t.len + extra in
+    let c0 = t.chunks.(0) in
+    let d0 = Array1.dim c0 in
+    if need > d0 && d0 < cap then begin
+      let d = ref d0 in
+      while !d < need && !d < cap do
+        d := 2 * !d
+      done;
+      let c = chunk !d in
+      Array1.blit (Array1.sub c0 0 t.len) (Array1.sub c 0 t.len);
+      t.chunks.(0) <- c
+    end;
+    while t.n * cap < need do
+      if t.n = Array.length t.chunks then
+        t.chunks <-
+          Array.init (2 * t.n) (fun i ->
+              if i < t.n then t.chunks.(i) else t.chunks.(0));
+      t.chunks.(t.n) <- chunk cap;
+      t.n <- t.n + 1
+    done
+
+  let get t off =
+    Array1.unsafe_get t.chunks.(off lsr bits) (off land mask)
+
+  let add_char t ch =
+    reserve t 1;
+    Array1.unsafe_set t.chunks.(t.len lsr bits) (t.len land mask) ch;
+    t.len <- t.len + 1
+
+  let add_string t s =
+    let n = String.length s in
+    reserve t n;
+    let i = ref 0 in
+    while !i < n do
+      let off = t.len + !i in
+      let c = t.chunks.(off lsr bits) and p = off land mask in
+      let run = min (n - !i) (cap - p) in
+      let j = ref 0 in
+      while !j + 8 <= run do
+        big_set64 c (p + !j) (str_get64 s (!i + !j));
+        j := !j + 8
+      done;
+      while !j < run do
+        Array1.unsafe_set c (p + !j) (String.unsafe_get s (!i + !j));
+        incr j
+      done;
+      i := !i + run
+    done;
+    t.len <- t.len + n
+
+  (* 8-byte words at multiples of 8 never straddle: chunk sizes are *)
+  let add_word t w =
+    reserve t 8;
+    big_set64 t.chunks.(t.len lsr bits) (t.len land mask) w;
+    t.len <- t.len + 8
+
+  let get_word t off = big_get64 t.chunks.(off lsr bits) (off land mask)
+
+  (* copy the [len] bytes at [off] into [buf] (at 0) *)
+  let blit_to t off len buf =
+    let c = t.chunks.(off lsr bits) and p = off land mask in
+    if p + len <= cap then begin
+      let j = ref 0 in
+      while !j + 8 <= len do
+        bytes_set64 buf !j (big_get64 c (p + !j));
+        j := !j + 8
+      done;
+      for i = !j to len - 1 do
+        Bytes.unsafe_set buf i (Array1.unsafe_get c (p + i))
+      done
+    end
+    else
+      for i = 0 to len - 1 do
+        Bytes.unsafe_set buf i (get t (off + i))
+      done
+
+  (* the [String.length key] bytes at [off] equal [key]: a word at a time
+     (the last word overlapping) when they sit in one chunk *)
+  let equal t off key =
+    let len = String.length key in
+    let c = t.chunks.(off lsr bits) and p = off land mask in
+    if p + len <= cap && len >= 8 then begin
+      let i = ref 0 and eq = ref true in
+      while !eq && !i + 8 < len do
+        if big_get64 c (p + !i) <> str_get64 key !i then eq := false;
+        i := !i + 8
+      done;
+      !eq && big_get64 c (p + len - 8) = str_get64 key (len - 8)
+    end
+    else begin
+      let i = ref 0 in
+      while !i < len && get t (off + !i) = String.unsafe_get key !i do
+        incr i
+      done;
+      !i = len
+    end
+end
+
+(* ---- file log: an append file behind a RAM tail buffer -----------------
+
+   Bytes live in an unlinked temporary file (or a named one), appended
+   through a small tail buffer that is flushed when it reaches
+   [tail_cap]; reads are served from the file or the tail. *)
+module File = struct
+  type t = {
+    fd : Unix.file_descr;
+    mutable file_len : int; (* bytes flushed to [fd] *)
+    tail : Buffer.t; (* appended bytes not yet flushed *)
+    tail_cap : int;
+    mutable read_buf : Bytes.t;
+  }
+
+  let create ?path ~prefix ~tail_cap () =
+    let fd =
+      match path with
+      | None ->
+        (* anonymous: unlinked immediately, vanishes with the process *)
+        let p = Filename.temp_file prefix ".log" in
+        let fd = Unix.openfile p [ Unix.O_RDWR ] 0o600 in
+        Unix.unlink p;
+        fd
+      | Some p ->
+        (* named: persists on disk so an external checkpoint/reopen flow
+           can point at a stable file instead of a vanishing temp *)
+        Unix.openfile p [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    in
+    let t =
+      {
+        fd;
+        file_len = 0;
+        tail = Buffer.create (min tail_cap 65536);
+        tail_cap;
+        read_buf = Bytes.create 256;
+      }
+    in
+    (* the log owns the descriptor and nothing else can reach it; a
+       dropped log must give the fd back or a long-lived process (the
+       serve daemon, a fuzz campaign) exhausts the fd table *)
+    Gc.finalise (fun s -> try Unix.close s.fd with Unix.Unix_error _ -> ()) t;
+    t
+
+  let length t = t.file_len + Buffer.length t.tail
+
+  let flush t =
+    let s = Buffer.contents t.tail in
+    Buffer.clear t.tail;
+    let len = String.length s in
+    ignore (Unix.lseek t.fd t.file_len Unix.SEEK_SET);
+    let written = ref 0 in
+    while !written < len do
+      written :=
+        !written + Unix.write_substring t.fd s !written (len - !written)
+    done;
+    t.file_len <- t.file_len + len
+
+  (* after each appended record: spill a full tail to the file *)
+  let appended t = if Buffer.length t.tail >= t.tail_cap then flush t
+
+  (* Copy bytes [off, off + len) into [buf] at [pos]. *)
+  let read_into t off len buf pos =
+    let in_file = max 0 (min len (t.file_len - off)) in
+    if in_file > 0 then begin
+      ignore (Unix.lseek t.fd off Unix.SEEK_SET);
+      let got = ref 0 in
+      while !got < in_file do
+        let r = Unix.read t.fd buf (pos + !got) (in_file - !got) in
+        if r = 0 then invalid_arg "Vstore: truncated store file";
+        got := !got + r
+      done
+    end;
+    if in_file < len then
+      Buffer.blit t.tail
+        (off + in_file - t.file_len)
+        buf (pos + in_file) (len - in_file)
+
+  (* bytes [off, off + len) in [t.read_buf] *)
+  let read t off len =
+    if Bytes.length t.read_buf < len then t.read_buf <- Bytes.create (2 * len);
+    read_into t off len t.read_buf 0;
+    t.read_buf
+
+  let equal t off key =
+    let len = String.length key in
+    let b = read t off len in
+    let i = ref 0 and eq = ref true in
+    while !eq && !i + 8 <= len do
+      if bytes_get64 b !i <> str_get64 key !i then eq := false;
+      i := !i + 8
+    done;
+    while !eq && !i < len do
+      if Bytes.unsafe_get b !i <> String.unsafe_get key !i then eq := false;
+      incr i
+    done;
+    !eq
+end
+
+(* ---- logs: where a store's bytes live ---------------------------------- *)
+
+type log = Ram of Chunks.t | File of File.t
+
+let log_length = function Ram c -> c.Chunks.len | File f -> File.length f
+
+(* A chunk's pages beyond the bytes written are never touched, so they
+   are not resident. *)
+let log_resident = function
+  | Ram c -> c.Chunks.len
+  | File f -> Buffer.length f.File.tail + Bytes.length f.File.read_buf
+
+let rec varint_size n = if n < 0x80 then 1 else 1 + varint_size (n lsr 7)
+
+(* A LEB128 varint from [get 0], [get 1], ...: (value, bytes read). *)
+let read_varint get =
+  let n = ref 0 and shift = ref 0 and i = ref 0 and more = ref true in
+  while !more do
+    let b = Char.code (get !i) in
+    n := !n lor ((b land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    incr i;
+    more := b land 0x80 <> 0
+  done;
+  (!n, !i)
+
+(* One key record: LEB128 length, then the key's bytes. *)
+let append_key log key =
+  let len = String.length key in
+  match log with
+  | Ram c ->
+    let n = ref len in
+    while !n >= 0x80 do
+      Chunks.add_char c (Char.unsafe_chr (!n land 0x7f lor 0x80));
+      n := !n lsr 7
+    done;
+    Chunks.add_char c (Char.unsafe_chr !n);
+    Chunks.add_string c key
+  | File f ->
+    let n = ref len in
+    while !n >= 0x80 do
+      Buffer.add_char f.File.tail (Char.unsafe_chr (!n land 0x7f lor 0x80));
+      n := !n lsr 7
+    done;
+    Buffer.add_char f.File.tail (Char.unsafe_chr !n);
+    Buffer.add_string f.File.tail key;
+    File.appended f
+
+(* Visit every key record in append order: [f off buf len], [off] the
+   record's offset, its key the first [len] bytes of [buf] (a scratch
+   buffer, valid during the call).  A file is read sequentially through
+   a window. *)
+let iter_records log f =
+  let total = log_length log in
+  let off = ref 0 in
+  match log with
+  | Ram c ->
+    let buf = ref (Bytes.create 256) in
+    while !off < total do
+      let len, hdr =
+        let b = Chunks.get c !off in
+        if Char.code b < 0x80 then (Char.code b, 1)
+        else read_varint (fun i -> Chunks.get c (!off + i))
+      in
+      if Bytes.length !buf < len then buf := Bytes.create (2 * len);
+      Chunks.blit_to c (!off + hdr) len !buf;
+      f !off !buf len;
+      off := !off + hdr + len
+    done
+  | File d ->
+    let win = ref (Bytes.create 65536) and w_off = ref 0 and w_len = ref 0 in
+    let buf = ref (Bytes.create 256) in
+    (* bytes [o, o + n) inside the window *)
+    let need o n =
+      if o + n > !w_off + !w_len then begin
+        if Bytes.length !win < n then win := Bytes.create n;
+        let m = min (Bytes.length !win) (total - o) in
+        File.read_into d o m !win 0;
+        w_off := o;
+        w_len := m
+      end
+    in
+    while !off < total do
+      need !off (min 10 (total - !off));
+      let len, hdr = read_varint (fun i -> Bytes.get !win (!off - !w_off + i)) in
+      need (!off + hdr) len;
+      if Bytes.length !buf < len then buf := Bytes.create (2 * len);
+      Bytes.blit !win (!off + hdr - !w_off) !buf 0 len;
+      f !off !buf len;
+      off := !off + hdr + len
+    done
+
+(* ---- the exact store: one index over either log ------------------------
+
+   An insert-only open-addressing index, one int per slot in an off-heap
+   [Bigarray]:
+       0                              — empty
+       1 + (off << 20 | tag << 12 | lenfield)
+   [off]: offset of the key's record in the log (42 bits, 4 TB);
+   [tag]: 8 high bits of the key's hash, rejecting almost all false
+   probes without touching the key bytes; [lenfield]: the key length,
+   0xfff meaning "read it from the record".  A tag and length hit is
+   confirmed by comparing the stored bytes, so the store is exact.  No
+   hash word per slot: a resize walks the log in append order and
+   rehashes each key, paid O(log n) times.  [Mem] and [Disk] differ only
+   in the log. *)
+module Index = struct
+  type slots = (int, int_elt, c_layout) Array1.t
+
+  type t = {
+    log : log;
+    mutable slots : slots;
     mutable count : int;
     mutable key_bytes : int;
   }
 
-  (* Physically unique empty-slot marker ([String.make] allocates a fresh
-     block, so no real key can be [==] to it). *)
-  let absent = String.make 1 '\000'
+  let empty_slots n : slots =
+    let a = Array1.create int c_layout n in
+    Array1.fill a 0;
+    a
 
-  let create ~init_slots =
-    {
-      keys = Array.make init_slots absent;
-      hashes = Array.make init_slots 0;
-      count = 0;
-      key_bytes = 0;
-    }
+  let create ~init_slots log =
+    { log; slots = empty_slots init_slots; count = 0; key_bytes = 0 }
+
+  (* A hash of the first [len] bytes of [s], a word at a time (the last
+     word overlapping), so a resize can rehash a stored key in place. *)
+  let[@inline] fold w =
+    Int64.to_int w lxor Int64.to_int (Int64.shift_right_logical w 32)
+
+  let[@inline] mix h w =
+    let h = (h lxor w) * 0x2127599bf4325c37 in
+    h lxor (h lsr 31)
+
+  let hash_sub s len =
+    let h =
+      if len < 8 then begin
+        let w = ref 0 in
+        for i = 0 to len - 1 do
+          w := (!w lsl 8) lor Char.code (String.unsafe_get s i)
+        done;
+        mix len !w
+      end
+      else begin
+        let h = ref len and i = ref 0 in
+        while !i + 8 < len do
+          h := mix !h (fold (str_get64 s !i));
+          i := !i + 8
+        done;
+        mix !h (fold (str_get64 s (len - 8)))
+      end
+    in
+    let h = (h lxor (h lsr 29)) * 0x1b873593cc9e2d51 in
+    (h lxor (h lsr 32)) land max_int
+
+  let hash key = hash_sub key (String.length key)
+  let tag_len h len = (((h lsr 22) land 0xff) lsl 12) lor min len 0xfff
+
+  (* the first empty slot on [h]'s probe sequence *)
+  let free slots h =
+    let mask = Array1.dim slots - 1 in
+    let j = ref (h land mask) in
+    while Array1.unsafe_get slots !j <> 0 do
+      j := (!j + 1) land mask
+    done;
+    !j
 
   let resize t =
-    let old_keys = t.keys and old_hashes = t.hashes in
-    let cap = 2 * Array.length old_keys in
-    let mask = cap - 1 in
-    let keys = Array.make cap absent and hashes = Array.make cap 0 in
-    Array.iteri
-      (fun i k ->
-        if k != absent then begin
-          let h = old_hashes.(i) in
-          let j = ref (h land mask) in
-          while keys.(!j) != absent do
-            j := (!j + 1) land mask
-          done;
-          keys.(!j) <- k;
-          hashes.(!j) <- h
-        end)
-      old_keys;
-    t.keys <- keys;
-    t.hashes <- hashes
+    let slots = empty_slots (2 * Array1.dim t.slots) in
+    iter_records t.log (fun off buf len ->
+        let h = hash_sub (Bytes.unsafe_to_string buf) len in
+        Array1.unsafe_set slots (free slots h)
+          (((off lsl 20) lor tag_len h len) + 1));
+    t.slots <- slots
+
+  (* the stored length of the record at [off]: its varint, read only
+     for keys of 0xfff bytes or more *)
+  let stored_len t off =
+    fst
+      (match t.log with
+      | Ram c -> read_varint (fun i -> Chunks.get c (off + i))
+      | File f ->
+        let b = File.read f off (min 10 (log_length t.log - off)) in
+        read_varint (Bytes.get b))
+
+  let matches t off key =
+    let len = String.length key in
+    (len < 0xfff || stored_len t off = len)
+    &&
+    let start = off + varint_size len in
+    match t.log with
+    | Ram c -> Chunks.equal c start key
+    | File f -> File.equal f start key
 
   (* true when [key] was absent (in which case it is inserted) *)
   let add t key =
-    if 2 * t.count >= Array.length t.keys then resize t;
-    let h = Hashtbl.hash key in
-    let mask = Array.length t.keys - 1 in
+    if 2 * t.count >= Array1.dim t.slots then resize t;
+    let len = String.length key in
+    let h = hash key in
+    let want = tag_len h len in
+    let mask = Array1.dim t.slots - 1 in
     let j = ref (h land mask) in
     let fresh = ref false and scanning = ref true in
     while !scanning do
-      let k = t.keys.(!j) in
-      if k == absent then begin
-        t.keys.(!j) <- key;
-        t.hashes.(!j) <- h;
+      let p = Array1.unsafe_get t.slots !j in
+      if p = 0 then begin
+        let off = log_length t.log in
+        append_key t.log key;
+        Array1.unsafe_set t.slots !j (((off lsl 20) lor want) + 1);
         t.count <- t.count + 1;
-        t.key_bytes <- t.key_bytes + String.length key;
+        t.key_bytes <- t.key_bytes + len;
         fresh := true;
         scanning := false
       end
-      else if t.hashes.(!j) = h && String.equal k key then scanning := false
+      else if (p - 1) land 0xfffff = want && matches t ((p - 1) lsr 20) key
+      then scanning := false
       else j := (!j + 1) land mask
     done;
     !fresh
+
+  let store t =
+    {
+      add = (fun key -> add t key);
+      mem_bytes =
+        (fun () -> (8 * Array1.dim t.slots) + log_resident t.log);
+      raw_bytes = (fun () -> t.key_bytes + (per_state_overhead * t.count));
+      count = (fun () -> t.count);
+      iter_keys =
+        (fun f ->
+          iter_records t.log (fun _ buf len -> f (Bytes.sub_string buf 0 len)));
+    }
 end
 
 let exact ?(init_slots = 4096) () =
-  let t = Strset.create ~init_slots in
-  {
-    add = (fun key -> Strset.add t key);
-    mem_bytes =
-      (fun () ->
-        (* keys + headers, plus the two slot arrays (pointer + hash word) *)
-        t.Strset.key_bytes
-        + (string_overhead * t.Strset.count)
-        + (16 * Array.length t.Strset.keys));
-    raw_bytes =
-      (fun () -> t.Strset.key_bytes + (per_state_overhead * t.Strset.count));
-    count = (fun () -> t.Strset.count);
-    iter_keys =
-      (fun f ->
-        Array.iter (fun k -> if k != Strset.absent then f k) t.Strset.keys);
-  }
+  Index.store (Index.create ~init_slots (Ram (Chunks.create ~first:4096)))
+
+let disk ?path ?(init_slots = 1024) ?(tail_cap = 1 lsl 16) () =
+  Index.store
+    (Index.create ~init_slots
+       (File (File.create ?path ~prefix:"ccr_vstore" ~tail_cap ())))
+
+let make ?init_slots ?tail_cap = function
+  | Mem -> exact ?init_slots ()
+  | Disk -> disk ?init_slots ?tail_cap ()
 
 (* ---- bitstate (supertrace) hashing -------------------------------------- *)
 
@@ -160,227 +538,19 @@ let bitstate bits =
         invalid_arg "Vstore.bitstate: keys are not recoverable");
   }
 
-(* ---- out-of-core (append-file) store ------------------------------------
-
-   Key bytes live in an unlinked temporary file (appended through a small
-   tail buffer); RAM holds only an open-addressing index of packed
-   (offset, length) words plus the key hashes.  Unlike bitstate hashing
-   this is exact: a hash hit is confirmed by reading the stored key back
-   and comparing bytes, so counts equal the in-memory store's. *)
-module Diskset = struct
-  (* Index slot layout, one OCaml int per slot:
-       0                              — empty
-       1 + (off << 20 | tag << 12 | lenfield)
-     [off]: byte offset of the key in the file (42 bits, 4 TB);
-     [tag]: 8 high bits of the key's hash, rejecting almost all false
-     probes without touching the file; [lenfield]: key length, values
-     >= 0xfff overflowing into [long_lens].  No per-slot hash word: a
-     resize re-reads each stored key once to rehash it — sequential-ish,
-     page-cache-friendly I/O, paid O(log n) times — which halves the
-     resident index to 8 bytes per slot. *)
-  type t = {
-    fd : Unix.file_descr;
-    mutable file_len : int; (* bytes flushed to [fd] *)
-    tail : Buffer.t; (* appended keys not yet flushed *)
-    tail_cap : int;
-    mutable packed : int array;
-    mutable count : int;
-    mutable key_bytes : int;
-    long_lens : (int, int) Hashtbl.t; (* off -> true len when >= 0xfff *)
-    mutable read_buf : Bytes.t;
-  }
-
-  let create ?path ~init_slots ~tail_cap () =
-    let fd =
-      match path with
-      | None ->
-        (* anonymous: unlinked immediately, vanishes with the process *)
-        let p = Filename.temp_file "ccr_vstore" ".keys" in
-        let fd = Unix.openfile p [ Unix.O_RDWR ] 0o600 in
-        Unix.unlink p;
-        fd
-      | Some p ->
-        (* named: persists on disk so an external checkpoint/reopen flow
-           can point at a stable file instead of a vanishing temp *)
-        Unix.openfile p [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-    in
-    let t =
-      {
-        fd;
-        file_len = 0;
-        tail = Buffer.create (min tail_cap 65536);
-        tail_cap;
-        packed = Array.make init_slots 0;
-        count = 0;
-        key_bytes = 0;
-        long_lens = Hashtbl.create 16;
-        read_buf = Bytes.create 256;
-      }
-    in
-    (* the store owns the descriptor and nothing else can reach it; a
-       dropped store must give the fd back or a long-lived process (the
-       serve daemon, a fuzz campaign) exhausts the fd table *)
-    Gc.finalise (fun s -> try Unix.close s.fd with Unix.Unix_error _ -> ()) t;
-    t
-
-  let tag_of h = (h lsr 22) land 0xff
-
-  let pack ~off ~tag ~lenfield = ((off lsl 20) lor (tag lsl 12) lor lenfield) + 1
-
-  let flush t =
-    let s = Buffer.contents t.tail in
-    Buffer.clear t.tail;
-    let len = String.length s in
-    ignore (Unix.lseek t.fd t.file_len Unix.SEEK_SET);
-    let written = ref 0 in
-    while !written < len do
-      written :=
-        !written + Unix.write_substring t.fd s !written (len - !written)
-    done;
-    t.file_len <- t.file_len + len
-
-  let entry_len t off lenfield =
-    if lenfield < 0xfff then lenfield else Hashtbl.find t.long_lens off
-
-  (* Copy the [len] stored bytes at [off] into [t.read_buf]. *)
-  let read_stored t off len =
-    if Bytes.length t.read_buf < len then t.read_buf <- Bytes.create (2 * len);
-    if off >= t.file_len then
-      (* still in the tail buffer *)
-      Buffer.blit t.tail (off - t.file_len) t.read_buf 0 len
-    else begin
-      ignore (Unix.lseek t.fd off Unix.SEEK_SET);
-      let got = ref 0 in
-      while !got < len do
-        let r = Unix.read t.fd t.read_buf !got (len - !got) in
-        if r = 0 then invalid_arg "Vstore.disk: truncated store file";
-        got := !got + r
-      done
-    end
-
-  let stored_matches t off key =
-    let len = String.length key in
-    read_stored t off len;
-    let i = ref 0 in
-    while !i < len && Bytes.unsafe_get t.read_buf !i = String.unsafe_get key !i
-    do
-      incr i
-    done;
-    !i = len
-
-  let resize t =
-    let old = t.packed in
-    let cap = 2 * Array.length old in
-    let mask = cap - 1 in
-    let packed = Array.make cap 0 in
-    Array.iter
-      (fun p ->
-        if p <> 0 then begin
-          let off = (p - 1) lsr 20 in
-          let len = entry_len t off ((p - 1) land 0xfff) in
-          read_stored t off len;
-          let h =
-            Hashtbl.seeded_hash 3 (Bytes.sub_string t.read_buf 0 len)
-          in
-          let j = ref (h land mask) in
-          while packed.(!j) <> 0 do
-            j := (!j + 1) land mask
-          done;
-          packed.(!j) <- p
-        end)
-      old;
-    t.packed <- packed
-
-  let add t key =
-    if 2 * t.count >= Array.length t.packed then resize t;
-    let len = String.length key in
-    let h = Hashtbl.seeded_hash 3 key in
-    let tag = tag_of h in
-    let mask = Array.length t.packed - 1 in
-    let j = ref (h land mask) in
-    let fresh = ref false and scanning = ref true in
-    while !scanning do
-      let p = t.packed.(!j) in
-      if p = 0 then begin
-        let off = t.file_len + Buffer.length t.tail in
-        Buffer.add_string t.tail key;
-        if Buffer.length t.tail >= t.tail_cap then flush t;
-        let lenfield = min len 0xfff in
-        if lenfield = 0xfff then Hashtbl.replace t.long_lens off len;
-        t.packed.(!j) <- pack ~off ~tag ~lenfield;
-        t.count <- t.count + 1;
-        t.key_bytes <- t.key_bytes + len;
-        fresh := true;
-        scanning := false
-      end
-      else begin
-        let p = p - 1 in
-        let off = p lsr 20 in
-        if
-          (p lsr 12) land 0xff = tag
-          && entry_len t off (p land 0xfff) = len
-          && stored_matches t off key
-        then scanning := false
-        else j := (!j + 1) land mask
-      end
-    done;
-    !fresh
-
-  let mem_bytes t =
-    (8 * Array.length t.packed)
-    + Buffer.length t.tail
-    + (hashtbl_entry_overhead * Hashtbl.length t.long_lens)
-    + Bytes.length t.read_buf
-end
-
-let disk ?path ?(init_slots = 1024) ?(tail_cap = 1 lsl 16) () =
-  let t = Diskset.create ?path ~init_slots ~tail_cap () in
-  {
-    add = (fun key -> Diskset.add t key);
-    mem_bytes = (fun () -> Diskset.mem_bytes t);
-    raw_bytes =
-      (fun () -> t.Diskset.key_bytes + (per_state_overhead * t.Diskset.count));
-    count = (fun () -> t.Diskset.count);
-    iter_keys =
-      (fun f ->
-        (* The index knows (offset, length); visiting offsets in
-           ascending order replays insertion order, so serialized
-           checkpoints are deterministic for a given exploration. *)
-        let entries = ref [] in
-        Array.iter
-          (fun p ->
-            if p <> 0 then begin
-              let off = (p - 1) lsr 20 in
-              entries := (off, Diskset.entry_len t off ((p - 1) land 0xfff))
-                         :: !entries
-            end)
-          t.Diskset.packed;
-        let entries = List.sort compare !entries in
-        List.iter
-          (fun (off, len) ->
-            Diskset.read_stored t off len;
-            f (Bytes.sub_string t.Diskset.read_buf 0 len))
-          entries);
-  }
-
-let make ?init_slots ?tail_cap = function
-  | Mem -> exact ?init_slots ()
-  | Disk -> disk ?init_slots ?tail_cap ()
-
 (* ---- provenance side-table ----------------------------------------------
 
    Optional per-state provenance: for each visited state id (dense, in
    discovery order) the parent state's id and the ordinal of the fired
    transition within the parent's successor list.  One packed word per
    state — [parent lsl 16 lor (ord + 1)], the root stored with
-   pseudo-ordinal -1 — either in a growable int array ([P_mem]) or as
-   8-byte little-endian records appended to an unlinked temporary file
-   through a tail buffer ([P_disk], the Diskset discipline), so the
-   table stays out-of-core alongside [--store disk].  No labels are
-   stored: replaying the i-th recorded ordinal against the current
-   state's successor list recovers the label exactly, which turns
-   counterexample reconstruction into an O(depth) chain walk plus one
-   successor expansion per step instead of a sequential re-exploration. *)
+   pseudo-ordinal -1 — as 8-byte records in a log: off-heap chunks
+   ([P_mem]) or an unlinked temporary file ([P_disk]), so the table
+   stays out-of-core alongside [--store disk].  No labels are stored:
+   replaying the i-th recorded ordinal against the current state's
+   successor list recovers the label exactly, which turns counterexample
+   reconstruction into an O(depth) chain walk plus one successor
+   expansion per step instead of a sequential re-exploration. *)
 module Prov = struct
   type pkind = P_mem | P_disk
 
@@ -389,55 +559,15 @@ module Prov = struct
   let ord_bits = 16
   let ord_mask = (1 lsl ord_bits) - 1
 
-  type disk_state = {
-    fd : Unix.file_descr;
-    mutable file_len : int; (* bytes flushed to [fd] *)
-    tail : Buffer.t; (* records not yet flushed *)
-    tail_cap : int;
-    read_buf : Bytes.t; (* one 8-byte record *)
-  }
-
-  type backend = Arr of int array ref | File of disk_state
-
-  type t = { mutable n : int; backend : backend }
+  type t = { mutable n : int; log : log }
 
   let create ?(kind = P_mem) ?(tail_cap = 1 lsl 16) () =
-    let backend =
+    let log =
       match kind with
-      | P_mem -> Arr (ref (Array.make 1024 0))
-      | P_disk ->
-        let path = Filename.temp_file "ccr_prov" ".log" in
-        let fd = Unix.openfile path [ Unix.O_RDWR ] 0o600 in
-        (* unlinked immediately: the file vanishes with the process *)
-        Unix.unlink path;
-        let ds =
-          {
-            fd;
-            file_len = 0;
-            tail = Buffer.create (min tail_cap 65536);
-            tail_cap;
-            read_buf = Bytes.create 8;
-          }
-        in
-        (* same ownership story as Diskset: reclaim the fd with the table *)
-        Gc.finalise
-          (fun s -> try Unix.close s.fd with Unix.Unix_error _ -> ())
-          ds;
-        File ds
+      | P_mem -> Ram (Chunks.create ~first:8192)
+      | P_disk -> File (File.create ~prefix:"ccr_prov" ~tail_cap ())
     in
-    { n = 0; backend }
-
-  let flush d =
-    let s = Buffer.contents d.tail in
-    Buffer.clear d.tail;
-    let len = String.length s in
-    ignore (Unix.lseek d.fd d.file_len Unix.SEEK_SET);
-    let written = ref 0 in
-    while !written < len do
-      written :=
-        !written + Unix.write_substring d.fd s !written (len - !written)
-    done;
-    d.file_len <- d.file_len + len
+    { n = 0; log }
 
   let record t ~id ~parent ~ord =
     if id <> t.n then
@@ -446,41 +576,21 @@ module Prov = struct
       invalid_arg "Vstore.Prov.record: ordinal out of range";
     if parent < 0 || (parent >= id && ord >= 0) then
       invalid_arg "Vstore.Prov.record: parent must precede the state";
-    let w = (parent lsl ord_bits) lor (ord + 1) in
-    (match t.backend with
-    | Arr slots ->
-      if t.n >= Array.length !slots then begin
-        let a = Array.make (2 * Array.length !slots) 0 in
-        Array.blit !slots 0 a 0 t.n;
-        slots := a
-      end;
-      !slots.(t.n) <- w
-    | File d ->
-      Bytes.set_int64_le d.read_buf 0 (Int64.of_int w);
-      Buffer.add_bytes d.tail d.read_buf;
-      if Buffer.length d.tail >= d.tail_cap then flush d);
+    let w = Int64.of_int ((parent lsl ord_bits) lor (ord + 1)) in
+    (match t.log with
+    | Ram c -> Chunks.add_word c w
+    | File f ->
+      Buffer.add_int64_le f.File.tail w;
+      File.appended f);
     t.n <- t.n + 1
 
   let entry t id =
     if id < 0 || id >= t.n then invalid_arg "Vstore.Prov.entry: unknown id";
     let w =
-      match t.backend with
-      | Arr slots -> !slots.(id)
-      | File d ->
-        let off = 8 * id in
-        if off >= d.file_len then
-          Buffer.blit d.tail (off - d.file_len) d.read_buf 0 8
-        else begin
-          ignore (Unix.lseek d.fd off Unix.SEEK_SET);
-          let got = ref 0 in
-          while !got < 8 do
-            let r = Unix.read d.fd d.read_buf !got (8 - !got) in
-            if r = 0 then
-              invalid_arg "Vstore.Prov: truncated provenance file";
-            got := !got + r
-          done
-        end;
-        Int64.to_int (Bytes.get_int64_le d.read_buf 0)
+      Int64.to_int
+        (match t.log with
+        | Ram c -> Chunks.get_word c (8 * id)
+        | File f -> Bytes.get_int64_le (File.read f (8 * id) 8) 0)
     in
     (w lsr ord_bits, (w land ord_mask) - 1)
 
@@ -494,11 +604,6 @@ module Prov = struct
     up id []
 
   let count t = t.n
-
-  let mem_bytes t =
-    match t.backend with
-    | Arr slots -> 8 * Array.length !slots
-    | File d -> Buffer.length d.tail + Bytes.length d.read_buf + 64
-
+  let mem_bytes t = log_resident t.log
   let bytes t = 8 * t.n
 end

@@ -2,15 +2,21 @@
 
     Explicit-state exploration is bounded by the visited set (the paper's
     Table 3 "Unfinished" entries are exactly this cliff), so the store is
-    pluggable.  Two stores are exact:
+    pluggable.  Two stores are exact, and they are one index: an
+    open-addressing table of one word per slot (the key's offset, an
+    8-bit hash tag, its length), outside the OCaml heap.  A tag and
+    length hit is confirmed by comparing the stored key's bytes, a word
+    at a time, so — unlike bitstate hashing — counts stay exact.  Each
+    key is stored once, as a varint length and its bytes, appended to a
+    log; the stores differ only in where that log lives:
 
-    - {!Mem}: the exact interned hash set — fastest, one full key in RAM
-      per state.
-    - {!Disk}: out-of-core.  Key bytes live in an unlinked temporary
-      file; RAM holds a one-word-per-slot (offset, hash-tag, length)
-      index.  A tag hit is confirmed by reading the stored key back, so —
-      unlike bitstate hashing — counts stay exact while resident memory
-      drops to ~8 bytes per slot.
+    - {!Mem}: in RAM, in off-heap chunks that start at 4 KiB and grow to
+      256 KiB; about 8 bytes per slot plus the key bytes and one length
+      byte per key.  Neither the GC's marking nor its slack grows with
+      the store.
+    - {!Disk}: out-of-core.  The log is an unlinked temporary file behind
+      a small RAM tail buffer, so resident memory is ~8 bytes per slot;
+      a probe that hits a tag reads the stored key back.
 
     All stores are single-threaded; [Explore.run ~jobs] gives each domain
     shard its own store, touched by one domain at a time. *)
@@ -20,17 +26,19 @@ type t = {
       (** [add key] is [true] when the key was not seen before (and marks
           it) — the one hot-path operation *)
   mem_bytes : unit -> int;
-      (** honest resident memory: key bytes {e plus} table slots,
-          headers, tail buffers — what a memory cap should meter *)
+      (** honest resident memory: table slots {e plus} the RAM log's
+          bytes (key bytes and lengths) or the disk store's tail and
+          read buffers — what a memory cap should meter *)
   raw_bytes : unit -> int;
-      (** what the plain interned store would hold for the same states
-          (key bytes + a fixed per-state overhead): the stable baseline
-          for resident-saving and bytes/state comparisons *)
+      (** what a store of boxed key strings would hold for the same
+          states (key bytes + a fixed per-state overhead): the stable
+          baseline for resident-saving and bytes/state comparisons *)
   count : unit -> int;  (** keys marked *)
   iter_keys : (string -> unit) -> unit;
-      (** visit every stored key — in insertion order for the disk
-          store, in (deterministic) table order for the exact store — so
-          serialization of a given run is reproducible.
+      (** visit every stored key in insertion order, in both stores, by
+          walking the log (the index is not sorted); so a run's
+          serialization is reproducible and the same for {!Mem} and
+          {!Disk}.
           @raise Invalid_argument for {!bitstate}, which drops the keys
           by construction. *)
 }
@@ -41,11 +49,13 @@ type kind = Mem | Disk
 val kind_name : kind -> string
 
 val make : ?init_slots:int -> ?tail_cap:int -> kind -> t
-(** [init_slots] (default 4096 for {!exact}, 1024 otherwise; must be a
+(** [init_slots] (default 4096 for {!Mem}, 1024 for {!Disk}; must be a
     power of two) sizes the initial index so sharded engines can start
     small — with honest [mem_bytes], 64 eagerly-huge shards would burn a
-    small memory cap before exploring a single state.  [tail_cap]
-    (default 64 KiB, {!Disk} only) bounds the in-RAM append buffer. *)
+    small memory cap before exploring a single state.  The index doubles
+    when half full, rehashing each key from the log in insertion order.
+    [tail_cap] (default 64 KiB, {!Disk} only) bounds the in-RAM append
+    buffer. *)
 
 val exact : ?init_slots:int -> unit -> t
 val disk : ?path:string -> ?init_slots:int -> ?tail_cap:int -> unit -> t
@@ -73,9 +83,11 @@ val per_state_overhead : int
     Optional per-state provenance for the exploration engines: for each
     visited state id (dense, in discovery order) the parent id and the
     ordinal of the fired transition within the parent's successor list.
-    One packed 8-byte slot per state, resident ([P_mem]) or appended to
-    an unlinked temporary file through a tail buffer ([P_disk]) so the
-    table stays out-of-core alongside [--store disk].  Labels are not
+    One packed 8-byte record per state, in off-heap RAM chunks ([P_mem],
+    the {!Mem} store's log: growing never copies more than the first
+    chunk) or appended to an unlinked temporary file through a tail
+    buffer ([P_disk]) so the table stays out-of-core alongside
+    [--store disk].  Labels are not
     stored — replaying the recorded ordinals from the initial state
     recovers them — so counterexample reconstruction is an O(depth)
     chain walk instead of a sequential re-exploration. *)
@@ -106,7 +118,7 @@ module Prov : sig
   val count : t -> int
 
   val mem_bytes : t -> int
-  (** Resident bytes (the array, or the tail/read buffers). *)
+  (** Resident bytes (the records in RAM, or the tail/read buffers). *)
 
   val bytes : t -> int
   (** Total provenance bytes recorded, resident or not: 8 per state. *)

@@ -89,7 +89,8 @@ let permutations n =
 (* {2 Canonicalization statistics} *)
 
 (* Atomics so the parallel engine's worker domains can share one record;
-   [tie_sizes.(s)] counts tie groups of size [s] (sizes >= 2 only). *)
+   [tie_sizes.(s)] counts tie groups of size [s] (sizes >= 2 only).  The
+   clock is read only for a record made with [~timing:true]. *)
 let max_tie_bucket = 32
 
 type stats = {
@@ -99,9 +100,10 @@ type stats = {
   st_perms_tried : int Atomic.t;
   st_canon_ns : int Atomic.t;
   st_tie_sizes : int Atomic.t array;
+  st_timing : bool;
 }
 
-let make_stats () =
+let make_stats ?(timing = false) () =
   {
     st_calls = Atomic.make 0;
     st_fallbacks = Atomic.make 0;
@@ -109,6 +111,7 @@ let make_stats () =
     st_perms_tried = Atomic.make 0;
     st_canon_ns = Atomic.make 0;
     st_tie_sizes = Array.init (max_tie_bucket + 1) (fun _ -> Atomic.make 0);
+    st_timing = timing;
   }
 
 let calls s = Atomic.get s.st_calls
@@ -131,6 +134,10 @@ let record_tie s len =
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
+(* A call's start time, when its stats time calls. *)
+let start = function Some s when s.st_timing -> now_ns () | _ -> 0
+let timed s t0 = if s.st_timing then bump s.st_canon_ns (now_ns () - t0)
+
 (* {2 Brute-force canonicalization}
 
    Kept for [--symmetry brute] and as the test oracle for the fast path.
@@ -139,7 +146,7 @@ let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
    it is now counted in [stats] instead of degrading silently. *)
 
 let canonical ~permute ~encode ?stats ?(max_fact = 6) prog n st =
-  let t0 = match stats with None -> 0 | Some _ -> now_ns () in
+  let t0 = start stats in
   let key =
     if n > max_fact then begin
       Option.iter (fun s -> bump s.st_fallbacks 1) stats;
@@ -159,7 +166,7 @@ let canonical ~permute ~encode ?stats ?(max_fact = 6) prog n st =
   Option.iter
     (fun s ->
       bump s.st_calls 1;
-      bump s.st_canon_ns (now_ns () - t0))
+      timed s t0)
     stats;
   key
 
@@ -434,7 +441,7 @@ let canonicalize ?stats ?(max_perms = default_max_perms) ~n ~signatures
     ~compare ~encode_perm () =
   let sc = Domain.DLS.get scratch_key in
   ensure sc n;
-  let t0 = match stats with None -> 0 | Some _ -> now_ns () in
+  let t0 = start stats in
   signatures ();
   (* Insertion sort of the slot order by signature: n is small and the
      array is in scratch, so this beats Array.sort. *)
@@ -542,7 +549,7 @@ let canonicalize ?stats ?(max_perms = default_max_perms) ~n ~signatures
     bump s.st_calls 1;
     if !tied then bump s.st_tied_calls 1;
     bump s.st_perms_tried !tried;
-    bump s.st_canon_ns (now_ns () - t0));
+    timed s t0);
   key
 
 let canonical_rv_fast ?stats ?max_perms (prog : Prog.t) st =

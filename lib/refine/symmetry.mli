@@ -42,7 +42,9 @@ open Ccr_semantics
 
 type stats
 
-val make_stats : unit -> stats
+val make_stats : ?timing:bool -> unit -> stats
+(** [timing] (default [false]) makes every canonicalization read the
+    clock twice, for {!canon_seconds}; counts are kept either way. *)
 
 val calls : stats -> int
 (** Canonicalizations performed. *)
@@ -59,7 +61,8 @@ val perms_tried : stats -> int
 (** Candidate encodings computed (1 per untied fast call). *)
 
 val canon_seconds : stats -> float
-(** Wall-clock time spent canonicalizing, summed over domains. *)
+(** Wall-clock time spent canonicalizing, summed over domains; 0 unless
+    the stats were made with [~timing:true]. *)
 
 val iter_tie_groups : stats -> (size:int -> count:int -> unit) -> unit
 (** Iterate the tie-group size histogram (sizes >= 2; sizes beyond 32

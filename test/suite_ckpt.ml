@@ -669,42 +669,57 @@ let tests =
               true
               (String.equal (file ()) (file ())))
           [ `Auto; `Off ]);
-    case "a frontier key the decoder refuses stops the resume with its offset"
+    case
+      "a frontier key the decoder refuses stops the resume, naming the \
+       checkpoint; so does a visited key"
       (fun () ->
         (* [ccr check --resume]'s path: a session over the checkpoint and
-           the default explorer; an [Error] is its exit 1 *)
+           the default explorer; an [Error] is its exit 1.  Without
+           symmetry the table run imports both sections' keys, so a
+           damaged key is refused in either. *)
         let cfg = { inv3 with Api.symmetry = `Off } in
         let e = Result.get_ok (Api.resolve cfg.Api.spec) in
-        in_dir @@ fun dir ->
-        let check ~resume =
-          match Api.session ~resume ~dir e cfg with
-          | Error msg -> Error msg
-          | Ok s ->
-            Api.check_entry
-              ~explorer:(Api.default_explorer ~ckpt:s.Api.s_ckpt cfg)
-              e cfg
-        in
-        (match check ~resume:false with
-        | Ok _ -> ()
-        | Error msg -> Alcotest.failf "check refused: %s" msg);
-        let file =
-          In_channel.with_open_bin (Ckpt.file dir) In_channel.input_all
-        in
-        let keys = keys_of (section file "frontier") in
-        checkb "a frontier to damage" true (keys <> []);
-        (* one trailing byte on the first key; its length, the section's
-           length and its CRC follow, so only the key is wrong *)
-        let damaged = (List.hd keys ^ "\x00") :: List.tl keys in
-        Out_channel.with_open_bin (Ckpt.file dir) (fun oc ->
-            output_string oc
-              (replace_section file "frontier" (key_section damaged)));
-        match check ~resume:true with
-        | Ok (v, _) ->
-          Alcotest.failf "resumed to %d states over a damaged key" v.Api.v_states
-        | Error msg ->
-          checkb "the strict decoder's refusal" true
-            (contains msg "decode: " && contains msg "at byte");
-          checkb "one line" false (String.contains msg '\n'));
+        List.iter
+          (fun name ->
+            in_dir @@ fun dir ->
+            let check ~resume =
+              match Api.session ~resume ~dir e cfg with
+              | Error msg -> Error msg
+              | Ok s ->
+                Api.check_entry
+                  ~explorer:(Api.default_explorer ~ckpt:s.Api.s_ckpt cfg)
+                  e cfg
+            in
+            (match check ~resume:false with
+            | Ok _ -> ()
+            | Error msg -> Alcotest.failf "check refused: %s" msg);
+            let file =
+              In_channel.with_open_bin (Ckpt.file dir) In_channel.input_all
+            in
+            let keys = keys_of (section file name) in
+            checkb (name ^ ": keys to damage") true (keys <> []);
+            (* one trailing byte on the first key; its length, the
+               section's length and its CRC follow, so only the key is
+               wrong *)
+            let damaged = (List.hd keys ^ "\x00") :: List.tl keys in
+            Out_channel.with_open_bin (Ckpt.file dir) (fun oc ->
+                output_string oc
+                  (replace_section file name (key_section damaged)));
+            match check ~resume:true with
+            | Ok (v, _) ->
+              Alcotest.failf "resumed to %d states over a damaged %s key"
+                v.Api.v_states name
+            | Error msg ->
+              checkb (name ^ ": the strict decoder's refusal") true
+                (contains msg "decode: " && contains msg "at byte");
+              checkb (name ^ ": names the checkpoint and the key") true
+                (contains msg
+                   (Fmt.str "checkpoint %s refused: %s key 0: " (Ckpt.file dir)
+                      name));
+              checkb (name ^ ": says how to go on") true
+                (contains msg "restart the check without --resume");
+              checkb (name ^ ": one line") false (String.contains msg '\n'))
+          [ "frontier"; "visited" ]);
   ]
 
 let suite = ("ckpt", tests)

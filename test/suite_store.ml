@@ -35,6 +35,57 @@ let agrees_with_exact store keys =
     keys
   && store.Vstore.count () = exact.Vstore.count ()
 
+(* Keys of every length class the stores frame differently: empty, one
+   and two varint length bytes either side of 128, the 255/256 and
+   4095/4096 boundaries (4095 and up read their length from the record),
+   and longer.  Short keys over a 3-letter alphabet repeat often. *)
+let mixed_key_gen =
+  QCheck2.Gen.(
+    let* len =
+      frequency
+        [
+          (2, pure 0); (30, int_range 1 12); (1, oneofl [ 127; 128 ]);
+          (1, oneofl [ 255; 256 ]); (1, oneofl [ 4095; 4096 ]);
+          (1, int_range 4097 9000);
+        ]
+    in
+    string_size ~gen:(char_range 'a' 'c') (pure len))
+
+let print_lengths keys =
+  String.concat "," (List.map (fun k -> string_of_int (String.length k)) keys)
+
+(* Distinct keys in first-occurrence order. *)
+let first_occurrences keys =
+  let seen = Hashtbl.create 64 in
+  List.filter
+    (fun k ->
+      (not (Hashtbl.mem seen k))
+      && begin
+           Hashtbl.add seen k ();
+           true
+         end)
+    keys
+
+let stored (s : Vstore.t) =
+  let out = ref [] in
+  s.Vstore.iter_keys (fun k -> out := k :: !out);
+  List.rev !out
+
+(* Feed [keys] to a mem and a disk store, both starting at 16 slots (so
+   every resize happens) and the disk's tail spilling every 64 bytes:
+   equal [add] answers, equal counts, and both iterate the distinct keys
+   in insertion order.  Feeding the keys again finds every one. *)
+let mem_equals_disk keys =
+  let mem = Vstore.make ~init_slots:16 Vstore.Mem
+  and disk = Vstore.disk ~init_slots:16 ~tail_cap:64 () in
+  let distinct = first_occurrences keys in
+  List.for_all (fun k -> mem.Vstore.add k = disk.Vstore.add k) keys
+  && mem.Vstore.count () = List.length distinct
+  && disk.Vstore.count () = List.length distinct
+  && stored mem = distinct
+  && stored disk = distinct
+  && List.for_all (fun k -> not (mem.Vstore.add k || disk.Vstore.add k)) keys
+
 (* ---- cross-store agreement on real systems ------------------------------ *)
 
 let check_stores_equal name sys =
@@ -163,6 +214,54 @@ let tests =
         (* tail_cap=16 forces nearly every key through the file and the
            read-back comparison path *)
         agrees_with_exact (Vstore.disk ~tail_cap:16 ()) keys);
+    qcase ~count:100 ~print:print_lengths
+      "mem and disk stores agree: answers, counts, insertion order"
+      QCheck2.Gen.(list_size (int_range 0 300) mixed_key_gen)
+      mem_equals_disk;
+    case "mem and disk stores agree on keys straddling RAM chunks" (fun () ->
+        (* about 2 MB of keys: the mem store's chunks (256 KiB, the first
+           grown to it by copy) are crossed several times, mostly by
+           records that straddle the boundary *)
+        let rng = Random.State.make [| 7 |] in
+        let key () =
+          String.init (Random.State.int rng 9000) (fun _ ->
+              Char.chr (97 + Random.State.int rng 3))
+        in
+        let keys = List.init 450 (fun _ -> key ()) in
+        checkb "straddling stream" true (mem_equals_disk (keys @ keys)));
+    case "mem and disk checkpoints of one run are byte-identical" (fun () ->
+        let prog = compile ~n:3 (Ccr_protocols.Migratory.system ()) in
+        let sys = async_system prog in
+        let manifest = [ ("spec_hash", Ccr_obs.Journal.Str "test") ] in
+        let file jobs store =
+          with_temp_dir "ccr-test-store" @@ fun dir ->
+          let ckpt =
+            Explore.
+              {
+                ck_resume = None;
+                ck_save =
+                  Ccr_modelcheck.Ckpt.saver ~dir ~manifest ~prov:None ();
+              }
+          in
+          let r = Explore.run ~jobs ~store ~max_states:300 ~ckpt sys in
+          checkb "capped" true
+            (r.Explore.outcome = Explore.Limit Explore.L_states);
+          let l = Result.get_ok (Ccr_modelcheck.Ckpt.load ~dir) in
+          let keys = ref [] in
+          l.Ccr_modelcheck.Ckpt.l_keys (fun k -> keys := k :: !keys);
+          ( List.rev !keys,
+            In_channel.with_open_bin (Ccr_modelcheck.Ckpt.file dir)
+              In_channel.input_all )
+        in
+        List.iter
+          (fun jobs ->
+            let mem_keys, mem_file = file jobs Vstore.Mem
+            and disk_keys, disk_file = file jobs Vstore.Disk in
+            checkb (Fmt.str "j=%d: visited sections equal" jobs) true
+              (mem_keys = disk_keys);
+            checkb (Fmt.str "j=%d: files byte-identical" jobs) true
+              (String.equal mem_file disk_file))
+          [ 1; 2 ]);
     case "codec: async and rendezvous keys round-trip, every protocol, n=2,3"
       (fun () ->
         List.iter

@@ -489,6 +489,41 @@ let tests =
             tied := !tied + count);
         checkb "tied calls counted" true
           ((!tied > 0) = (Symmetry.tied_calls stats > 0)));
+    case "canonicalization reads the clock only for timing stats" (fun () ->
+        let prog = mig 3 in
+        let sts = sample_async prog 200 in
+        let run stats =
+          let canon = fast ~stats prog in
+          List.iter (fun st -> ignore (canon st)) sts
+        in
+        let plain = Symmetry.make_stats ()
+        and timed = Symmetry.make_stats ~timing:true () in
+        run plain;
+        run timed;
+        checki "same calls" (Symmetry.calls timed) (Symmetry.calls plain);
+        checki "same perms"
+          (Symmetry.perms_tried timed)
+          (Symmetry.perms_tried plain);
+        checkb "untimed: no time" true (Symmetry.canon_seconds plain = 0.);
+        checkb "timed: time measured" true (Symmetry.canon_seconds timed > 0.);
+        (* [Api.check_entry] makes untimed stats of its own; its fallbacks
+           still reach the verdict (brute beyond max_fact: every call) *)
+        let cfg =
+          {
+            Ccr_serve.Api.default with
+            Ccr_serve.Api.spec = Ccr_serve.Api.Named "migratory";
+            level = `Rv;
+            n = 7;
+            symmetry = `Brute;
+          }
+        in
+        let e = Result.get_ok (Ccr_serve.Api.resolve cfg.Ccr_serve.Api.spec) in
+        match Ccr_serve.Api.check_entry e cfg with
+        | Error msg -> Alcotest.failf "check refused: %s" msg
+        | Ok (v, _) ->
+          checki "a fallback per canonicalization"
+            (v.Ccr_serve.Api.v_transitions + 1)
+            v.Ccr_serve.Api.v_canon_fallbacks);
     case
       "table canonical: batch and fresh-table keys agree, every \
        protocol, n=2,3" (fun () ->
