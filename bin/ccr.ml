@@ -643,8 +643,8 @@ let check_cmd =
              the frontier, provenance, the component table and the rest \
              of the heap are not, so the process's peak resident size can \
              be several times $(docv) (invalidate async n=6 under \
-             $(b,--mem 64 --store disk) stopped at 67.1 MB of store \
-             against a 263.5 MB peak RSS).")
+             $(b,--mem 64 --store disk) completes with 33.6 MB of store \
+             against a 103 MB peak RSS).")
   in
   let symmetry =
     Arg.(

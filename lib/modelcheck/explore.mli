@@ -232,8 +232,8 @@ val run :
     table, a system's own tables (e.g. {!Ccr_refine.Table}'s interned
     components) and the rest of the heap are not metered, so the
     process's resident peak can be several times the cap (invalidate
-    async n=6 under a 64 MB cap with the disk store stopped at 67.1 MB
-    of store against a 263.5 MB peak RSS).  [max_time_s] and
+    async n=6 under a 64 MB cap with the disk store completes with
+    33.6 MB of store against a 103 MB peak RSS).  [max_time_s] and
     [interrupt] are polled before every
     expansion and stop with [Limit L_time]/[Limit L_interrupt]; beyond
     one shard a level they interrupt is discarded, so the figures are

@@ -353,7 +353,9 @@ let iter_records log f =
    [tag]: 8 high bits of the key's hash, rejecting almost all false
    probes without touching the key bytes; [lenfield]: the key length,
    0xfff meaning "read it from the record".  A tag and length hit is
-   confirmed by comparing the stored bytes, so the store is exact.  No
+   confirmed by comparing the stored bytes, so the store is exact.
+   Plain linear probing; the slot array doubles when an insert fills it
+   to 7/8, so the number of slots depends only on the key count.  No
    hash word per slot: a resize walks the log in append order and
    rehashes each key, paid O(log n) times.  [Mem] and [Disk] differ only
    in the log. *)
@@ -446,7 +448,6 @@ module Index = struct
 
   (* true when [key] was absent (in which case it is inserted) *)
   let add t key =
-    if 2 * t.count >= Array1.dim t.slots then resize t;
     let len = String.length key in
     let h = hash key in
     let want = tag_len h len in
@@ -468,6 +469,7 @@ module Index = struct
       then scanning := false
       else j := (!j + 1) land mask
     done;
+    if !fresh && 8 * t.count >= 7 * Array1.dim t.slots then resize t;
     !fresh
 
   let store t =

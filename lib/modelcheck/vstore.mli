@@ -53,7 +53,8 @@ val make : ?init_slots:int -> ?tail_cap:int -> kind -> t
     power of two) sizes the initial index so sharded engines can start
     small — with honest [mem_bytes], 64 eagerly-huge shards would burn a
     small memory cap before exploring a single state.  The index doubles
-    when half full, rehashing each key from the log in insertion order.
+    when an insert fills it to 7/8, rehashing each key from the log in
+    insertion order.
     [tail_cap] (default 64 KiB, {!Disk} only) bounds the in-RAM append
     buffer. *)
 

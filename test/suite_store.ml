@@ -229,6 +229,39 @@ let tests =
         in
         let keys = List.init 450 (fun _ -> key ()) in
         checkb "straddling stream" true (mem_equals_disk (keys @ keys)));
+    case "the index doubles when an insert fills it to 7/8" (fun () ->
+        (* 9-byte keys are 10-byte log records; 16 slots hold 13 keys,
+           and the 14th (14/16 = 7/8) doubles them.  [base] is the log's
+           resident size while empty: 0 for RAM chunks, the read buffer
+           for the file. *)
+        let key i = Printf.sprintf "k%08d" i in
+        let slots_for n =
+          let rec go s = if 8 * n >= 7 * s then go (2 * s) else s in
+          go 16
+        in
+        checki "16 slots at 13 keys" 16 (slots_for 13);
+        checki "32 slots after the 14th key" 32 (slots_for 14);
+        List.iter
+          (fun (name, (s : Vstore.t)) ->
+            let base = s.Vstore.mem_bytes () - (8 * 16) in
+            let keys = List.init 200 key in
+            List.iteri
+              (fun i k ->
+                checkb (Fmt.str "%s: key %d fresh" name i) true
+                  (s.Vstore.add k);
+                checki
+                  (Fmt.str "%s: mem_bytes at %d keys" name (i + 1))
+                  ((8 * slots_for (i + 1)) + base + (10 * (i + 1)))
+                  (s.Vstore.mem_bytes ()))
+              keys;
+            checkb (name ^ ": every key found after the resizes") true
+              (List.for_all (fun k -> not (s.Vstore.add k)) keys);
+            checki (name ^ ": count") 200 (s.Vstore.count ());
+            checkb (name ^ ": insertion order") true (stored s = keys))
+          [
+            ("mem", Vstore.make ~init_slots:16 Vstore.Mem);
+            ("disk", Vstore.disk ~init_slots:16 ());
+          ]);
     case "mem and disk checkpoints of one run are byte-identical" (fun () ->
         let prog = compile ~n:3 (Ccr_protocols.Migratory.system ()) in
         let sys = async_system prog in
